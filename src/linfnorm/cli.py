@@ -106,9 +106,7 @@ def _cmd_norm(args) -> int:
         with open(args.report, "w") as fh:
             fh.write(text + "\n")
     print(text)
-    if any(w.startswith("MaxIterations") for w in result.warnings):
-        return EXIT_WARNINGS
-    return EXIT_OK
+    return EXIT_OK if result.converged else EXIT_WARNINGS
 
 
 def _cmd_oracle(args) -> int:

@@ -9,7 +9,6 @@ consecutive maximizers agree to a relative tolerance.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,11 +112,7 @@ def expansion_block(tf: StructuredTF, omega: float, mode: str = FULL):
     verbatim and the wider side is compressed with H(i*omega).  In dominant
     mode only the directions of the top singular pair are used (width 1).
     """
-    s = 1j * omega
-    bs = _as_dense(tf.b_factor.eval(s))
-    cs = tf.c_factor.eval(s)
-    x = tf.solve_d(s, bs)                                 # D^{-1} B
-    y = tf.solve_d_adjoint(s, _as_dense(cs).conj().T)     # (C D^{-1})^*
+    cs, x, y = tf._resolvents(1j * omega)   # C, D^{-1} B, (C D^{-1})^*
     if mode == DOMINANT:
         h = _as_dense(cs @ x)
         u, _, vh = np.linalg.svd(h)
@@ -235,9 +230,9 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     """Full greedy iteration; the returned norm is evaluated on H itself.
 
     Initial points are equidistant in [0, omega_max].  Initial points that
-    hit a singular shift are skipped with a warning; at least one must
-    survive.  Terminates when two consecutive maximizers agree to relative
-    tolerance eps, or after r_max iterations (warning flag set).
+    hit a singular shift are skipped and listed in ``warnings``; at least
+    one must survive.  Terminates when two consecutive maximizers agree to
+    relative tolerance eps, or after r_max iterations (warning flag set).
     """
     t0 = time.perf_counter()
     inner_cfg = cfg.inner or InnerConfig(interval=(0.0, cfg.omega_max))
@@ -254,7 +249,7 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
             vb, wb = expansion_block(tf, float(w0), cfg.expansion_mode)
         except SingularShift:
             skipped.append(float(w0))
-            warnings.warn(f"initial point omega={w0} hit a singular shift; skipped")
+            warns.append(f"initial point omega={w0} hit a singular shift; skipped")
             continue
         state = expand(state, vb, wb)
         state.points.append(float(w0))

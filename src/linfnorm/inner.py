@@ -16,8 +16,8 @@ import scipy.linalg as sla
 
 from .errors import (InvalidBound, NoConvergence, PencilSingular,
                      SingularShift, UnboundedOnAxis)
-from .reduced import (ModelClass, ReducedModel, _sigma_and_slope, classify,
-                      rational_realization, sigma_max)
+from .reduced import (ModelClass, ReducedModel, classify, rational_realization,
+                      sigma_max, sigma_max_derivative)
 
 #: tolerance for accepting a pencil eigenvalue as purely imaginary
 IMAG_TOL = 1e-8
@@ -47,10 +47,6 @@ class InnerResult:
     value: float
     certified_gap: float
     evaluations: int
-
-
-def _sigma(model, omega: float) -> float:
-    return sigma_max(model, omega)[0]
 
 
 def imaginary_crossings(model, gamma: float) -> np.ndarray:
@@ -115,7 +111,7 @@ def bb_norm(model, cfg: InnerConfig) -> InnerResult:
     best_w, best = lo, -np.inf
     for w in cands:
         try:
-            s = _sigma(model, w)
+            s = sigma_max(model, w)[0]
         except SingularShift as err:
             raise UnboundedOnAxis(f"pole on the axis near omega={w}") from err
         evals += 1
@@ -134,7 +130,7 @@ def bb_norm(model, cfg: InnerConfig) -> InnerResult:
         for wa, wb in zip(knots[:-1], knots[1:]):
             w = 0.5 * (wa + wb)
             try:
-                s = _sigma(model, w)
+                s = sigma_max(model, w)[0]
             except SingularShift as err:
                 raise UnboundedOnAxis(
                     f"pole on the axis near omega={w}") from err
@@ -250,9 +246,10 @@ def maximize(model, cfg: InnerConfig) -> InnerResult:
 
     def f(w):
         try:
-            return _sigma_and_slope(model, w)
+            d = sigma_max_derivative(model, w)
         except SingularShift as err:
             raise UnboundedOnAxis(
                 f"pole on the axis near omega={w}") from err
+        return d.sigma, d.value
 
     return qsupport_maximize(f, cfg)

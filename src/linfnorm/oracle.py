@@ -26,10 +26,6 @@ class SweepResult:
     skipped: list = field(default_factory=list)
 
 
-def _sigma(model, omega: float) -> float:
-    return sigma_max(model, omega)[0]
-
-
 def _golden_refine(model, lo, hi, tol, best):
     """Golden-section maximization on [lo, hi]; returns (omega, sigma, iters)."""
     best_w, best_s = best
@@ -37,8 +33,8 @@ def _golden_refine(model, lo, hi, tol, best):
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     try:
-        f1 = _sigma(model, x1)
-        f2 = _sigma(model, x2)
+        f1 = sigma_max(model, x1)[0]
+        f2 = sigma_max(model, x2)[0]
     except SingularShift:
         return best_w, best_s, 0
     for f, w in ((f1, x1), (f2, x2)):
@@ -51,14 +47,14 @@ def _golden_refine(model, lo, hi, tol, best):
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
             try:
-                f2 = _sigma(model, x2)
+                f2 = sigma_max(model, x2)[0]
             except SingularShift:
                 break
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)
             try:
-                f1 = _sigma(model, x1)
+                f1 = sigma_max(model, x1)[0]
             except SingularShift:
                 break
         fbest, wbest = (f1, x1) if f1 >= f2 else (f2, x2)
@@ -77,7 +73,7 @@ def grid_sweep(model, interval, npoints: int):
     kept_w, kept_s, skipped = [], [], []
     for w in omegas:
         try:
-            kept_s.append(_sigma(model, float(w)))
+            kept_s.append(sigma_max(model, float(w))[0])
             kept_w.append(float(w))
         except SingularShift:
             skipped.append(float(w))

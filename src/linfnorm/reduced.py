@@ -88,6 +88,7 @@ def _normalize_pair(v: np.ndarray, w: np.ndarray):
 
 
 class SigmaDerivative(NamedTuple):
+    sigma: float
     value: float
     simple: bool
 
@@ -107,32 +108,24 @@ def sigma_max(model, omega: float):
 
 
 def sigma_max_derivative(model, omega: float) -> SigmaDerivative:
-    """d/domega of the largest singular value of H(i*omega).
+    """Largest singular value of H(i*omega) and its d/domega, from one
+    factorization of D(i*omega).
 
-    The value is Re(w^* dH/domega v); the ``simple`` flag is False when the
+    ``sigma`` equals ``sigma_max(model, omega)[0]``.  The slope ``value`` is
+    Re(w^* dH/domega v) for the top singular pair; the pair's common phase
+    cancels, so it is not normalized.  The ``simple`` flag is False when the
     top singular value is within SIMPLICITY_GAP (relative) of the second,
     in which case the derivative formula is unreliable.
     """
-    tf = _as_tf(model)
-    h = tf.eval(1j * omega)
+    h, hprime = _as_tf(model).eval_with_derivative(1j * omega)
     u, svals, vh = np.linalg.svd(h)
-    v, w = _normalize_pair(vh[0].conj(), u[:, 0])
+    v, w = vh[0].conj(), u[:, 0]
     simple = True
     if svals.size > 1 and svals[0] - svals[1] <= SIMPLICITY_GAP * svals[0]:
         simple = False
-    dh = 1j * tf.eval_derivative(1j * omega)
+    dh = 1j * hprime
     value = float(np.real(w.conj() @ dh @ v))
-    return SigmaDerivative(value, simple)
-
-
-def _sigma_and_slope(model, omega: float):
-    """(sigma, dsigma/domega) in one pass; used by the inner solvers."""
-    tf = _as_tf(model)
-    h = tf.eval(1j * omega)
-    u, svals, vh = np.linalg.svd(h)
-    v, w = vh[0].conj(), u[:, 0]
-    dh = 1j * tf.eval_derivative(1j * omega)
-    return float(svals[0]), float(np.real(w.conj() @ dh @ v))
+    return SigmaDerivative(float(svals[0]), value, simple)
 
 
 def classify(model) -> ModelClass:

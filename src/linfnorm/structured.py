@@ -1,16 +1,14 @@
 """Structured matrix-valued functions H(s) = C(s) D(s)^{-1} B(s).
 
 Each factor is a sum of scalar basis functions of the form s^k * exp(-tau*s)
-times a constant (dense or sparse) coefficient matrix.  The class caches one
-LU factorization of D(s) per shift, which serves both the direct and the
-adjoint solve.
+times a constant (dense or sparse) coefficient matrix.  Each evaluation
+factors D(s) once and uses that one factorization for every direct and
+adjoint solve it needs at the shift.
 """
 
 from __future__ import annotations
 
 import cmath
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +20,6 @@ from .errors import DimensionMismatch, SingularShift
 
 #: reciprocal condition estimate below which a shift is declared singular
 RCOND_THRESHOLD = 1e-14
-
-#: number of shift factorizations kept alive per function
-_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,8 @@ class _DenseFactorization:
         self._lu = (lu, piv)
         self.rcond = float(rcond)
 
-    def solve(self, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    def solve(self, rhs, adjoint: bool = False) -> np.ndarray:
+        rhs = np.asarray(_as_dense(rhs), dtype=np.complex128)
         return sla.lu_solve(self._lu, rhs, trans=2 if adjoint else 0)
 
 
@@ -156,7 +152,7 @@ class _SparseFactorization:
         self._lu = lu
         self.rcond = rcond
 
-    def solve(self, rhs: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    def solve(self, rhs, adjoint: bool = False) -> np.ndarray:
         rhs = np.ascontiguousarray(_as_dense(rhs), dtype=np.complex128)
         return self._lu.solve(rhs, trans="H" if adjoint else "N")
 
@@ -164,9 +160,8 @@ class _SparseFactorization:
 class StructuredTF:
     """The triple (C-factor, D-factor, B-factor) with dimensions (p, n, m).
 
-    Immutable after construction; the factorization cache is the only
-    mutable state and is protected by a lock, so concurrent read-only
-    evaluation is safe.
+    Immutable after construction and holds no factorization between calls,
+    so concurrent evaluation is safe.
     """
 
     def __init__(self, c_factor: MatrixFactor, d_factor: MatrixFactor,
@@ -186,8 +181,6 @@ class StructuredTF:
         if is_real is None:
             is_real = c_factor.is_real and d_factor.is_real and b_factor.is_real
         self.is_real = bool(is_real)
-        self._cache: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
 
     @property
     def n(self) -> int:
@@ -202,30 +195,27 @@ class StructuredTF:
         return self.c_factor.nrows
 
     def _factorization(self, s: complex):
+        """A fresh LU of D(s); raises SingularShift if D(s) is singular."""
         s = complex(s)
-        with self._lock:
-            if s in self._cache:
-                self._cache.move_to_end(s)
-                return self._cache[s]
         d = self.d_factor.eval(s)
         if _is_sparse(d):
-            fact = _SparseFactorization(d, s)
-        else:
-            fact = _DenseFactorization(d, s)
-        with self._lock:
-            self._cache[s] = fact
-            while len(self._cache) > _CACHE_SIZE:
-                self._cache.popitem(last=False)
-        return fact
+            return _SparseFactorization(d, s)
+        return _DenseFactorization(d, s)
+
+    def _resolvents(self, s: complex):
+        """(C(s), D(s)^{-1} B(s), D(s)^{-*} C(s)^*) from one factorization."""
+        fact = self._factorization(s)
+        cs = self.c_factor.eval(s)
+        x = fact.solve(self.b_factor.eval(s))
+        y = fact.solve(_as_dense(cs).conj().T, adjoint=True)
+        return cs, x, y
 
     def solve_d(self, s: complex, rhs) -> np.ndarray:
-        """Solve D(s) X = RHS, caching the factorization per shift."""
-        rhs = np.asarray(_as_dense(rhs), dtype=np.complex128)
+        """Solve D(s) X = RHS."""
         return self._factorization(s).solve(rhs)
 
     def solve_d_adjoint(self, s: complex, rhs) -> np.ndarray:
-        """Solve D(s)^* X = RHS using the same cached factorization."""
-        rhs = np.asarray(_as_dense(rhs), dtype=np.complex128)
+        """Solve D(s)^* X = RHS."""
         return self._factorization(s).solve(rhs, adjoint=True)
 
     def eval(self, s: complex) -> np.ndarray:
@@ -233,15 +223,13 @@ class StructuredTF:
         x = self.solve_d(s, self.b_factor.eval(s))
         return _as_dense(self.c_factor.eval(s) @ x)
 
-    def eval_derivative(self, s: complex) -> np.ndarray:
-        """H'(s) = C'D^{-1}B - CD^{-1}D'D^{-1}B + CD^{-1}B' at the shift s."""
-        bs = _as_dense(self.b_factor.eval(s))
-        cs = self.c_factor.eval(s)
-        x = self.solve_d(s, bs)  # D^{-1} B
-        # rows of C D^{-1} via the adjoint factorization
-        cd = self.solve_d_adjoint(s, _as_dense(cs).conj().T).conj().T
+    def eval_with_derivative(self, s: complex):
+        """(H(s), H'(s)) from one factorization of D(s), where
+        H' = C'D^{-1}B - CD^{-1}D'D^{-1}B + CD^{-1}B'."""
+        cs, x, y = self._resolvents(s)
+        cd = y.conj().T  # rows of C D^{-1}
         dprime = self.d_factor.eval_derivative(s)
         out = _as_dense(self.c_factor.eval_derivative(s) @ x)
         out -= cd @ _as_dense(dprime @ x)
         out += cd @ _as_dense(self.b_factor.eval_derivative(s))
-        return out
+        return _as_dense(cs @ x), out

@@ -17,7 +17,7 @@ from linfnorm.greedy import DOMINANT, RunConfig, check_interpolation, run
 from linfnorm.inner import InnerConfig, bb_norm, qsupport_maximize
 from linfnorm.oracle import grid_norm
 from linfnorm.problems import load_benchmark, make_delay_fixture
-from linfnorm.reduced import _sigma_and_slope, sigma_max
+from linfnorm.reduced import sigma_max, sigma_max_derivative
 
 from conftest import random_descriptor, random_rational_reduced
 
@@ -124,8 +124,8 @@ def test_inner_solver_cross_check():
         cfg_q = InnerConfig(interval=interval,
                             curvature_bound=-(1.5 * abs(curv) + 1.0),
                             max_inner_iters=500)
-        res_q = qsupport_maximize(lambda w, rm=rm: _sigma_and_slope(rm, w),
-                                  cfg_q)
+        res_q = qsupport_maximize(
+            lambda w, rm=rm: sigma_max_derivative(rm, w)[:2], cfg_q)
         if abs(res_q.value - res_bb.value) > 1e-6 * res_bb.value:
             ok = False
     report("inner-solver cross-check on 10 rational models", ok)

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from linfnorm.cli import EXIT_ERROR, EXIT_OK, main
+import linfnorm.greedy as greedy
+from linfnorm.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, main
+from linfnorm.errors import SingularShift
 from linfnorm.greedy import SolverResult
 
 from test_problems import one_pole_manifest
@@ -41,6 +43,28 @@ class TestNormCommand:
         code = main(["norm", str(tmp_path / "nope.json"), "--omega-max", "5"])
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_singular_expansion_exits_with_warnings(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # with r0 = 1 the only initial point is omega = 2.5, so the loop must
+        # expand at the maximizer omega = 0; that expansion is made singular
+        expansion_block = greedy.expansion_block
+        calls = []
+
+        def singular_after_first(tf, omega, mode=greedy.FULL):
+            calls.append(omega)
+            if len(calls) > 1:
+                raise SingularShift(1j * omega)
+            return expansion_block(tf, omega, mode)
+
+        monkeypatch.setattr(greedy, "expansion_block", singular_after_first)
+        manifest = one_pole_manifest(tmp_path)
+        code = main(["norm", str(manifest), "--omega-max", "5", "--r0", "1"])
+        doc = json.loads(capsys.readouterr().out)
+        assert len(calls) == 2
+        assert doc["converged"] is False
+        assert any("singular" in w for w in doc["warnings"])
+        assert code == EXIT_WARNINGS
 
 
 class TestOracleCommand:

@@ -1,14 +1,18 @@
 """Tests for subspace expansion and the outer greedy iteration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from linfnorm.errors import AllShiftsSingular
 from linfnorm.greedy import (DOMINANT, LAST_TWO, RunConfig, SubspaceState,
                              check_interpolation, convergence_ratios, expand,
                              expansion_block, run)
 from linfnorm.inner import InnerConfig
 from linfnorm.oracle import grid_norm
-from linfnorm.problems import make_delay_fixture
+from linfnorm.problems import descriptor_tf, make_delay_fixture
+from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
 from conftest import random_descriptor, siso_one_pole
 
@@ -166,6 +170,27 @@ class TestRun:
         assert all(h["dim"] <= len(res.history) + 8 for h in res.history)
         sw = grid_norm(tf, interval, 2001)
         assert res.norm <= sw.best_sigma * (1 + 1e-9)
+
+    def test_singular_initial_point_is_a_warning_entry(self):
+        # D(s) = s I - diag(0, -1) is singular at s = 0, but the zero mode is
+        # neither driven nor observed, so H(s) = 1/(s+1) stays finite there
+        tf = descriptor_tf(np.eye(2), np.diag([0.0, -1.0]),
+                           np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = run(tf, RunConfig(omega_max=5.0, r0=10))
+        assert caught == []
+        assert res.skipped_points == [0.0]
+        assert any(w.startswith("initial point omega=0.0")
+                   for w in res.warnings)
+
+    def test_all_initial_points_singular(self):
+        # D(s) = s E with singular E is singular at every shift
+        d = MatrixFactor([(ScalarTerm(degree=1), np.diag([1.0, 0.0]))])
+        b = MatrixFactor([(ScalarTerm(), np.ones((2, 1)))])
+        c = MatrixFactor([(ScalarTerm(), np.ones((1, 2)))])
+        with pytest.raises(AllShiftsSingular):
+            run(StructuredTF(c, d, b), RunConfig(omega_max=5.0, r0=4))
 
 
 class TestCheckInterpolation:

@@ -9,7 +9,8 @@ from linfnorm.inner import (InnerConfig, bb_norm, imaginary_crossings,
                             maximize, qsupport_maximize)
 from linfnorm.oracle import grid_norm
 from linfnorm.problems import make_delay_fixture
-from linfnorm.reduced import classify, project, sigma_max
+from linfnorm.reduced import (classify, project, sigma_max,
+                              sigma_max_derivative)
 
 from conftest import (as_reduced, random_rational_reduced, siso_one_pole,
                       siso_two_pole)
@@ -187,8 +188,7 @@ class TestMaximize:
                                 max_inner_iters=500)
 
             def f(w, rm=rm):
-                from linfnorm.reduced import _sigma_and_slope
-                return _sigma_and_slope(rm, w)
+                return sigma_max_derivative(rm, w)[:2]
 
             res_q = qsupport_maximize(f, cfg_q)
             assert res_q.value == pytest.approx(res_bb.value, rel=1e-6)

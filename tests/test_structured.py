@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linfnorm.errors import DimensionMismatch, SingularShift
+from linfnorm.greedy import expansion_block
 from linfnorm.problems import delay_coupling_matrix, make_delay_fixture
+from linfnorm.reduced import sigma_max, sigma_max_derivative
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
-from conftest import siso_one_pole
+from conftest import random_descriptor, siso_one_pole
 
 
 class TestScalarTerm:
@@ -190,13 +192,29 @@ class TestSolves:
         with pytest.raises(SingularShift):
             tf.solve_d(0.0, np.ones((300, 1)))
 
-    def test_factorization_cache_shared_with_adjoint(self):
-        tf = siso_one_pole()
-        tf.solve_d(2j, np.array([[1.0]]))
-        fact = tf._cache[2j]
-        tf.solve_d_adjoint(2j, np.array([[1.0]]))
-        assert tf._cache[2j] is fact
-        assert len(tf._cache) == 1
+    def test_one_factorization_per_shift(self, monkeypatch):
+        shifts = []
+        factorization = StructuredTF._factorization
+
+        def counting(self, s):
+            shifts.append(s)
+            return factorization(self, s)
+
+        monkeypatch.setattr(StructuredTF, "_factorization", counting)
+        # dense and sparse D(s)
+        for tf in (random_descriptor(12, 1, 2, seed=4)[0], make_delay_fixture(40)):
+            shifts.clear()
+            state = dict(vars(tf))
+            expansion_block(tf, 1.5)
+            assert shifts == [1.5j]
+            tf.eval_with_derivative(2.5j)
+            assert shifts == [1.5j, 2.5j]
+            tf.solve_d(1.5j, np.ones((tf.n, tf.m)))
+            tf.solve_d_adjoint(1.5j, np.ones((tf.n, tf.p)))
+            assert vars(tf) == state
+            for omega in (0.0, 0.7, 3.1):
+                assert (sigma_max_derivative(tf, omega).sigma
+                        == sigma_max(tf, omega)[0])
 
 
 class TestEvalH:
@@ -213,11 +231,11 @@ class TestEvalH:
         assert sigma == pytest.approx(0.23766, rel=1e-4)
 
     def test_derivative_scalar(self, one_pole):
-        assert one_pole.eval_derivative(2.0)[0, 0] == pytest.approx(-1 / 9)
+        assert one_pole.eval_with_derivative(2.0)[1][0, 0] == pytest.approx(-1 / 9)
 
     def test_derivative_resolvent_square(self, one_pole):
         # H'(s) = -C (sI-A)^{-2} B = -1/(s+1)^2 at s=0
-        assert one_pole.eval_derivative(0.0)[0, 0] == pytest.approx(-1.0)
+        assert one_pole.eval_with_derivative(0.0)[1][0, 0] == pytest.approx(-1.0)
 
     def test_derivative_finite_difference(self):
         rng = np.random.default_rng(5)
@@ -228,7 +246,7 @@ class TestEvalH:
         s = 0.4 + 1.3j
         h = 1e-5
         fd = (tf.eval(s + h) - tf.eval(s - h)) / (2 * h)
-        d = tf.eval_derivative(s)
+        d = tf.eval_with_derivative(s)[1]
         assert np.linalg.norm(d - fd) <= 1e-6 * np.linalg.norm(d)
 
     def test_derivative_finite_difference_delay(self):
@@ -236,7 +254,7 @@ class TestEvalH:
         s = 2.2j
         h = 1e-5
         fd = (tf.eval(s + h) - tf.eval(s - h)) / (2 * h)
-        d = tf.eval_derivative(s)
+        d = tf.eval_with_derivative(s)[1]
         assert np.linalg.norm(d - fd) <= 1e-6 * np.linalg.norm(d)
 
     def test_conjugate_symmetry(self):
