@@ -114,7 +114,7 @@ def _cmd_oracle(args) -> int:
     interval = tuple(args.interval)
     result = grid_norm(tf, interval, args.npoints, refine_tol=args.refine_tol)
     if args.csv:
-        sweep_csv(tf, interval, args.npoints, args.csv)
+        sweep_csv(result.grid, args.csv)
     print(json.dumps({
         "norm": result.best_sigma,
         "omega_opt": result.best_omega,

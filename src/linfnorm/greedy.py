@@ -9,13 +9,13 @@ consecutive maximizers agree to a relative tolerance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import AllShiftsSingular, SingularShift, UnboundedOnAxis
 from .inner import InnerConfig, maximize
-from .reduced import project, sigma_max, sigma_max_derivative
+from .reduced import project, sigma_max_derivative
 from .structured import StructuredTF, _as_dense
 
 #: post-projection norm threshold for dropping dependent expansion directions
@@ -126,14 +126,10 @@ def expansion_block(tf: StructuredTF, omega: float, mode: str = FULL):
     return x @ h.conj().T, y
 
 
-def _append_orthonormal(basis: np.ndarray, block: np.ndarray):
-    """Gram-Schmidt append with one re-orthogonalization pass.
-
-    Returns (new_basis, kept) where kept[i] says whether column i of the
-    block survived the dependency check.
-    """
+def _append_orthonormal(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt append with one re-orthogonalization pass; block columns
+    that fail the dependency check are dropped."""
     cols = [basis[:, j] for j in range(basis.shape[1])]
-    kept = []
     for i in range(block.shape[1]):
         v = np.array(block[:, i], dtype=np.complex128)
         pre = np.linalg.norm(v)
@@ -142,13 +138,11 @@ def _append_orthonormal(basis: np.ndarray, block: np.ndarray):
                 v -= q * (q.conj() @ v)
         nrm = np.linalg.norm(v)
         if nrm < DEFLATION_TOL * (pre + 1.0):
-            kept.append(False)
             continue
         cols.append(v / nrm)
-        kept.append(True)
     if len(cols) == basis.shape[1]:
-        return basis, kept
-    return np.column_stack(cols), kept
+        return basis
+    return np.column_stack(cols)
 
 
 def expand(state: SubspaceState, Vb: np.ndarray, Wb: np.ndarray) -> SubspaceState:
@@ -159,8 +153,8 @@ def expand(state: SubspaceState, Vb: np.ndarray, Wb: np.ndarray) -> SubspaceStat
     larger basis are removed until the counts match.  A fully degenerate
     expansion returns an unchanged state with the stagnated flag set.
     """
-    v_new, _ = _append_orthonormal(state.V, np.atleast_2d(Vb))
-    w_new, _ = _append_orthonormal(state.W, np.atleast_2d(Wb))
+    v_new = _append_orthonormal(state.V, np.atleast_2d(Vb))
+    w_new = _append_orthonormal(state.W, np.atleast_2d(Wb))
     nv, nw = v_new.shape[1], w_new.shape[1]
     common = min(nv, nw)
     v_new = v_new[:, :common]
@@ -183,10 +177,10 @@ def check_interpolation(tf: StructuredTF, state: SubspaceState,
     report = []
     if not state.points:
         return report
-    rm = project(tf, state.V, state.W, provenance=state.points)
+    rm = project(tf, state.V, state.W)
     for omega in state.points:
         h = tf.eval(1j * omega)
-        hr = rm.tf.eval(1j * omega)
+        hr = rm.eval(1j * omega)
         h_norm = np.linalg.norm(h, 2)
         entry = {
             "omega": omega,
@@ -233,9 +227,15 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     hit a singular shift are skipped and listed in ``warnings``; at least
     one must survive.  Terminates when two consecutive maximizers agree to
     relative tolerance eps, or after r_max iterations (warning flag set).
+    For a real-coefficient H, sigma is even in omega, so the reduced models
+    are maximized over the part of the interval with omega >= 0.
     """
     t0 = time.perf_counter()
     inner_cfg = cfg.inner or InnerConfig(interval=(0.0, cfg.omega_max))
+    lo, hi = inner_cfg.interval
+    search_cfg = inner_cfg
+    if tf.is_real and lo < 0.0 <= hi:
+        search_cfg = replace(inner_cfg, interval=(0.0, hi))
     if cfg.r0 == 1:
         init_points = np.array([0.5 * cfg.omega_max])
     else:
@@ -256,7 +256,7 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     if not state.points:
         raise AllShiftsSingular("every initial interpolation point was singular")
 
-    recent_blocks = []  # (Vb, Wb, omega) of the last iterations, for LAST_TWO
+    recent_blocks = []  # (Vb, Wb, omega) of the last two expansions (LAST_TWO)
     states = []
     prev_omega = None
     converged = False
@@ -264,9 +264,9 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     repaired = False
 
     for _ in range(cfg.r_max):
-        rm = project(tf, state.V, state.W, provenance=state.points)
+        rm = project(tf, state.V, state.W)
         try:
-            res = maximize(rm, inner_cfg)
+            res = maximize(rm, search_cfg, state.points)
         except UnboundedOnAxis:
             # reduced model has an axis pole: one repair expansion at the
             # interval midpoint, then retry once
@@ -319,15 +319,15 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
         if state.stagnated:
             state.history[-1]["stagnated"] = True
         state.points.append(w_expand)
-        recent_blocks.append((vb, wb, w_expand))
-        if cfg.subspace_policy == LAST_TWO and len(recent_blocks) >= 2:
-            recent_blocks = recent_blocks[-2:]
-            rebuilt = SubspaceState.empty(tf.n)
-            for vb2, wb2, w2 in recent_blocks:
-                rebuilt = expand(rebuilt, vb2, wb2)
-                rebuilt.points.append(w2)
-            rebuilt.history = state.history
-            state = rebuilt
+        if cfg.subspace_policy == LAST_TWO:
+            recent_blocks = recent_blocks[-1:] + [(vb, wb, w_expand)]
+            if len(recent_blocks) == 2:
+                rebuilt = SubspaceState.empty(tf.n)
+                for vb2, wb2, w2 in recent_blocks:
+                    rebuilt = expand(rebuilt, vb2, wb2)
+                    rebuilt.points.append(w2)
+                rebuilt.history = state.history
+                state = rebuilt
         prev_omega = w_new
     else:
         warns.append("MaxIterations: r_max reached before convergence")

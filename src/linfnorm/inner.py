@@ -9,18 +9,20 @@ everything else (delay terms, higher-degree terms).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import (InvalidBound, NoConvergence, PencilSingular,
                      SingularShift, UnboundedOnAxis)
-from .reduced import (ModelClass, ReducedModel, classify, rational_realization,
-                      sigma_max, sigma_max_derivative)
+from .reduced import (ModelClass, classify, rational_realization, sigma_max,
+                      sigma_max_derivative)
 
 #: tolerance for accepting a pencil eigenvalue as purely imaginary
 IMAG_TOL = 1e-8
+#: relative level increment of the level-set iteration
+BB_REL_TOL = 1e-9
 
 
 @dataclass
@@ -28,7 +30,6 @@ class InnerConfig:
     """Settings for the inner maximization over one frequency interval."""
 
     interval: tuple
-    bb_rel_tol: float = 1e-9
     curvature_bound: float = -100.0
     support_tol: float = 1e-8
     max_inner_iters: int = 200
@@ -91,27 +92,26 @@ def imaginary_crossings(model, gamma: float) -> np.ndarray:
     return np.asarray(merged)
 
 
-def bb_norm(model, cfg: InnerConfig) -> InnerResult:
+def bb_norm(model, cfg: InnerConfig, points=()) -> InnerResult:
     """Boyd-Balakrishnan level-set maximization for rational models.
 
-    Starting from the best sigma over the provenance points and interval
-    endpoints, the level is repeatedly raised slightly above the incumbent
-    and the crossing frequencies of that level are located via
+    Starting from the best sigma over the interval endpoints, its midpoint
+    and the given ``points`` inside it (the interpolation points of a
+    reduced model), the level is repeatedly raised slightly above the
+    incumbent and the crossing frequencies of that level are located via
     imaginary_crossings; sigma at the midpoints of consecutive crossings
     yields the next incumbent.  Terminates when no crossings remain.
     """
     if classify(model) is not ModelClass.RATIONAL:
         raise ValueError("bb_norm requires a rational model")
     lo, hi = cfg.interval
-    tol = cfg.bb_rel_tol
     cands = [lo, hi, 0.5 * (lo + hi)]
-    if isinstance(model, ReducedModel):
-        cands.extend(w for w in model.provenance if lo <= w <= hi)
+    cands.extend(w for w in points if lo <= w <= hi)
     evals = 0
     best_w, best = lo, -np.inf
     for w in cands:
         try:
-            s = sigma_max(model, w)[0]
+            s = sigma_max(model, w)
         except SingularShift as err:
             raise UnboundedOnAxis(f"pole on the axis near omega={w}") from err
         evals += 1
@@ -120,17 +120,17 @@ def bb_norm(model, cfg: InnerConfig) -> InnerResult:
     if best <= 0:
         return InnerResult(best_w, best, 0.0, evals)
     for _ in range(cfg.max_inner_iters):
-        gamma = (1.0 + 2.0 * tol) * best
+        gamma = (1.0 + 2.0 * BB_REL_TOL) * best
         crossings = imaginary_crossings(model, gamma)
         crossings = [w for w in crossings if lo < w < hi]
         if not crossings:
-            return InnerResult(best_w, best, 2.0 * tol * best, evals)
+            return InnerResult(best_w, best, 2.0 * BB_REL_TOL * best, evals)
         knots = sorted({lo, hi, *crossings})
         improved = False
         for wa, wb in zip(knots[:-1], knots[1:]):
             w = 0.5 * (wa + wb)
             try:
-                s = sigma_max(model, w)[0]
+                s = sigma_max(model, w)
             except SingularShift as err:
                 raise UnboundedOnAxis(
                     f"pole on the axis near omega={w}") from err
@@ -140,7 +140,7 @@ def bb_norm(model, cfg: InnerConfig) -> InnerResult:
                 improved = True
         if not improved:
             # crossings at a level indistinguishable from the incumbent
-            return InnerResult(best_w, best, 2.0 * tol * best, evals)
+            return InnerResult(best_w, best, 2.0 * BB_REL_TOL * best, evals)
     raise NoConvergence(
         f"level-set iteration did not settle in {cfg.max_inner_iters} rounds")
 
@@ -229,20 +229,13 @@ def qsupport_maximize(f, cfg: InnerConfig) -> InnerResult:
         f"{cfg.max_inner_iters} refinement rounds")
 
 
-def maximize(model, cfg: InnerConfig) -> InnerResult:
+def maximize(model, cfg: InnerConfig, points=()) -> InnerResult:
     """Dispatch: level-set route for rational models, support search otherwise.
 
-    For reduced models of a real-coefficient parent the interval is clipped
-    to omega >= 0 (conjugate symmetry of the parent).
+    ``points`` are extra starting candidates for the level-set route.
     """
-    lo, hi = cfg.interval
-    if isinstance(model, ReducedModel) and model.parent_is_real and lo < 0.0 <= hi:
-        cfg = InnerConfig(interval=(0.0, hi), bb_rel_tol=cfg.bb_rel_tol,
-                          curvature_bound=cfg.curvature_bound,
-                          support_tol=cfg.support_tol,
-                          max_inner_iters=cfg.max_inner_iters)
     if classify(model) is ModelClass.RATIONAL:
-        return bb_norm(model, cfg)
+        return bb_norm(model, cfg, points)
 
     def f(w):
         try:

@@ -33,8 +33,8 @@ def _golden_refine(model, lo, hi, tol, best):
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     try:
-        f1 = sigma_max(model, x1)[0]
-        f2 = sigma_max(model, x2)[0]
+        f1 = sigma_max(model, x1)
+        f2 = sigma_max(model, x2)
     except SingularShift:
         return best_w, best_s, 0
     for f, w in ((f1, x1), (f2, x2)):
@@ -47,14 +47,14 @@ def _golden_refine(model, lo, hi, tol, best):
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
             try:
-                f2 = sigma_max(model, x2)[0]
+                f2 = sigma_max(model, x2)
             except SingularShift:
                 break
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)
             try:
-                f1 = sigma_max(model, x1)[0]
+                f1 = sigma_max(model, x1)
             except SingularShift:
                 break
         fbest, wbest = (f1, x1) if f1 >= f2 else (f2, x2)
@@ -73,7 +73,7 @@ def grid_sweep(model, interval, npoints: int):
     kept_w, kept_s, skipped = [], [], []
     for w in omegas:
         try:
-            kept_s.append(sigma_max(model, float(w))[0])
+            kept_s.append(sigma_max(model, float(w)))
             kept_w.append(float(w))
         except SingularShift:
             skipped.append(float(w))
@@ -107,11 +107,11 @@ def grid_norm(model, interval, npoints: int, refine_tol: float = 1e-9) -> SweepR
                        refinement_iters=total_iters, skipped=skipped)
 
 
-def sweep_csv(model, interval, npoints: int, path) -> None:
-    """Writes `omega,sigma` rows in grid order at full precision."""
-    kept_w, kept_s, _ = grid_sweep(model, interval, npoints)
+def sweep_csv(grid, path) -> None:
+    """Writes the (omega, sigma) pairs of a sweep, e.g. ``SweepResult.grid``,
+    as `omega,sigma` rows in grid order at full precision."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["omega", "sigma"])
-        for w, s in zip(kept_w, kept_s):
+        for w, s in grid:
             writer.writerow([f"{w:.17e}", f"{s:.17e}"])

@@ -84,10 +84,10 @@ def load_problem(manifest_path):
 def delay_coupling_matrix(n: int):
     """The n-by-n matrix with ones on the sub/superdiagonal and in the
     (1,1) and (n,n) entries."""
-    t = sp.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1], format="lil")
-    t[0, 0] = 1.0
-    t[n - 1, n - 1] = 1.0
-    return t.tocsc()
+    off = np.ones(n - 1)
+    main = np.zeros(n)
+    main[[0, -1]] = 1.0
+    return sp.diags([off, main, off], [-1, 0, 1], format="csc")
 
 
 def make_delay_fixture(n: int, tau: float = 1.0, beta: float = 0.01,

@@ -8,7 +8,6 @@ models are always dense.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -25,20 +24,6 @@ class ModelClass(enum.Enum):
     GENERAL = "general"
 
 
-@dataclass
-class ReducedModel:
-    """Projected realization of the parent function.
-
-    ``tf`` holds the dense reduced factors, ``provenance`` the interpolation
-    frequencies that produced the projection bases.
-    """
-
-    tf: StructuredTF
-    dim: int
-    provenance: list = field(default_factory=list)
-    parent_is_real: bool = False
-
-
 def _project_factor(factor, V=None, W=None) -> MatrixFactor:
     projected = []
     for term, mat in factor.terms:
@@ -52,8 +37,7 @@ def _project_factor(factor, V=None, W=None) -> MatrixFactor:
     return MatrixFactor(projected)
 
 
-def project(tf: StructuredTF, V: np.ndarray, W: np.ndarray,
-            provenance=()) -> ReducedModel:
+def project(tf: StructuredTF, V: np.ndarray, W: np.ndarray) -> StructuredTF:
     """Coefficient-wise Petrov-Galerkin projection onto Col(V), Col(W)."""
     V = np.atleast_2d(np.asarray(V))
     W = np.atleast_2d(np.asarray(W))
@@ -62,29 +46,12 @@ def project(tf: StructuredTF, V: np.ndarray, W: np.ndarray,
             f"V and W must have equal column counts, got {V.shape[1]} and {W.shape[1]}")
     if V.shape[0] != tf.n or W.shape[0] != tf.n:
         raise DimensionMismatch("projection bases must have n rows")
-    rtf = StructuredTF(
+    return StructuredTF(
         _project_factor(tf.c_factor, V=V),
         _project_factor(tf.d_factor, V=V, W=W),
         _project_factor(tf.b_factor, W=W),
         is_real=False,
     )
-    return ReducedModel(tf=rtf, dim=V.shape[1],
-                        provenance=list(provenance),
-                        parent_is_real=tf.is_real)
-
-
-def _as_tf(model) -> StructuredTF:
-    return model.tf if isinstance(model, ReducedModel) else model
-
-
-def _normalize_pair(v: np.ndarray, w: np.ndarray):
-    # fix the common phase so the first nonzero entry of v is real positive
-    idx = np.flatnonzero(np.abs(v) > 0)
-    if idx.size:
-        phase = v[idx[0]] / abs(v[idx[0]])
-        v = v / phase
-        w = w / phase
-    return v, w
 
 
 class SigmaDerivative(NamedTuple):
@@ -93,31 +60,25 @@ class SigmaDerivative(NamedTuple):
     simple: bool
 
 
-def sigma_max(model, omega: float):
-    """Largest singular value of H(i*omega) with unit singular vectors.
-
-    Works on a ReducedModel or directly on a StructuredTF.  Returns
-    (sigma, v, w) with H(i*omega) v = sigma * w; the pair's phase is
-    normalized for determinism.
-    """
-    tf = _as_tf(model)
-    h = tf.eval(1j * omega)
-    u, svals, vh = np.linalg.svd(h)
-    v, w = _normalize_pair(vh[0].conj(), u[:, 0])
-    return float(svals[0]), v, w
+def sigma_max(tf: StructuredTF, omega: float) -> float:
+    """Largest singular value of H(i*omega)."""
+    # with vectors, as in sigma_max_derivative: gesdd rounds sigma
+    # differently without them once min(m, p) >= 2
+    _, svals, _ = np.linalg.svd(tf.eval(1j * omega))
+    return float(svals[0])
 
 
-def sigma_max_derivative(model, omega: float) -> SigmaDerivative:
+def sigma_max_derivative(tf: StructuredTF, omega: float) -> SigmaDerivative:
     """Largest singular value of H(i*omega) and its d/domega, from one
     factorization of D(i*omega).
 
-    ``sigma`` equals ``sigma_max(model, omega)[0]``.  The slope ``value`` is
+    ``sigma`` equals ``sigma_max(tf, omega)``.  The slope ``value`` is
     Re(w^* dH/domega v) for the top singular pair; the pair's common phase
     cancels, so it is not normalized.  The ``simple`` flag is False when the
     top singular value is within SIMPLICITY_GAP (relative) of the second,
     in which case the derivative formula is unreliable.
     """
-    h, hprime = _as_tf(model).eval_with_derivative(1j * omega)
+    h, hprime = tf.eval_with_derivative(1j * omega)
     u, svals, vh = np.linalg.svd(h)
     v, w = vh[0].conj(), u[:, 0]
     simple = True
@@ -128,14 +89,13 @@ def sigma_max_derivative(model, omega: float) -> SigmaDerivative:
     return SigmaDerivative(float(svals[0]), value, simple)
 
 
-def classify(model) -> ModelClass:
+def classify(tf: StructuredTF) -> ModelClass:
     """RATIONAL iff the model is C (s E - A)^{-1} B with constant B, C.
 
     That is, every B/C term has degree 0 and no delay, and the D-factor's
     scalar signatures are exactly {degree 1} and {degree 0}, both undelayed.
     Invariant under permutation of factor terms.
     """
-    tf = _as_tf(model)
     for factor in (tf.b_factor, tf.c_factor):
         if any(sig != (0, 0.0) for sig in factor.scalar_signature()):
             return ModelClass.GENERAL
@@ -145,10 +105,9 @@ def classify(model) -> ModelClass:
     return ModelClass.GENERAL
 
 
-def rational_realization(model):
+def rational_realization(tf: StructuredTF):
     """(E, A, B, C) with D(s) = s E - A for a RATIONAL model."""
-    tf = _as_tf(model)
-    if classify(model) is not ModelClass.RATIONAL:
+    if classify(tf) is not ModelClass.RATIONAL:
         raise ValueError("model is not rational")
     n = tf.n
     e = np.zeros((n, n), dtype=np.complex128)

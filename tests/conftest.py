@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg as sla
 
 from linfnorm.problems import descriptor_tf
-from linfnorm.reduced import ReducedModel
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
 
@@ -34,10 +33,8 @@ def random_descriptor(n, m, p, seed, min_decay=0.1, max_decay=2.0, im_max=8.0):
 
 
 def random_rational_reduced(dim, m, p, seed, **kwargs):
-    """A small random rational model wrapped as a ReducedModel."""
-    tf, interval = random_descriptor(dim, m, p, seed, **kwargs)
-    rm = ReducedModel(tf=tf, dim=dim, provenance=[], parent_is_real=True)
-    return rm, interval
+    """A small random rational model of reduced-model size."""
+    return random_descriptor(dim, m, p, seed, **kwargs)
 
 
 def siso_one_pole():
@@ -50,11 +47,6 @@ def siso_two_pole():
     """H(s) = 1/(s+1) + 1/(s+2), peak 1.5 at omega = 0."""
     return descriptor_tf(np.eye(2), np.diag([-1.0, -2.0]),
                          np.array([[1.0], [1.0]]), np.array([[1.0, 1.0]]))
-
-
-def as_reduced(tf, provenance=(), parent_is_real=True):
-    return ReducedModel(tf=tf, dim=tf.n, provenance=list(provenance),
-                        parent_is_real=parent_is_real)
 
 
 def constant_factor(mat):

@@ -35,6 +35,17 @@ def full_sigma(tf, omega):
                          compute_uv=False)[0]
 
 
+def fastest_of(repeats, fn, *args, **kwargs):
+    """(result, seconds): the last result and the least wall time of
+    ``repeats`` calls, so one slow sample under CPU load does not count."""
+    best = np.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        best = min(best, time.perf_counter() - t0)
+    return out, best
+
+
 def test_delay_benchmark_exactness():
     """Published single-delay example: value, optimizer, iteration count,
     wall time."""
@@ -56,12 +67,9 @@ def test_delay_scaling_vs_oracle():
     for n in (100, 1000, 10000):
         tf = make_delay_fixture(n)
         cfg = RunConfig(omega_max=50.0, inner=InnerConfig(**DELAY_INNER))
-        t0 = time.perf_counter()
-        res = run(tf, cfg)
-        t_solver = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        sw = grid_norm(tf, (0.0, 50.0), 400, refine_tol=1e-8)
-        t_oracle = time.perf_counter() - t0
+        res, t_solver = fastest_of(3, run, tf, cfg)
+        sw, t_oracle = fastest_of(3, grid_norm, tf, (0.0, 50.0), 400,
+                                  refine_tol=1e-8)
         rel.append(t_solver / t_oracle)
         ok = ok and abs(res.norm - sw.best_sigma) <= 1e-4 * sw.best_sigma
     ok = ok and rel[0] > rel[1] > rel[2] and rel[2] <= 0.5
@@ -118,7 +126,7 @@ def test_inner_solver_cross_check():
         res_bb = bb_norm(rm, InnerConfig(interval=interval))
         lo, hi = interval
         ws = np.linspace(lo, hi, 400)
-        sig = np.array([sigma_max(rm, w)[0] for w in ws])
+        sig = np.array([sigma_max(rm, w) for w in ws])
         h = ws[1] - ws[0]
         curv = float(((sig[2:] - 2 * sig[1:-1] + sig[:-2]) / h**2).max())
         cfg_q = InnerConfig(interval=interval,

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import linfnorm.greedy as greedy
+import linfnorm.oracle as oracle
 from linfnorm.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, main
 from linfnorm.errors import SingularShift
 from linfnorm.greedy import SolverResult
@@ -68,7 +69,15 @@ class TestNormCommand:
 
 
 class TestOracleCommand:
-    def test_sweep_and_csv(self, tmp_path, capsys):
+    def test_sweep_and_csv(self, tmp_path, capsys, monkeypatch):
+        sweeps = []
+        grid_sweep = oracle.grid_sweep
+
+        def counting(*args, **kwargs):
+            sweeps.append(args)
+            return grid_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "grid_sweep", counting)
         manifest = one_pole_manifest(tmp_path)
         out_csv = tmp_path / "sweep.csv"
         code = main(["oracle", str(manifest), "--interval", "0", "5",
@@ -80,6 +89,7 @@ class TestOracleCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["omega", "sigma"]
         assert len(rows) == 102
+        assert len(sweeps) == 1  # the CSV reuses the norm's sweep
 
 
 class TestBenchCommand:

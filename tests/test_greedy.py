@@ -49,7 +49,7 @@ class TestExpansionBlock:
         w, _ = np.linalg.qr(wb)
         rm = project(tf, v, w)
         h = tf.eval(1j * omega)
-        assert np.linalg.norm(h - rm.tf.eval(1j * omega), 2) <= 1e-9 * (
+        assert np.linalg.norm(h - rm.eval(1j * omega), 2) <= 1e-9 * (
             1 + np.linalg.norm(h, 2))
 
     def test_dominant_mode_single_column(self):
@@ -170,6 +170,19 @@ class TestRun:
         assert all(h["dim"] <= len(res.history) + 8 for h in res.history)
         sw = grid_norm(tf, interval, 2001)
         assert res.norm <= sw.best_sigma * (1 + 1e-9)
+
+    def test_real_parent_searches_nonnegative_omega(self):
+        # sigma is even in omega for a real H, so an interval reaching below
+        # zero is searched on its omega >= 0 part only
+        tf, (_, hi) = random_descriptor(40, 2, 2, seed=7001)
+        assert tf.is_real
+        both = run(tf, RunConfig(omega_max=hi,
+                                 inner=InnerConfig(interval=(-hi, hi))))
+        half = run(tf, RunConfig(omega_max=hi,
+                                 inner=InnerConfig(interval=(0.0, hi))))
+        assert both.norm == half.norm
+        assert both.omega_opt == half.omega_opt
+        assert both.omega_opt >= 0.0
 
     def test_singular_initial_point_is_a_warning_entry(self):
         # D(s) = s I - diag(0, -1) is singular at s = 0, but the zero mode is

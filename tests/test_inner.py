@@ -12,15 +12,14 @@ from linfnorm.problems import make_delay_fixture
 from linfnorm.reduced import (classify, project, sigma_max,
                               sigma_max_derivative)
 
-from conftest import (as_reduced, random_rational_reduced, siso_one_pole,
-                      siso_two_pole)
+from conftest import random_rational_reduced, siso_one_pole, siso_two_pole
 
 
 def estimated_curvature_bound(model, interval, npoints=400):
     """Safe lower bound on (-sigma)'' from a finite-difference grid sweep."""
     lo, hi = interval
     ws = np.linspace(lo, hi, npoints)
-    sig = np.array([sigma_max(model, w)[0] for w in ws])
+    sig = np.array([sigma_max(model, w) for w in ws])
     h = ws[1] - ws[0]
     second = (sig[2:] - 2 * sig[1:-1] + sig[:-2]) / h**2
     worst = float(second.max())  # max sigma'' == -min (-sigma)''
@@ -29,12 +28,12 @@ def estimated_curvature_bound(model, interval, npoints=400):
 
 class TestImaginaryCrossings:
     def test_one_pole_level(self):
-        rm = as_reduced(siso_one_pole())
+        rm = siso_one_pole()
         crossings = imaginary_crossings(rm, 1 / np.sqrt(2))
         np.testing.assert_allclose(crossings, [-1.0, 1.0], atol=1e-8)
 
     def test_level_above_norm_is_empty(self):
-        rm = as_reduced(siso_one_pole())
+        rm = siso_one_pole()
         assert imaginary_crossings(rm, 2.0).size == 0
 
     def test_matches_grid_sign_changes(self):
@@ -45,7 +44,7 @@ class TestImaginaryCrossings:
         crossings = np.array([w for w in crossings
                               if interval[0] <= w <= interval[1]])
         ws = np.linspace(interval[0], interval[1], 100_000)
-        sig = np.array([sigma_max(rm, w)[0] for w in ws])
+        sig = np.array([sigma_max(rm, w) for w in ws])
         signs = np.sign(sig - gamma)
         change_idx = np.flatnonzero(np.diff(signs) != 0)
         grid_crossings = 0.5 * (ws[change_idx] + ws[change_idx + 1])
@@ -61,20 +60,20 @@ class TestImaginaryCrossings:
                                    np.sort(-crossings), atol=1e-7)
 
     def test_rejects_nonpositive_level(self):
-        rm = as_reduced(siso_one_pole())
+        rm = siso_one_pole()
         with pytest.raises(ValueError):
             imaginary_crossings(rm, -1.0)
 
 
 class TestBBNorm:
     def test_one_pole(self):
-        res = bb_norm(as_reduced(siso_one_pole()),
+        res = bb_norm(siso_one_pole(),
                       InnerConfig(interval=(0, 10)))
         assert res.omega_opt == pytest.approx(0.0, abs=1e-9)
         assert res.value == pytest.approx(1.0)
 
     def test_two_pole(self):
-        res = bb_norm(as_reduced(siso_two_pole()),
+        res = bb_norm(siso_two_pole(),
                       InnerConfig(interval=(0, 10)))
         assert res.value == pytest.approx(1.5)
         assert res.omega_opt == pytest.approx(0.0, abs=1e-9)
@@ -90,11 +89,11 @@ class TestBBNorm:
         res = bb_norm(rm, InnerConfig(interval=interval))
         rng = np.random.default_rng(14)
         ws = rng.uniform(interval[0], interval[1], 1000)
-        sig = max(sigma_max(rm, w)[0] for w in ws)
+        sig = max(sigma_max(rm, w) for w in ws)
         assert res.value >= sig - 1e-9 * res.value
 
     def test_rejects_general_models(self):
-        rm = as_reduced(make_delay_fixture(4))
+        rm = make_delay_fixture(4)
         with pytest.raises(ValueError):
             bb_norm(rm, InnerConfig(interval=(0, 10)))
 
@@ -126,7 +125,7 @@ class TestQSupport:
             vb, wb = expansion_block(tf, float(w0))
             state = expand(state, vb, wb)
             state.points.append(float(w0))
-        rm = project(tf, state.V, state.W, provenance=state.points)
+        rm = project(tf, state.V, state.W)
         res = maximize(rm, InnerConfig(interval=(0, 50),
                                        curvature_bound=-100.0))
         assert res.omega_opt == pytest.approx(3.07547, abs=2e-3)
@@ -164,8 +163,7 @@ class TestMaximize:
         assert maximize(rm, cfg) == bb_norm(rm, cfg)
 
     def test_dispatch_general(self):
-        tf = make_delay_fixture(6)
-        rm = as_reduced(tf)
+        rm = make_delay_fixture(6)
         cfg = InnerConfig(interval=(0.1, 20), curvature_bound=-200.0)
         res = maximize(rm, cfg)
         sw = grid_norm(rm, (0.1, 20), 4001)

@@ -59,7 +59,7 @@ class TestGridNorm:
 class TestSweepCsv:
     def test_rows_and_values(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        sweep_csv(siso_one_pole(), (0, 2), 3, path)
+        sweep_csv(grid_norm(siso_one_pole(), (0, 2), 3).grid, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["omega", "sigma"]
@@ -72,7 +72,7 @@ class TestSweepCsv:
     def test_row_count_matches_grid(self, tmp_path):
         path = tmp_path / "sweep.csv"
         tf, interval = random_descriptor(10, 1, 1, seed=80)
-        sweep_csv(tf, interval, 37, path)
+        sweep_csv(grid_norm(tf, interval, 37).grid, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 37

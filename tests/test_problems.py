@@ -85,6 +85,12 @@ class TestDelayFixture:
         t = np.asarray(delay_coupling_matrix(3).todense())
         np.testing.assert_array_equal(
             t, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+        for n in (2, 3, 7):
+            t = delay_coupling_matrix(n)
+            ref = np.eye(n, k=-1) + np.eye(n, k=1)
+            ref[0, 0] = ref[n - 1, n - 1] = 1.0
+            np.testing.assert_array_equal(t.toarray(), ref)
+            assert t.nnz == 2 * n  # no explicit zeros stored
 
     def test_entrywise_n3(self):
         tf = make_delay_fixture(3, tau=1.0, beta=0.01, theta=5.0)

@@ -214,7 +214,7 @@ class TestSolves:
             assert vars(tf) == state
             for omega in (0.0, 0.7, 3.1):
                 assert (sigma_max_derivative(tf, omega).sigma
-                        == sigma_max(tf, omega)[0])
+                        == sigma_max(tf, omega))
 
 
 class TestEvalH:
