@@ -129,20 +129,29 @@ def expansion_block(tf: StructuredTF, omega: float, mode: str = FULL):
 def _append_orthonormal(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Gram-Schmidt append with one re-orthogonalization pass; block columns
     that fail the dependency check are dropped."""
-    cols = [basis[:, j] for j in range(basis.shape[1])]
+    k = basis.shape[1]
+    # Fortran order keeps every column contiguous during the sweep; the
+    # result is C-ordered because the products downstream round differently
+    # on a Fortran-ordered basis
+    out = np.empty((basis.shape[0], k + block.shape[1]), dtype=np.complex128,
+                   order="F")
+    out[:, :k] = basis
     for i in range(block.shape[1]):
-        v = np.array(block[:, i], dtype=np.complex128)
+        v = out[:, k]
+        v[:] = block[:, i]
         pre = np.linalg.norm(v)
         for _ in range(2):
-            for q in cols:
-                v -= q * (q.conj() @ v)
+            for j in range(k):
+                q = out[:, j]
+                v -= q * np.vdot(q, v)
         nrm = np.linalg.norm(v)
         if nrm < DEFLATION_TOL * (pre + 1.0):
             continue
-        cols.append(v / nrm)
-    if len(cols) == basis.shape[1]:
+        v /= nrm
+        k += 1
+    if k == basis.shape[1]:
         return basis
-    return np.column_stack(cols)
+    return np.ascontiguousarray(out[:, :k])
 
 
 def expand(state: SubspaceState, Vb: np.ndarray, Wb: np.ndarray) -> SubspaceState:

@@ -17,7 +17,7 @@ from .structured import MatrixFactor, ScalarTerm, StructuredTF
 #: environment variable pointing at optional external benchmark data
 DATA_DIR_ENV = "LINFNORM_DATA_DIR"
 
-#: problems at or below this order are stored dense
+#: Matrix Market matrices at or below this order are loaded dense
 DENSE_CUTOFF = 200
 
 
@@ -113,8 +113,6 @@ def make_delay_fixture(n: int, tau: float = 1.0, beta: float = 0.01,
     b[0, 0] = 1.0
     b[1, 0] = 1.0
     c = b.T.copy()
-    if n <= DENSE_CUTOFF:
-        e, a0, a1 = (np.asarray(x.todense()) for x in (e, a0, a1))
     d_factor = MatrixFactor([
         (ScalarTerm(degree=1), e),
         (ScalarTerm(degree=0), -a0),

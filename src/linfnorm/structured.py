@@ -21,6 +21,10 @@ from .errors import DimensionMismatch, SingularShift
 #: reciprocal condition estimate below which a shift is declared singular
 RCOND_THRESHOLD = 1e-14
 
+#: a sparse D(s) is factored by band LU when the LU's band storage,
+#: (2*kl + ku + 1) * n entries, is at most this many times its nonzeros
+BAND_FILL = 2
+
 
 @dataclass(frozen=True)
 class ScalarTerm:
@@ -89,6 +93,20 @@ class MatrixFactor:
 
     def _combine(self, coeffs):
         all_sparse = all(_is_sparse(m) for _, m in self.terms)
+        first = self.terms[0][1]
+        if all_sparse and all(
+                m.format == "csc" and np.array_equal(m.indptr, first.indptr)
+                and np.array_equal(m.indices, first.indices)
+                for _, m in self.terms):
+            # one shared CSC pattern: sum the stored values, in the same
+            # order as the general path; the index arrays are copied so
+            # that in-place canonicalization never reaches a coefficient
+            data = None
+            for c, (_, m) in zip(coeffs, self.terms):
+                data = m.data * c if data is None else data + m.data * c
+            return sp.csc_matrix(
+                (data, first.indices.copy(), first.indptr.copy()),
+                shape=first.shape)
         acc = None
         for c, (_, m) in zip(coeffs, self.terms):
             contrib = (m * c) if all_sparse else (np.asarray(
@@ -135,6 +153,16 @@ class _DenseFactorization:
         return sla.lu_solve(self._lu, rhs, trans=2 if adjoint else 0)
 
 
+def _pivot_rcond(udiag: np.ndarray, s: complex) -> float:
+    """min/max |diag U| of an LU; raises SingularShift below RCOND_THRESHOLD."""
+    udiag = np.abs(udiag)
+    umax = udiag.max() if udiag.size else 0.0
+    rcond = float(udiag.min() / umax) if umax > 0 else 0.0
+    if rcond < RCOND_THRESHOLD:
+        raise SingularShift(s, rcond=rcond)
+    return rcond
+
+
 class _SparseFactorization:
     """Sparse LU of D(s) with a cheap pivot-based singularity check."""
 
@@ -144,17 +172,37 @@ class _SparseFactorization:
             lu = spla.splu(d)
         except RuntimeError as err:
             raise SingularShift(s, rcond=0.0) from err
-        udiag = np.abs(lu.U.diagonal())
-        umax = udiag.max() if udiag.size else 0.0
-        rcond = float(udiag.min() / umax) if umax > 0 else 0.0
-        if rcond < RCOND_THRESHOLD:
-            raise SingularShift(s, rcond=rcond)
+        self.rcond = _pivot_rcond(lu.U.diagonal(), s)
         self._lu = lu
-        self.rcond = rcond
 
     def solve(self, rhs, adjoint: bool = False) -> np.ndarray:
         rhs = np.ascontiguousarray(_as_dense(rhs), dtype=np.complex128)
         return self._lu.solve(rhs, trans="H" if adjoint else "N")
+
+
+class _BandFactorization:
+    """LAPACK band LU of a sparse D(s) with kl sub- and ku superdiagonals,
+    with the same pivot-based singularity check as the sparse path."""
+
+    def __init__(self, d: sp.csc_matrix, s: complex, kl: int, ku: int,
+                 offsets: np.ndarray, cols: np.ndarray):
+        # gbtrf reads A[i, j] from ab[kl + ku + i - j, j]; the top kl rows
+        # hold the fill-in of row pivoting
+        ab = np.zeros((2 * kl + ku + 1, d.shape[1]), dtype=np.complex128,
+                      order="F")
+        ab[kl + ku + offsets, cols] = d.data
+        lu, piv, info = sla.lapack.zgbtrf(ab, kl, ku, overwrite_ab=True)
+        if info > 0:
+            raise SingularShift(s, rcond=0.0)
+        self.rcond = _pivot_rcond(lu[kl + ku], s)
+        self._lu = (lu, piv, kl, ku)
+
+    def solve(self, rhs, adjoint: bool = False) -> np.ndarray:
+        lu, piv, kl, ku = self._lu
+        rhs = np.asarray(_as_dense(rhs), dtype=np.complex128)
+        x, _ = sla.lapack.zgbtrs(lu, kl, ku, rhs, piv,
+                                 trans=2 if adjoint else 0)
+        return x
 
 
 class StructuredTF:
@@ -198,9 +246,17 @@ class StructuredTF:
         """A fresh LU of D(s); raises SingularShift if D(s) is singular."""
         s = complex(s)
         d = self.d_factor.eval(s)
-        if _is_sparse(d):
-            return _SparseFactorization(d, s)
-        return _DenseFactorization(d, s)
+        if not _is_sparse(d):
+            return _DenseFactorization(d, s)
+        d = sp.csc_matrix(d, dtype=np.complex128)
+        d.sum_duplicates()
+        cols = np.repeat(np.arange(d.shape[1]), np.diff(d.indptr))
+        offsets = d.indices - cols  # row minus column of each entry
+        kl = int(np.max(offsets, initial=0))
+        ku = -int(np.min(offsets, initial=0))
+        if (2 * kl + ku + 1) * d.shape[0] <= BAND_FILL * d.nnz:
+            return _BandFactorization(d, s, kl, ku, offsets, cols)
+        return _SparseFactorization(d, s)
 
     def _resolvents(self, s: complex):
         """(C(s), D(s)^{-1} B(s), D(s)^{-*} C(s)^*) from one factorization."""

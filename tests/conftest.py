@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from linfnorm.problems import descriptor_tf
-from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
+from linfnorm.structured import MatrixFactor, ScalarTerm
 
 
 def random_descriptor(n, m, p, seed, min_decay=0.1, max_decay=2.0, im_max=8.0):

@@ -9,8 +9,7 @@ from linfnorm.inner import (InnerConfig, bb_norm, imaginary_crossings,
                             maximize, qsupport_maximize)
 from linfnorm.oracle import grid_norm
 from linfnorm.problems import make_delay_fixture
-from linfnorm.reduced import (classify, project, sigma_max,
-                              sigma_max_derivative)
+from linfnorm.reduced import project, sigma_max, sigma_max_derivative
 
 from conftest import random_rational_reduced, siso_one_pole, siso_two_pole
 
@@ -119,7 +118,7 @@ class TestQSupport:
         # published optimizer of the delay benchmark, reached already by the
         # initial reduced model
         tf = make_delay_fixture(100)
-        from linfnorm.greedy import RunConfig, SubspaceState, expand
+        from linfnorm.greedy import SubspaceState, expand
         state = SubspaceState.empty(tf.n)
         for w0 in np.linspace(0.0, 50.0, 10):
             vb, wb = expansion_block(tf, float(w0))

@@ -98,7 +98,7 @@ class TestDelayFixture:
         e_expect = 5.0 * np.eye(3) + t
         a0_expect = 101.0 * (t - 5.0 * np.eye(3))
         a1_expect = 99.0 * (t - 5.0 * np.eye(3))
-        terms = {(term.degree, term.delay): np.asarray(mat)
+        terms = {(term.degree, term.delay): mat.toarray()
                  for term, mat in tf.d_factor.terms}
         np.testing.assert_allclose(terms[(1, 0.0)], e_expect)
         np.testing.assert_allclose(terms[(0, 0.0)], -a0_expect)
@@ -113,10 +113,11 @@ class TestDelayFixture:
         for _, mat in tf.d_factor.terms:
             assert sp.issparse(mat)
 
-    def test_small_orders_are_dense(self):
-        tf = make_delay_fixture(50)
-        for _, mat in tf.d_factor.terms:
-            assert isinstance(mat, np.ndarray)
+    def test_small_orders_are_sparse(self):
+        for n in (3, 50):
+            tf = make_delay_fixture(n)
+            for _, mat in tf.d_factor.terms:
+                assert sp.issparse(mat)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linfnorm.structured as structured
 from linfnorm.errors import DimensionMismatch, SingularShift
 from linfnorm.greedy import expansion_block
 from linfnorm.problems import delay_coupling_matrix, make_delay_fixture
@@ -80,7 +81,7 @@ class TestMatrixFactor:
         n = 3
         tf = make_delay_fixture(n)
         e, a0, a1 = _delay_ingredients(n)
-        np.testing.assert_allclose(np.asarray(tf.d_factor.eval(0.0)).real,
+        np.testing.assert_allclose(tf.d_factor.eval(0.0).toarray().real,
                                    -a0 - a1, atol=1e-12)
 
     def test_pencil_derivative_is_e(self):
@@ -99,8 +100,24 @@ class TestMatrixFactor:
         tf = make_delay_fixture(n)
         e, a0, a1 = _delay_ingredients(n)
         np.testing.assert_allclose(
-            np.asarray(tf.d_factor.eval_derivative(0.0)).real, e + a1,
+            tf.d_factor.eval_derivative(0.0).toarray().real, e + a1,
             atol=1e-12)
+
+    def test_shared_sparse_pattern(self):
+        # terms with one CSC pattern are summed on their stored values; the
+        # unsorted indices must survive a factorization of D(s) untouched
+        def mat(values):
+            return sp.csc_matrix((values, [1, 0, 1], [0, 2, 3]), shape=(2, 2))
+        e, a = mat([1.0, 2.0, 3.0]), mat([4.0, -5.0, 6.0])
+        f = MatrixFactor([(ScalarTerm(degree=1), e), (ScalarTerm(), a)])
+        s = 0.5 + 2j
+        d = s * e.toarray() + a.toarray()
+        np.testing.assert_array_equal(f.eval(s).toarray(), d)
+        eye = MatrixFactor([(ScalarTerm(), np.eye(2))])
+        np.testing.assert_allclose(StructuredTF(eye, f, eye).eval(s),
+                                   np.linalg.inv(d), rtol=1e-12)
+        np.testing.assert_array_equal(e.indices, [1, 0, 1])
+        np.testing.assert_array_equal(e.toarray(), [[2.0, 0.0], [1.0, 3.0]])
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ValueError):
@@ -116,11 +133,40 @@ def _random_sparse_stable(n, seed, density=0.05):
     a = a - (abs(sp.linalg.eigs(a, k=1, which="LR",
                                 return_eigenvectors=False)[0].real) + 1.0) \
         * sp.identity(n, format="csc")
+    return _sparse_pencil(a, rng)
+
+
+def _banded_sparse(n, kl, ku, seed):
+    """D(s) = s*I - A with A diagonally dominant and kl sub-/ku
+    superdiagonals, so the assembled sparse D(s) has that band."""
+    rng = np.random.default_rng(seed)
+    offsets = list(range(-kl, ku + 1))
+    a = sp.diags([rng.uniform(-1.0, 1.0, n - abs(k)) for k in offsets],
+                 offsets, format="csc")
+    return _sparse_pencil(a - (kl + ku + 2) * sp.identity(n, format="csc"), rng)
+
+
+def _sparse_pencil(a, rng):
+    """H(s) = C (sI - A)^{-1} B with random two-column B and two-row C."""
+    n = a.shape[0]
     d = MatrixFactor([(ScalarTerm(degree=1), sp.identity(n, format="csc")),
                       (ScalarTerm(), -a)])
     b = MatrixFactor([(ScalarTerm(), rng.standard_normal((n, 2)))])
     c = MatrixFactor([(ScalarTerm(), rng.standard_normal((2, n)))])
     return StructuredTF(c_factor=c, d_factor=d, b_factor=b)
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Names of the factorization classes StructuredTF picks, in call order."""
+    taken = []
+    for name in ("_DenseFactorization", "_SparseFactorization",
+                 "_BandFactorization"):
+        def record(*args, _cls=getattr(structured, name), _name=name):
+            taken.append(_name)
+            return _cls(*args)
+        monkeypatch.setattr(structured, name, record)
+    return taken
 
 
 class TestSolves:
@@ -136,7 +182,7 @@ class TestSolves:
         np.testing.assert_allclose(tf.solve_d(0.0, np.eye(2)),
                                    np.diag([1.0, 0.5]))
 
-    def test_sparse_residual(self):
+    def test_sparse_residual(self, routes):
         tf = _random_sparse_stable(50, seed=7)
         rng = np.random.default_rng(11)
         rhs = rng.standard_normal((50, 3))
@@ -145,6 +191,20 @@ class TestSolves:
             d = np.asarray(tf.d_factor.eval(s).todense())
             res = np.linalg.norm(d @ x - rhs) / np.linalg.norm(rhs)
             assert res <= 1e-10
+        assert routes == ["_SparseFactorization"] * 3  # too wide for a band
+
+    def test_band_route_matches_dense_solve(self, routes):
+        # kl != ku, so a swapped band layout gives wrong solves
+        tf = _banded_sparse(60, kl=2, ku=1, seed=8)
+        rng = np.random.default_rng(12)
+        rhs = rng.standard_normal((60, 3)) + 1j * rng.standard_normal((60, 3))
+        for s in (0.0, 2j, 0.5 + 3j):
+            d = tf.d_factor.eval(s).toarray()
+            for adjoint, ref in ((False, np.linalg.solve(d, rhs)),
+                                 (True, np.linalg.solve(d.conj().T, rhs))):
+                x = (tf.solve_d_adjoint if adjoint else tf.solve_d)(s, rhs)
+                assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert routes == ["_BandFactorization"] * 6
 
     def test_adjoint_scalar(self):
         tf = siso_one_pole()
@@ -185,12 +245,13 @@ class TestSolves:
         with pytest.raises(SingularShift):
             tf.solve_d(0.0, np.eye(2))
 
-    def test_singular_shift_sparse(self):
+    def test_singular_shift_sparse(self, routes):
         d = MatrixFactor([(ScalarTerm(degree=1), sp.identity(300, format="csc"))])
         b = MatrixFactor([(ScalarTerm(), sp.identity(300, format="csc"))])
         tf = StructuredTF(b, d, b)
         with pytest.raises(SingularShift):
             tf.solve_d(0.0, np.ones((300, 1)))
+        assert routes == ["_BandFactorization"]
 
     def test_one_factorization_per_shift(self, monkeypatch):
         shifts = []
