@@ -12,7 +12,7 @@ from .inner import (InnerConfig, InnerResult, bb_norm, imaginary_crossings,
 from .oracle import SweepResult, grid_norm, sweep_csv
 from .problems import (descriptor_tf, load_benchmark, load_problem,
                        make_delay_fixture)
-from .reduced import (ModelClass, classify, project, sigma_max,
+from .reduced import (project, rational_realization, sigma_max,
                       sigma_max_derivative)
 from .structured import MatrixFactor, ScalarTerm, StructuredTF
 
@@ -26,8 +26,7 @@ __all__ = [
     "maximize", "qsupport_maximize",
     "SweepResult", "grid_norm", "sweep_csv",
     "descriptor_tf", "load_benchmark", "load_problem", "make_delay_fixture",
-    "ModelClass", "classify", "project", "sigma_max",
-    "sigma_max_derivative",
+    "project", "rational_realization", "sigma_max", "sigma_max_derivative",
     "MatrixFactor", "ScalarTerm", "StructuredTF",
 ]
 

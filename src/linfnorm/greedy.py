@@ -9,7 +9,7 @@ consecutive maximizers agree to a relative tolerance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -54,15 +54,14 @@ class RunConfig:
             raise ValueError(f"unknown subspace_policy {self.subspace_policy!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubspaceState:
-    """Orthonormal bases of equal column count plus interpolation history."""
+    """Orthonormal bases of equal column count and the frequencies at which
+    their blocks were taken."""
 
     V: np.ndarray
     W: np.ndarray
-    points: list = field(default_factory=list)
-    history: list = field(default_factory=list)
-    stagnated: bool = False
+    points: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -88,17 +87,8 @@ class SolverResult:
     states: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "norm": self.norm,
-            "omega_opt": self.omega_opt,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "history": self.history,
-            "ratios": self.ratios,
-            "warnings": self.warnings,
-            "skipped_points": self.skipped_points,
-            "wall_time": self.wall_time,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "states"}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverResult":
@@ -154,25 +144,21 @@ def _append_orthonormal(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out[:, :k])
 
 
-def expand(state: SubspaceState, Vb: np.ndarray, Wb: np.ndarray) -> SubspaceState:
-    """Appends snapshot blocks and re-orthonormalizes incrementally.
+def expand(state: SubspaceState, Vb: np.ndarray, Wb: np.ndarray,
+           omega: float) -> SubspaceState:
+    """A new state with the snapshot blocks taken at omega appended and
+    omega recorded; the input state is left as it is.
 
     Nearly dependent directions are dropped; if the drops leave the two
     bases with unequal column counts, the newest surviving columns of the
     larger basis are removed until the counts match.  A fully degenerate
-    expansion returns an unchanged state with the stagnated flag set.
+    expansion leaves the dimension unchanged.
     """
     v_new = _append_orthonormal(state.V, np.atleast_2d(Vb))
     w_new = _append_orthonormal(state.W, np.atleast_2d(Wb))
-    nv, nw = v_new.shape[1], w_new.shape[1]
-    common = min(nv, nw)
-    v_new = v_new[:, :common]
-    w_new = w_new[:, :common]
-    stagnated = common == state.dim
-    return SubspaceState(V=v_new, W=w_new,
-                         points=list(state.points),
-                         history=list(state.history),
-                         stagnated=stagnated)
+    common = min(v_new.shape[1], w_new.shape[1])
+    return SubspaceState(V=v_new[:, :common], W=w_new[:, :common],
+                         points=state.points + (omega,))
 
 
 def check_interpolation(tf: StructuredTF, state: SubspaceState,
@@ -260,12 +246,12 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
             skipped.append(float(w0))
             warns.append(f"initial point omega={w0} hit a singular shift; skipped")
             continue
-        state = expand(state, vb, wb)
-        state.points.append(float(w0))
+        state = expand(state, vb, wb, float(w0))
     if not state.points:
         raise AllShiftsSingular("every initial interpolation point was singular")
 
     recent_blocks = []  # (Vb, Wb, omega) of the last two expansions (LAST_TWO)
+    history = []
     states = []
     prev_omega = None
     converged = False
@@ -284,15 +270,14 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
             repaired = True
             mid = 0.5 * sum(inner_cfg.interval)
             vb, wb = expansion_block(tf, mid, cfg.expansion_mode)
-            state = expand(state, vb, wb)
-            state.points.append(mid)
+            state = expand(state, vb, wb, mid)
             continue
         w_new, sigma_red = res.omega_opt, res.value
         if prev_omega is not None:
             w_ref = prev_omega
         else:
             w_ref = min(state.points, key=lambda w: abs(w - w_new))
-        state.history.append({
+        history.append({
             "omega": w_new,
             "sigma": sigma_red,
             "dim": state.dim,
@@ -301,8 +286,7 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
             "stagnated": False,
         })
         if cfg.keep_states:
-            states.append(SubspaceState(V=state.V.copy(), W=state.W.copy(),
-                                        points=list(state.points)))
+            states.append(state)
         if _converged(w_new, w_ref, cfg.eps):
             converged = True
             break
@@ -310,33 +294,30 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
         if any(w_expand == w for w in state.points):
             # exact revisit of an earlier point before the tolerance is met:
             # bisect toward the best distinct maximizer seen so far
-            others = [h["omega"] for h in state.history[:-1]
+            others = [h["omega"] for h in history[:-1]
                       if h["omega"] != w_expand]
             if others:
                 partner = max(others, key=lambda w: next(
-                    h["sigma"] for h in state.history if h["omega"] == w))
+                    h["sigma"] for h in history if h["omega"] == w))
             else:
                 partner = 0.5 * sum(inner_cfg.interval)
             w_expand = 0.5 * (w_expand + partner)
-            state.history[-1]["stagnated"] = True
+            history[-1]["stagnated"] = True
         try:
             vb, wb = expansion_block(tf, w_expand, cfg.expansion_mode)
         except SingularShift:
             warns.append(f"expansion at omega={w_expand} hit a singular shift")
             break
-        state = expand(state, vb, wb)
-        if state.stagnated:
-            state.history[-1]["stagnated"] = True
-        state.points.append(w_expand)
+        grown = expand(state, vb, wb, w_expand)
+        if grown.dim == state.dim:
+            history[-1]["stagnated"] = True
+        state = grown
         if cfg.subspace_policy == LAST_TWO:
             recent_blocks = recent_blocks[-1:] + [(vb, wb, w_expand)]
             if len(recent_blocks) == 2:
-                rebuilt = SubspaceState.empty(tf.n)
-                for vb2, wb2, w2 in recent_blocks:
-                    rebuilt = expand(rebuilt, vb2, wb2)
-                    rebuilt.points.append(w2)
-                rebuilt.history = state.history
-                state = rebuilt
+                state = SubspaceState.empty(tf.n)
+                for block in recent_blocks:
+                    state = expand(state, *block)
         prev_omega = w_new
     else:
         warns.append("MaxIterations: r_max reached before convergence")
@@ -347,15 +328,15 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     except SingularShift:
         norm = sigma_red
         warns.append("final certification solve was singular; reduced value kept")
-    iter_omegas = [h["omega"] for h in state.history]
+    iter_omegas = [h["omega"] for h in history]
     _, ratios = convergence_ratios(iter_omegas, w_new)
-    n_iter = max(len(state.history) - 1, 0)
+    n_iter = max(len(history) - 1, 0)
     return SolverResult(
         norm=norm,
         omega_opt=w_new,
         iterations=n_iter,
         converged=converged,
-        history=state.history,
+        history=history,
         ratios=ratios,
         warnings=warns,
         skipped_points=skipped,

@@ -16,8 +16,7 @@ import scipy.linalg as sla
 
 from .errors import (InvalidBound, NoConvergence, PencilSingular,
                      SingularShift, UnboundedOnAxis)
-from .reduced import (ModelClass, classify, rational_realization, sigma_max,
-                      sigma_max_derivative)
+from .reduced import rational_realization, sigma_max, sigma_max_derivative
 
 #: tolerance for accepting a pencil eigenvalue as purely imaginary
 IMAG_TOL = 1e-8
@@ -50,11 +49,11 @@ class InnerResult:
     evaluations: int
 
 
-def imaginary_crossings(model, gamma: float) -> np.ndarray:
+def imaginary_crossings(realization, gamma: float) -> np.ndarray:
     """All omega where gamma is a singular value of H(i*omega).
 
-    For a rational model H(s) = C (sE - A)^{-1} B, i*omega is a purely
-    imaginary eigenvalue of the pencil
+    For H(s) = C (sE - A)^{-1} B with ``realization`` = (E, A, B, C), i*omega
+    is a purely imaginary eigenvalue of the pencil
 
         lambda * diag(E, E^*)  -  [[A, BB^*/gamma], [-C^*C/gamma, -A^*]]
 
@@ -64,7 +63,7 @@ def imaginary_crossings(model, gamma: float) -> np.ndarray:
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    e, a, b, c = rational_realization(model)
+    e, a, b, c = realization
     n = e.shape[0]
     m = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     m[:n, :n] = a
@@ -79,8 +78,6 @@ def imaginary_crossings(model, gamma: float) -> np.ndarray:
     except (sla.LinAlgError, ValueError) as err:
         raise PencilSingular(str(err)) from err
     eigvals = eigvals[np.isfinite(eigvals)]
-    if eigvals.size == 0 and n > 0 and not np.any(np.isfinite(sla.eigvals(m))):
-        raise PencilSingular("pencil has no finite eigenvalues")
     mask = np.abs(eigvals.real) <= IMAG_TOL * (1.0 + np.abs(eigvals))
     omegas = np.sort(eigvals[mask].imag)
     # merge near-duplicates (conjugate pencil symmetry produces pairs)
@@ -90,6 +87,14 @@ def imaginary_crossings(model, gamma: float) -> np.ndarray:
             continue
         merged.append(float(w))
     return np.asarray(merged)
+
+
+def _sigma_on_axis(model, w: float) -> float:
+    """sigma_max, with a singular shift reported as a pole on the axis."""
+    try:
+        return sigma_max(model, w)
+    except SingularShift as err:
+        raise UnboundedOnAxis(f"pole on the axis near omega={w}") from err
 
 
 def bb_norm(model, cfg: InnerConfig, points=()) -> InnerResult:
@@ -102,7 +107,8 @@ def bb_norm(model, cfg: InnerConfig, points=()) -> InnerResult:
     imaginary_crossings; sigma at the midpoints of consecutive crossings
     yields the next incumbent.  Terminates when no crossings remain.
     """
-    if classify(model) is not ModelClass.RATIONAL:
+    realization = rational_realization(model)
+    if realization is None:
         raise ValueError("bb_norm requires a rational model")
     lo, hi = cfg.interval
     cands = [lo, hi, 0.5 * (lo + hi)]
@@ -110,10 +116,7 @@ def bb_norm(model, cfg: InnerConfig, points=()) -> InnerResult:
     evals = 0
     best_w, best = lo, -np.inf
     for w in cands:
-        try:
-            s = sigma_max(model, w)
-        except SingularShift as err:
-            raise UnboundedOnAxis(f"pole on the axis near omega={w}") from err
+        s = _sigma_on_axis(model, w)
         evals += 1
         if s > best:
             best_w, best = w, s
@@ -121,7 +124,7 @@ def bb_norm(model, cfg: InnerConfig, points=()) -> InnerResult:
         return InnerResult(best_w, best, 0.0, evals)
     for _ in range(cfg.max_inner_iters):
         gamma = (1.0 + 2.0 * BB_REL_TOL) * best
-        crossings = imaginary_crossings(model, gamma)
+        crossings = imaginary_crossings(realization, gamma)
         crossings = [w for w in crossings if lo < w < hi]
         if not crossings:
             return InnerResult(best_w, best, 2.0 * BB_REL_TOL * best, evals)
@@ -129,11 +132,7 @@ def bb_norm(model, cfg: InnerConfig, points=()) -> InnerResult:
         improved = False
         for wa, wb in zip(knots[:-1], knots[1:]):
             w = 0.5 * (wa + wb)
-            try:
-                s = sigma_max(model, w)
-            except SingularShift as err:
-                raise UnboundedOnAxis(
-                    f"pole on the axis near omega={w}") from err
+            s = _sigma_on_axis(model, w)
             evals += 1
             if s > best:
                 best_w, best = w, s
@@ -234,7 +233,7 @@ def maximize(model, cfg: InnerConfig, points=()) -> InnerResult:
 
     ``points`` are extra starting candidates for the level-set route.
     """
-    if classify(model) is ModelClass.RATIONAL:
+    if rational_realization(model) is not None:
         return bb_norm(model, cfg, points)
 
     def f(w):

@@ -7,7 +7,6 @@ models are always dense.
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple
 
 import numpy as np
@@ -17,11 +16,6 @@ from .structured import MatrixFactor, StructuredTF, _as_dense
 
 #: relative gap below which the largest singular value is flagged non-simple
 SIMPLICITY_GAP = 1e-8
-
-
-class ModelClass(enum.Enum):
-    RATIONAL = "rational"
-    GENERAL = "general"
 
 
 def _project_factor(factor, V=None, W=None) -> MatrixFactor:
@@ -50,7 +44,6 @@ def project(tf: StructuredTF, V: np.ndarray, W: np.ndarray) -> StructuredTF:
         _project_factor(tf.c_factor, V=V),
         _project_factor(tf.d_factor, V=V, W=W),
         _project_factor(tf.b_factor, W=W),
-        is_real=False,
     )
 
 
@@ -89,26 +82,19 @@ def sigma_max_derivative(tf: StructuredTF, omega: float) -> SigmaDerivative:
     return SigmaDerivative(float(svals[0]), value, simple)
 
 
-def classify(tf: StructuredTF) -> ModelClass:
-    """RATIONAL iff the model is C (s E - A)^{-1} B with constant B, C.
+def rational_realization(tf: StructuredTF):
+    """(E, A, B, C) with H(s) = C (sE - A)^{-1} B, or None when H is not of
+    that form.
 
-    That is, every B/C term has degree 0 and no delay, and the D-factor's
-    scalar signatures are exactly {degree 1} and {degree 0}, both undelayed.
-    Invariant under permutation of factor terms.
+    It is of that form iff every B/C term has degree 0 and no delay, and the
+    D-factor's scalar signatures are exactly {degree 1} and {degree 0}, both
+    undelayed.  Invariant under permutation of factor terms.
     """
     for factor in (tf.b_factor, tf.c_factor):
         if any(sig != (0, 0.0) for sig in factor.scalar_signature()):
-            return ModelClass.GENERAL
-    d_sigs = set(tf.d_factor.scalar_signature())
-    if d_sigs == {(1, 0.0), (0, 0.0)}:
-        return ModelClass.RATIONAL
-    return ModelClass.GENERAL
-
-
-def rational_realization(tf: StructuredTF):
-    """(E, A, B, C) with D(s) = s E - A for a RATIONAL model."""
-    if classify(tf) is not ModelClass.RATIONAL:
-        raise ValueError("model is not rational")
+            return None
+    if set(tf.d_factor.scalar_signature()) != {(1, 0.0), (0, 0.0)}:
+        return None
     n = tf.n
     e = np.zeros((n, n), dtype=np.complex128)
     a = np.zeros((n, n), dtype=np.complex128)

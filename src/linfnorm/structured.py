@@ -54,10 +54,6 @@ class ScalarTerm:
         return poly * cmath.exp(-tau * s)
 
 
-def _is_sparse(m) -> bool:
-    return sp.issparse(m)
-
-
 class MatrixFactor:
     """A sum of scalar terms times constant coefficient matrices.
 
@@ -88,11 +84,10 @@ class MatrixFactor:
 
     @property
     def is_real(self) -> bool:
-        return all(not np.iscomplexobj(m if not _is_sparse(m) else m.data)
-                   for _, m in self.terms)
+        return not any(np.iscomplexobj(m) for _, m in self.terms)
 
     def _combine(self, coeffs):
-        all_sparse = all(_is_sparse(m) for _, m in self.terms)
+        all_sparse = all(sp.issparse(m) for _, m in self.terms)
         first = self.terms[0][1]
         if all_sparse and all(
                 m.format == "csc" and np.array_equal(m.indptr, first.indptr)
@@ -110,7 +105,7 @@ class MatrixFactor:
         acc = None
         for c, (_, m) in zip(coeffs, self.terms):
             contrib = (m * c) if all_sparse else (np.asarray(
-                m.todense() if _is_sparse(m) else m) * c)
+                m.todense() if sp.issparse(m) else m) * c)
             acc = contrib if acc is None else acc + contrib
         return acc.tocsc() if all_sparse else acc
 
@@ -128,7 +123,7 @@ class MatrixFactor:
 
 
 def _as_dense(m) -> np.ndarray:
-    if _is_sparse(m):
+    if sp.issparse(m):
         return np.asarray(m.todense())
     return np.asarray(m)
 
@@ -213,7 +208,7 @@ class StructuredTF:
     """
 
     def __init__(self, c_factor: MatrixFactor, d_factor: MatrixFactor,
-                 b_factor: MatrixFactor, is_real: bool | None = None):
+                 b_factor: MatrixFactor):
         n = d_factor.nrows
         if d_factor.ncols != n:
             raise DimensionMismatch(f"D_factor must be square, got {d_factor.shape}")
@@ -226,9 +221,7 @@ class StructuredTF:
         self.c_factor = c_factor
         self.d_factor = d_factor
         self.b_factor = b_factor
-        if is_real is None:
-            is_real = c_factor.is_real and d_factor.is_real and b_factor.is_real
-        self.is_real = bool(is_real)
+        self.is_real = c_factor.is_real and d_factor.is_real and b_factor.is_real
 
     @property
     def n(self) -> int:
@@ -246,7 +239,7 @@ class StructuredTF:
         """A fresh LU of D(s); raises SingularShift if D(s) is singular."""
         s = complex(s)
         d = self.d_factor.eval(s)
-        if not _is_sparse(d):
+        if not sp.issparse(d):
             return _DenseFactorization(d, s)
         d = sp.csc_matrix(d, dtype=np.complex128)
         d.sum_duplicates()

@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from linfnorm.cli import bench_delay
-from linfnorm.greedy import DOMINANT, RunConfig, check_interpolation, run
+from linfnorm.greedy import RunConfig, check_interpolation, run
 from linfnorm.inner import InnerConfig, bb_norm, qsupport_maximize
 from linfnorm.oracle import grid_norm
 from linfnorm.problems import load_benchmark, make_delay_fixture

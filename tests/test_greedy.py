@@ -65,18 +65,18 @@ class TestExpand:
         q, _ = np.linalg.qr(rng.standard_normal((10, 3)))
         state = SubspaceState(V=q, W=q.copy())
         col = q @ np.array([1.0, -2.0, 0.5])  # already in span
-        new = expand(state, col.reshape(-1, 1), col.reshape(-1, 1))
+        new = expand(state, col.reshape(-1, 1), col.reshape(-1, 1), 1.0)
         assert new.dim == 3
-        assert new.stagnated
+        assert new.dim == state.dim
 
     def test_fresh_columns_grow_by_block_width(self):
         rng = np.random.default_rng(31)
         q, _ = np.linalg.qr(rng.standard_normal((10, 3)))
         state = SubspaceState(V=q, W=q.copy())
         block = rng.standard_normal((10, 2))
-        new = expand(state, block, block)
+        new = expand(state, block, block, 1.0)
         assert new.dim == 5
-        assert not new.stagnated
+        assert new.dim != state.dim
 
     def test_unequal_drops_are_rebalanced(self):
         rng = np.random.default_rng(32)
@@ -84,18 +84,32 @@ class TestExpand:
         state = SubspaceState(V=q, W=q.copy())
         dependent = q[:, :1] @ np.array([[2.0]])
         fresh = rng.standard_normal((10, 1))
-        new = expand(state, dependent, fresh)
+        new = expand(state, dependent, fresh, 1.0)
         assert new.V.shape[1] == new.W.shape[1]
 
     def test_orthonormality_after_many_expansions(self):
         rng = np.random.default_rng(33)
         state = SubspaceState.empty(40)
-        for _ in range(50):
+        for k in range(50):
             block = rng.standard_normal((40, 1)) + 1j * rng.standard_normal((40, 1))
-            state = expand(state, block, block.conj())
+            state = expand(state, block, block.conj(), float(k))
         assert state.dim == 40
         assert orthonormality_defect(state.V) <= 1e-12
         assert orthonormality_defect(state.W) <= 1e-12
+
+    def test_input_state_is_unchanged(self):
+        rng = np.random.default_rng(34)
+        q, _ = np.linalg.qr(rng.standard_normal((10, 3)))
+        state = SubspaceState(V=q, W=q.copy(), points=(0.5, 1.5))
+        v0, w0 = state.V.copy(), state.W.copy()
+        block = rng.standard_normal((10, 2))
+        new = expand(state, block, block, 2.5)
+        np.testing.assert_array_equal(state.V, v0)
+        np.testing.assert_array_equal(state.W, w0)
+        assert state.points == (0.5, 1.5)
+        assert new.points == state.points + (2.5,)
+        assert new.dim == 5
+        np.testing.assert_array_equal(new.V[:, :3], v0)
 
 
 class TestRun:
@@ -146,11 +160,16 @@ class TestRun:
     def test_last_two_policy_converges(self):
         tf, interval = random_descriptor(60, 1, 1, seed=43)
         cfg = RunConfig(omega_max=interval[1], r0=15,
-                        subspace_policy=LAST_TWO,
+                        subspace_policy=LAST_TWO, keep_states=True,
                         inner=InnerConfig(interval=interval))
         res = run(tf, cfg)
         sw = grid_norm(tf, interval, 4001)
         assert res.norm <= sw.best_sigma * (1 + 1e-9)
+        # after two expansions the bases hold only the last two blocks
+        assert [len(st.points) for st in res.states] == [15, 16, 2, 2]
+        omegas = [h["omega"] for h in res.history]
+        for k in range(2, len(res.states)):
+            assert res.states[k].points == tuple(omegas[k - 2:k])
 
     def test_monotone_span_with_keepall(self):
         tf, interval = random_descriptor(50, 1, 1, seed=44)

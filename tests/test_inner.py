@@ -9,7 +9,8 @@ from linfnorm.inner import (InnerConfig, bb_norm, imaginary_crossings,
                             maximize, qsupport_maximize)
 from linfnorm.oracle import grid_norm
 from linfnorm.problems import make_delay_fixture
-from linfnorm.reduced import project, sigma_max, sigma_max_derivative
+from linfnorm.reduced import (project, rational_realization, sigma_max,
+                              sigma_max_derivative)
 
 from conftest import random_rational_reduced, siso_one_pole, siso_two_pole
 
@@ -28,18 +29,18 @@ def estimated_curvature_bound(model, interval, npoints=400):
 class TestImaginaryCrossings:
     def test_one_pole_level(self):
         rm = siso_one_pole()
-        crossings = imaginary_crossings(rm, 1 / np.sqrt(2))
+        crossings = imaginary_crossings(rational_realization(rm), 1 / np.sqrt(2))
         np.testing.assert_allclose(crossings, [-1.0, 1.0], atol=1e-8)
 
     def test_level_above_norm_is_empty(self):
         rm = siso_one_pole()
-        assert imaginary_crossings(rm, 2.0).size == 0
+        assert imaginary_crossings(rational_realization(rm), 2.0).size == 0
 
     def test_matches_grid_sign_changes(self):
         rm, interval = random_rational_reduced(6, 1, 1, seed=10)
         sw = grid_norm(rm, interval, 2001)
         gamma = 0.9 * sw.best_sigma
-        crossings = imaginary_crossings(rm, gamma)
+        crossings = imaginary_crossings(rational_realization(rm), gamma)
         crossings = np.array([w for w in crossings
                               if interval[0] <= w <= interval[1]])
         ws = np.linspace(interval[0], interval[1], 100_000)
@@ -54,14 +55,14 @@ class TestImaginaryCrossings:
     def test_symmetric_for_real_parent(self):
         rm, _ = random_rational_reduced(4, 1, 1, seed=11)
         sw = grid_norm(rm, (0, 10), 1001)
-        crossings = imaginary_crossings(rm, 0.8 * sw.best_sigma)
+        crossings = imaginary_crossings(rational_realization(rm), 0.8 * sw.best_sigma)
         np.testing.assert_allclose(np.sort(crossings),
                                    np.sort(-crossings), atol=1e-7)
 
     def test_rejects_nonpositive_level(self):
         rm = siso_one_pole()
         with pytest.raises(ValueError):
-            imaginary_crossings(rm, -1.0)
+            imaginary_crossings(rational_realization(rm), -1.0)
 
 
 class TestBBNorm:
@@ -122,8 +123,7 @@ class TestQSupport:
         state = SubspaceState.empty(tf.n)
         for w0 in np.linspace(0.0, 50.0, 10):
             vb, wb = expansion_block(tf, float(w0))
-            state = expand(state, vb, wb)
-            state.points.append(float(w0))
+            state = expand(state, vb, wb, float(w0))
         rm = project(tf, state.V, state.W)
         res = maximize(rm, InnerConfig(interval=(0, 50),
                                        curvature_bound=-100.0))

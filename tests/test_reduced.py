@@ -6,7 +6,7 @@ import pytest
 from linfnorm.errors import DimensionMismatch
 from linfnorm.greedy import expansion_block
 from linfnorm.problems import descriptor_tf, make_delay_fixture
-from linfnorm.reduced import (ModelClass, classify, project, sigma_max,
+from linfnorm.reduced import (project, rational_realization, sigma_max,
                               sigma_max_derivative)
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
@@ -109,18 +109,18 @@ class TestSigmaDerivative:
 
 class TestClassify:
     def test_descriptor_is_rational(self):
-        assert classify(siso_one_pole()) is ModelClass.RATIONAL
+        assert rational_realization(siso_one_pole()) is not None
 
     def test_delay_is_general(self):
         tf = make_delay_fixture(5)
-        assert classify(tf) is ModelClass.GENERAL
+        assert rational_realization(tf) is None
 
     def test_quadratic_term_is_general(self):
         d = MatrixFactor([(ScalarTerm(degree=2), np.eye(2)),
                           (ScalarTerm(), np.eye(2))])
         b = MatrixFactor([(ScalarTerm(), np.ones((2, 1)))])
         c = MatrixFactor([(ScalarTerm(), np.ones((1, 2)))])
-        assert classify(StructuredTF(c, d, b)) is ModelClass.GENERAL
+        assert rational_realization(StructuredTF(c, d, b)) is None
 
     def test_invariant_under_term_permutation(self):
         e, a = np.eye(2), -np.eye(2)
@@ -128,5 +128,8 @@ class TestClassify:
         d_rev = MatrixFactor([(ScalarTerm(), -a), (ScalarTerm(degree=1), e)])
         b = MatrixFactor([(ScalarTerm(), np.ones((2, 1)))])
         c = MatrixFactor([(ScalarTerm(), np.ones((1, 2)))])
-        assert (classify(StructuredTF(c, d_fwd, b))
-                is classify(StructuredTF(c, d_rev, b)))
+        fwd = rational_realization(StructuredTF(c, d_fwd, b))
+        rev = rational_realization(StructuredTF(c, d_rev, b))
+        assert fwd is not None and rev is not None
+        for x, y in zip(fwd, rev):
+            np.testing.assert_array_equal(x, y)

@@ -1,7 +1,5 @@
 """Tests for the structured-function data model and its shifted solves."""
 
-import cmath
-
 import numpy as np
 import pytest
 import scipy.sparse as sp

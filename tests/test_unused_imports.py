@@ -1,0 +1,32 @@
+"""Every imported name in the library and the tests is used."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unused_imports(path):
+    """Names a module imports but never references.  A crude whole-module
+    check: a use anywhere counts for an import anywhere."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_unused_imports():
+    # __init__.py imports names to re-export them
+    paths = [p for p in sorted((ROOT / "src" / "linfnorm").glob("*.py"))
+             if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    assert [u for p in paths for u in unused_imports(p)] == []
