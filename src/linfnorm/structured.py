@@ -22,7 +22,8 @@ from .errors import DimensionMismatch, SingularShift
 RCOND_THRESHOLD = 1e-14
 
 #: a sparse D(s) is factored by band LU when the LU's band storage,
-#: (2*kl + ku + 1) * n entries, is at most this many times its nonzeros
+#: (2*kl + ku + 1) * n entries, is at most this many times the nonzeros of
+#: the union of its terms' patterns
 BAND_FILL = 2
 
 
@@ -54,6 +55,9 @@ class ScalarTerm:
         return poly * cmath.exp(-tau * s)
 
 
+_UNSET = object()
+
+
 class MatrixFactor:
     """A sum of scalar terms times constant coefficient matrices.
 
@@ -73,6 +77,16 @@ class MatrixFactor:
                 )
         self.terms = terms
         self.shape = shape
+        self._band_layout = _UNSET
+
+    @property
+    def band_layout(self) -> BandLayout | None:
+        """Where a sparse square factor's terms land in LAPACK band storage,
+        or None when a term is dense or the band fails BAND_FILL.  Computed
+        on first use, then kept: it depends on the patterns only."""
+        if self._band_layout is _UNSET:
+            self._band_layout = _band_layout(self.terms, self.ncols)
+        return self._band_layout
 
     @property
     def nrows(self) -> int:
@@ -88,20 +102,6 @@ class MatrixFactor:
 
     def _combine(self, coeffs):
         all_sparse = all(sp.issparse(m) for _, m in self.terms)
-        first = self.terms[0][1]
-        if all_sparse and all(
-                m.format == "csc" and np.array_equal(m.indptr, first.indptr)
-                and np.array_equal(m.indices, first.indices)
-                for _, m in self.terms):
-            # one shared CSC pattern: sum the stored values, in the same
-            # order as the general path; the index arrays are copied so
-            # that in-place canonicalization never reaches a coefficient
-            data = None
-            for c, (_, m) in zip(coeffs, self.terms):
-                data = m.data * c if data is None else data + m.data * c
-            return sp.csc_matrix(
-                (data, first.indices.copy(), first.indptr.copy()),
-                shape=first.shape)
         acc = None
         for c, (_, m) in zip(coeffs, self.terms):
             contrib = (m * c) if all_sparse else (np.asarray(
@@ -117,9 +117,85 @@ class MatrixFactor:
         """d/ds of eval at the shift s."""
         return self._combine([t.derivative(s) for t, _ in self.terms])
 
+    def eval_band(self, s: complex) -> np.ndarray:
+        """eval at the shift s in the band storage of band_layout, which must
+        not be None: each term's stored values times its scalar, added in
+        term order."""
+        layout = self.band_layout
+        ab = np.zeros(layout.rows * layout.n, dtype=np.complex128)
+        for (t, m), pos in zip(self.terms, layout.positions):
+            np.add.at(ab, pos, _stored_values(m) * t.value(s))
+        return ab.reshape((layout.rows, layout.n),
+                          order="C" if layout.tridiagonal else "F")
+
     def scalar_signature(self):
         """Multiset of (degree, delay) pairs, order-insensitive."""
         return sorted((t.degree, t.delay) for t, _ in self.terms)
+
+
+@dataclass(frozen=True)
+class BandLayout:
+    """kl sub- and ku superdiagonals of an n-column band, and per term the
+    flat index in band storage of each stored value; terms with one pattern
+    share one array.
+
+    A tridiagonal band (kl = ku = 1, n > 2) is stored C-ordered as 3 rows:
+    super-, main and subdiagonal, each entry in its column.  Any other band
+    is zgbtrf's Fortran-ordered storage: A[i, j] in row kl + ku + i - j of
+    2*kl + ku + 1 rows, the top kl rows left for pivoting fill-in.
+    """
+
+    kl: int
+    ku: int
+    n: int
+    positions: tuple
+
+    @property
+    def tridiagonal(self) -> bool:
+        # scipy's zgttrf wrapper rejects n = 2, where zgbtrf serves
+        return self.kl == self.ku == 1 and self.n > 2
+
+    @property
+    def rows(self) -> int:
+        return 3 if self.tridiagonal else 2 * self.kl + self.ku + 1
+
+
+def _stored_values(m) -> np.ndarray:
+    """The values of a sparse m in the order of m.tocoo(), uncopied for
+    CSC, CSR and COO."""
+    return m.data if m.format in ("csc", "csr", "coo") else m.tocoo().data
+
+
+def _band_layout(terms, n: int) -> BandLayout | None:
+    """The BandLayout of a sum of sparse terms with n columns, or None when a
+    term is dense or the band storage of the union pattern exceeds BAND_FILL
+    times the union's nonzeros."""
+    if not all(sp.issparse(m) for _, m in terms):
+        return None
+    entries = [(coo.row, coo.col) for coo in (m.tocoo() for _, m in terms)]
+    kl = max(int(np.max(r - c, initial=0)) for r, c in entries)
+    ku = max(int(np.max(c - r, initial=0)) for r, c in entries)
+    fill = (2 * kl + ku + 1) * n
+    if fill > BAND_FILL * sum(len(r) for r, _ in entries):
+        return None  # the union has at most that many nonzeros
+    layout = BandLayout(kl, ku, n, ())
+    size = layout.rows * n
+    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    union = np.zeros(size, dtype=bool)
+    positions = []
+    for r, c in entries:
+        r, c = r.astype(np.int64), c.astype(np.int64)
+        if layout.tridiagonal:
+            pos = (ku + r - c) * n + c
+        else:
+            pos = kl + ku + r - c + c * layout.rows
+        pos = pos.astype(dtype)
+        pos = next((p for p in positions if np.array_equal(p, pos)), pos)
+        positions.append(pos)
+        union[pos] = True
+    if fill > BAND_FILL * np.count_nonzero(union):
+        return None
+    return BandLayout(kl, ku, n, tuple(positions))
 
 
 def _as_dense(m) -> np.ndarray:
@@ -176,16 +252,11 @@ class _SparseFactorization:
 
 
 class _BandFactorization:
-    """LAPACK band LU of a sparse D(s) with kl sub- and ku superdiagonals,
-    with the same pivot-based singularity check as the sparse path."""
+    """LAPACK band LU of a sparse D(s) in the band storage of a BandLayout
+    with kl sub- and ku superdiagonals, with the same pivot-based
+    singularity check as the sparse path."""
 
-    def __init__(self, d: sp.csc_matrix, s: complex, kl: int, ku: int,
-                 offsets: np.ndarray, cols: np.ndarray):
-        # gbtrf reads A[i, j] from ab[kl + ku + i - j, j]; the top kl rows
-        # hold the fill-in of row pivoting
-        ab = np.zeros((2 * kl + ku + 1, d.shape[1]), dtype=np.complex128,
-                      order="F")
-        ab[kl + ku + offsets, cols] = d.data
+    def __init__(self, ab: np.ndarray, s: complex, kl: int, ku: int):
         lu, piv, info = sla.lapack.zgbtrf(ab, kl, ku, overwrite_ab=True)
         if info > 0:
             raise SingularShift(s, rcond=0.0)
@@ -200,11 +271,34 @@ class _BandFactorization:
         return x
 
 
+class _TridiagonalFactorization:
+    """LAPACK tridiagonal LU of a sparse D(s) in the band storage of a
+    tridiagonal BandLayout, with the same pivot-based singularity check as
+    the sparse path."""
+
+    def __init__(self, ab: np.ndarray, s: complex):
+        # rows of ab: superdiagonal from column 1, diagonal, subdiagonal up
+        # to column n - 2; all three are factored in place
+        *lu, info = sla.lapack.zgttrf(ab[2, :-1], ab[1], ab[0, 1:],
+                                      overwrite_dl=True, overwrite_d=True,
+                                      overwrite_du=True)
+        if info > 0:
+            raise SingularShift(s, rcond=0.0)
+        self.rcond = _pivot_rcond(lu[1], s)
+        self._lu = lu  # dl, d, du, du2, ipiv
+
+    def solve(self, rhs, adjoint: bool = False) -> np.ndarray:
+        rhs = np.asarray(_as_dense(rhs), dtype=np.complex128)
+        x, _ = sla.lapack.zgttrs(*self._lu, rhs, trans="C" if adjoint else "N")
+        return x
+
+
 class StructuredTF:
     """The triple (C-factor, D-factor, B-factor) with dimensions (p, n, m).
 
-    Immutable after construction and holds no factorization between calls,
-    so concurrent evaluation is safe.
+    Holds no factorization between calls, so concurrent evaluation is safe.
+    The only thing kept is the D factor's band layout, which does not depend
+    on the shift; a concurrent first call computes it twice, harmlessly.
     """
 
     def __init__(self, c_factor: MatrixFactor, d_factor: MatrixFactor,
@@ -238,17 +332,15 @@ class StructuredTF:
     def _factorization(self, s: complex):
         """A fresh LU of D(s); raises SingularShift if D(s) is singular."""
         s = complex(s)
+        layout = self.d_factor.band_layout
+        if layout is not None:
+            ab = self.d_factor.eval_band(s)
+            if layout.tridiagonal:
+                return _TridiagonalFactorization(ab, s)
+            return _BandFactorization(ab, s, layout.kl, layout.ku)
         d = self.d_factor.eval(s)
         if not sp.issparse(d):
             return _DenseFactorization(d, s)
-        d = sp.csc_matrix(d, dtype=np.complex128)
-        d.sum_duplicates()
-        cols = np.repeat(np.arange(d.shape[1]), np.diff(d.indptr))
-        offsets = d.indices - cols  # row minus column of each entry
-        kl = int(np.max(offsets, initial=0))
-        ku = -int(np.min(offsets, initial=0))
-        if (2 * kl + ku + 1) * d.shape[0] <= BAND_FILL * d.nnz:
-            return _BandFactorization(d, s, kl, ku, offsets, cols)
         return _SparseFactorization(d, s)
 
     def _resolvents(self, s: complex):

@@ -102,8 +102,8 @@ class TestMatrixFactor:
             atol=1e-12)
 
     def test_shared_sparse_pattern(self):
-        # terms with one CSC pattern are summed on their stored values; the
-        # unsorted indices must survive a factorization of D(s) untouched
+        # terms with one CSC pattern with unsorted indices: eval sums them,
+        # and the indices must survive a factorization of D(s) untouched
         def mat(values):
             return sp.csc_matrix((values, [1, 0, 1], [0, 2, 3]), shape=(2, 2))
         e, a = mat([1.0, 2.0, 3.0]), mat([4.0, -5.0, 6.0])
@@ -154,12 +154,24 @@ def _sparse_pencil(a, rng):
     return StructuredTF(c_factor=c, d_factor=d, b_factor=b)
 
 
+def _tridiagonal_sparse(n, seed):
+    """D(s) = s*I - A with A nonsymmetric tridiagonal (sub- and
+    superdiagonal differ) and a subdiagonal entry in column 0 that outweighs
+    the diagonal, so the LU swaps rows there."""
+    rng = np.random.default_rng(seed)
+    sub, sup = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+    sub[0] = 40.0
+    a = sp.diags([sub, rng.uniform(-1.0, 1.0, n) - 4.0, sup], [-1, 0, 1],
+                 format="csc")
+    return _sparse_pencil(a, rng)
+
+
 @pytest.fixture
 def routes(monkeypatch):
     """Names of the factorization classes StructuredTF picks, in call order."""
     taken = []
     for name in ("_DenseFactorization", "_SparseFactorization",
-                 "_BandFactorization"):
+                 "_BandFactorization", "_TridiagonalFactorization"):
         def record(*args, _cls=getattr(structured, name), _name=name):
             taken.append(_name)
             return _cls(*args)
@@ -203,6 +215,51 @@ class TestSolves:
                 x = (tf.solve_d_adjoint if adjoint else tf.solve_d)(s, rhs)
                 assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         assert routes == ["_BandFactorization"] * 6
+
+    def test_tridiagonal_route_matches_dense_solve(self, routes):
+        # dl != du and a row swap, so swapped off-diagonals or a transpose
+        # in place of the adjoint give wrong solves
+        tf = _tridiagonal_sparse(40, seed=9)
+        rng = np.random.default_rng(13)
+        rhs = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+        for s in (0.0, 2j, 0.5 + 3j):
+            d = tf.d_factor.eval(s).toarray()
+            assert abs(d[1, 0]) > abs(d[0, 0])
+            for adjoint, ref in ((False, np.linalg.solve(d, rhs)),
+                                 (True, np.linalg.solve(d.conj().T, rhs))):
+                x = (tf.solve_d_adjoint if adjoint else tf.solve_d)(s, rhs)
+                assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert routes == ["_TridiagonalFactorization"] * 6
+
+    def test_singular_shift_tridiagonal(self, routes):
+        # D(s) = s*I + L with L the path-graph Laplacian, exactly singular
+        n = 300
+        off = -np.ones(n - 1)
+        lap = sp.diags([off, np.r_[1.0, 2.0 * np.ones(n - 2), 1.0], off],
+                       [-1, 0, 1], format="csc")
+        d = MatrixFactor([(ScalarTerm(degree=1), sp.identity(n, format="csc")),
+                          (ScalarTerm(), lap)])
+        b = MatrixFactor([(ScalarTerm(), np.ones((n, 1)))])
+        c = MatrixFactor([(ScalarTerm(), np.ones((1, n)))])
+        with pytest.raises(SingularShift):
+            StructuredTF(c, d, b).eval(0.0)
+        assert routes == ["_TridiagonalFactorization"]
+
+    def test_lapack_kernel_per_band(self, monkeypatch):
+        calls = []
+        lapack = structured.sla.lapack
+        for name in ("zgttrf", "zgttrs", "zgbtrf", "zgbtrs"):
+            def spy(*args, _f=getattr(lapack, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(lapack, name, spy)
+        make_delay_fixture(3000).eval(1j)
+        assert calls == ["zgttrf", "zgttrs"]
+        for tf in (_banded_sparse(60, kl=2, ku=1, seed=8),
+                   make_delay_fixture(2)):  # a 2-by-2 band is not tridiagonal
+            calls.clear()
+            tf.eval(1j)
+            assert calls == ["zgbtrf", "zgbtrs"]
 
     def test_adjoint_scalar(self):
         tf = siso_one_pole()
@@ -274,6 +331,104 @@ class TestSolves:
             for omega in (0.0, 0.7, 3.1):
                 assert (sigma_max_derivative(tf, omega).sigma
                         == sigma_max(tf, omega))
+
+
+def _mixed_pattern_factor(n, seed):
+    """D(s) = s*E + A + exp(-s)*P + Q with diagonal E in DIA, tridiagonal A
+    in CSC with unsorted indices, subdiagonal P in COO with one entry stored
+    twice, and superdiagonal Q in CSR."""
+    rng = np.random.default_rng(seed)
+    e = sp.diags(rng.uniform(1.0, 2.0, n))
+    a = sp.diags([rng.uniform(-1.0, 1.0, n - 1), rng.uniform(5.0, 6.0, n),
+                  rng.uniform(-1.0, 1.0, n - 1)], [-1, 0, 1], format="csc")
+    flip = np.concatenate([np.arange(a.indptr[j], a.indptr[j + 1])[::-1]
+                           for j in range(n)])
+    a = sp.csc_matrix((a.data[flip], a.indices[flip], a.indptr), shape=a.shape)
+    assert not a.has_sorted_indices
+    rows = np.r_[np.arange(1, n), 3]
+    p = sp.coo_matrix((rng.uniform(-1.0, 1.0, n), (rows, rows - 1)),
+                      shape=(n, n))
+    q = sp.diags(rng.uniform(-1.0, 1.0, n - 1), 1, format="csr")
+    return MatrixFactor([(ScalarTerm(degree=1), e), (ScalarTerm(), a),
+                         (ScalarTerm(delay=1.0), p), (ScalarTerm(), q)])
+
+
+def _dense_eval(factor, s):
+    return sum(t.value(s) * m.toarray() for t, m in factor.terms)
+
+
+class TestBandLayout:
+    def test_mixed_patterns_match_dense_solve(self, routes):
+        n = 30
+        f = _mixed_pattern_factor(n, seed=14)
+        before = [{k: getattr(m, k).copy() for k in
+                   ("data", "indices", "indptr", "row", "col", "offsets")
+                   if hasattr(m, k)} for _, m in f.terms]
+        rng = np.random.default_rng(15)
+        b = MatrixFactor([(ScalarTerm(), rng.standard_normal((n, 2)))])
+        c = MatrixFactor([(ScalarTerm(), rng.standard_normal((2, n)))])
+        tf = StructuredTF(c, f, b)
+        rhs = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        for s in (0.0, 2j, 0.5 + 3j):
+            d = _dense_eval(f, s)
+            for adjoint, ref in ((False, np.linalg.solve(d, rhs)),
+                                 (True, np.linalg.solve(d.conj().T, rhs))):
+                x = (tf.solve_d_adjoint if adjoint else tf.solve_d)(s, rhs)
+                assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert routes == ["_TridiagonalFactorization"] * 6
+        for (_, m), arrays in zip(f.terms, before):
+            for k, v in arrays.items():
+                np.testing.assert_array_equal(getattr(m, k), v)
+
+    def test_computed_once_and_shared(self, monkeypatch):
+        computed = []
+        layout_of = structured._band_layout
+
+        def counting(*args):
+            computed.append(args)
+            return layout_of(*args)
+
+        monkeypatch.setattr(structured, "_band_layout", counting)
+        tf = make_delay_fixture(50)
+        layout = tf.d_factor.band_layout
+        for s in (0.0, 1j, 2j):
+            tf.eval(s)
+        assert tf.d_factor.band_layout is layout
+        assert len(computed) == 1
+        # the delay family's three terms share one pattern
+        assert len(layout.positions) == 3
+        assert len({id(p) for p in layout.positions}) == 1
+        assert layout.positions[0].dtype == np.int32
+
+    def test_route_independent_of_shift(self, routes):
+        # A has no diagonal, so at s = 0, where the degree-1 term vanishes,
+        # D(0) = -A alone is too sparse for its band; n is even, so D(0) is
+        # nonsingular and needs row swaps
+        n = 40
+        rng = np.random.default_rng(16)
+        a = sp.diags([rng.uniform(0.5, 1.5, n - 1),
+                      rng.uniform(0.5, 1.5, n - 1)], [-1, 1], format="csc")
+        tf = _sparse_pencil(a, rng)
+        rhs = rng.standard_normal((n, 2))
+        for s in (0.0, 1j):
+            d = tf.d_factor.eval(s).toarray()
+            ref = np.linalg.solve(d, rhs)
+            x = tf.solve_d(s, rhs)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert routes == ["_TridiagonalFactorization"] * 2
+
+    def test_delay_band_matches_csc_scatter(self):
+        # the band is the assembled CSC D(s) scattered into band storage,
+        # to the last bit: the terms are added in the same order (the last
+        # two shifts round differently in any other order)
+        n = 200
+        f = make_delay_fixture(n).d_factor
+        for s in (0.0, 1j, 3.07547j, -2.5j, 0.3 + 7j, 1 / 3, 0.71 + 2.9j):
+            d = f.eval(s)
+            cols = np.repeat(np.arange(n), np.diff(d.indptr))
+            ab = np.zeros((3, n), dtype=np.complex128)
+            ab[1 + d.indices - cols, cols] = d.data
+            np.testing.assert_array_equal(f.eval_band(s), ab)
 
 
 class TestEvalH:
