@@ -12,8 +12,8 @@ from .inner import (InnerConfig, InnerResult, bb_norm, imaginary_crossings,
 from .oracle import SweepResult, grid_norm, sweep_csv
 from .problems import (descriptor_tf, load_benchmark, load_problem,
                        make_delay_fixture)
-from .reduced import (project, rational_realization, sigma_max,
-                      sigma_max_derivative)
+from .reduced import (dominant_frequencies, project, rational_realization,
+                      sigma_max, sigma_max_derivative)
 from .structured import MatrixFactor, ScalarTerm, StructuredTF
 
 __all__ = [
@@ -26,7 +26,8 @@ __all__ = [
     "maximize", "qsupport_maximize",
     "SweepResult", "grid_norm", "sweep_csv",
     "descriptor_tf", "load_benchmark", "load_problem", "make_delay_fixture",
-    "project", "rational_realization", "sigma_max", "sigma_max_derivative",
+    "dominant_frequencies", "project", "rational_realization", "sigma_max",
+    "sigma_max_derivative",
     "MatrixFactor", "ScalarTerm", "StructuredTF",
 ]
 

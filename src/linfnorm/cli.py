@@ -10,7 +10,8 @@ import sys
 import time
 
 from .errors import LinfNormError
-from .greedy import DOMINANT, FULL, KEEP_ALL, LAST_TWO, RunConfig, run
+from .greedy import (CONVERGED, DOMINANT, FULL, KEEP_ALL, LAST_TWO, RunConfig,
+                     run)
 from .inner import InnerConfig
 from .oracle import grid_norm, sweep_csv
 from .problems import load_problem, make_delay_fixture
@@ -106,7 +107,7 @@ def _cmd_norm(args) -> int:
         with open(args.report, "w") as fh:
             fh.write(text + "\n")
     print(text)
-    return EXIT_OK if result.converged else EXIT_WARNINGS
+    return EXIT_OK if result.stop_reason == CONVERGED else EXIT_WARNINGS
 
 
 def _cmd_oracle(args) -> int:

@@ -1,6 +1,7 @@
 """Greedy subspace iteration for the L-infinity norm of the full function.
 
-Initialization interpolates at equidistant frequencies, then each iteration
+Initialization interpolates at equidistant frequencies and, for a rational
+H, at the frequencies of its dominant poles; then each iteration
 maximizes sigma of the current reduced model, expands the projection bases
 at the maximizer so that Hermite interpolation holds there, and stops when
 consecutive maximizers agree to a relative tolerance.
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import AllShiftsSingular, SingularShift, UnboundedOnAxis
 from .inner import InnerConfig, maximize
-from .reduced import project, sigma_max_derivative
+from .reduced import dominant_frequencies, project, sigma_max_derivative
 from .structured import StructuredTF, _as_dense
 
 #: post-projection norm threshold for dropping dependent expansion directions
@@ -25,6 +26,11 @@ FULL = "full"
 DOMINANT = "dominant"
 KEEP_ALL = "keepall"
 LAST_TWO = "lasttwo"
+
+#: SolverResult.stop_reason values
+CONVERGED = "converged"
+MAX_ITERATIONS = "max_iterations"
+SINGULAR_EXPANSION = "singular_expansion"
 
 
 @dataclass
@@ -79,6 +85,8 @@ class SolverResult:
     omega_opt: float
     iterations: int
     converged: bool
+    stop_reason: str | None = None
+    seeds: tuple = ()
     history: list = field(default_factory=list)
     ratios: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
@@ -86,9 +94,24 @@ class SolverResult:
     wall_time: float = 0.0
     states: list = field(default_factory=list)
 
+    def __post_init__(self):
+        # a result built without a stop reason, such as a report written
+        # before it was recorded, takes it from converged and the warnings
+        if self.stop_reason is None:
+            if self.converged:
+                self.stop_reason = CONVERGED
+            elif any(w.startswith("expansion at omega=")
+                     for w in self.warnings):
+                self.stop_reason = SINGULAR_EXPANSION
+            else:
+                self.stop_reason = MAX_ITERATIONS
+        self.seeds = tuple(self.seeds)
+
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "states"}
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name != "states"}
+        d["seeds"] = list(self.seeds)   # as JSON gives it back
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverResult":
@@ -218,12 +241,15 @@ def convergence_ratios(omegas, omega_star):
 def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     """Full greedy iteration; the returned norm is evaluated on H itself.
 
-    Initial points are equidistant in [0, omega_max].  Initial points that
-    hit a singular shift are skipped and listed in ``warnings``; at least
-    one must survive.  Terminates when two consecutive maximizers agree to
-    relative tolerance eps, or after r_max iterations (warning flag set).
-    For a real-coefficient H, sigma is even in omega, so the reduced models
-    are maximized over the part of the interval with omega >= 0.
+    Initial points are equidistant in [0, omega_max], followed by the
+    frequencies of up to DOMINANT_SEEDS dominant poles of a rational H
+    (``seeds``) that lie in the search interval and are not equidistant
+    points already.  Initial points that hit a singular shift are skipped
+    and listed in ``warnings``; at least one must survive.  Terminates when
+    two consecutive maximizers agree to relative tolerance eps, after r_max
+    iterations, or at a singular expansion shift; ``stop_reason`` says
+    which.  For a real-coefficient H, sigma is even in omega, so the reduced
+    models are maximized over the part of the interval with omega >= 0.
     """
     t0 = time.perf_counter()
     inner_cfg = cfg.inner or InnerConfig(interval=(0.0, cfg.omega_max))
@@ -232,21 +258,24 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     if tf.is_real and lo < 0.0 <= hi:
         search_cfg = replace(inner_cfg, interval=(0.0, hi))
     if cfg.r0 == 1:
-        init_points = np.array([0.5 * cfg.omega_max])
+        init_points = [0.5 * cfg.omega_max]
     else:
-        init_points = np.linspace(0.0, cfg.omega_max, cfg.r0)
+        init_points = np.linspace(0.0, cfg.omega_max, cfg.r0).tolist()
+    lo, hi = search_cfg.interval
+    seeds = tuple(w for w in dominant_frequencies(tf)
+                  if lo <= w <= hi and w not in init_points)
 
     state = SubspaceState.empty(tf.n)
     skipped = []
     warns = []
-    for w0 in init_points:
+    for w0 in init_points + list(seeds):
         try:
-            vb, wb = expansion_block(tf, float(w0), cfg.expansion_mode)
+            vb, wb = expansion_block(tf, w0, cfg.expansion_mode)
         except SingularShift:
-            skipped.append(float(w0))
+            skipped.append(w0)
             warns.append(f"initial point omega={w0} hit a singular shift; skipped")
             continue
-        state = expand(state, vb, wb, float(w0))
+        state = expand(state, vb, wb, w0)
     if not state.points:
         raise AllShiftsSingular("every initial interpolation point was singular")
 
@@ -254,7 +283,7 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     history = []
     states = []
     prev_omega = None
-    converged = False
+    stop_reason = MAX_ITERATIONS
     w_new, sigma_red = state.points[0], 0.0
     repaired = False
 
@@ -288,7 +317,7 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
         if cfg.keep_states:
             states.append(state)
         if _converged(w_new, w_ref, cfg.eps):
-            converged = True
+            stop_reason = CONVERGED
             break
         w_expand = w_new
         if any(w_expand == w for w in state.points):
@@ -307,6 +336,7 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
             vb, wb = expansion_block(tf, w_expand, cfg.expansion_mode)
         except SingularShift:
             warns.append(f"expansion at omega={w_expand} hit a singular shift")
+            stop_reason = SINGULAR_EXPANSION
             break
         grown = expand(state, vb, wb, w_expand)
         if grown.dim == state.dim:
@@ -335,7 +365,9 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
         norm=norm,
         omega_opt=w_new,
         iterations=n_iter,
-        converged=converged,
+        converged=stop_reason == CONVERGED,
+        stop_reason=stop_reason,
+        seeds=seeds,
         history=history,
         ratios=ratios,
         warnings=warns,

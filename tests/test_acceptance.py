@@ -10,13 +10,14 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.optimize import minimize_scalar
 
 from linfnorm.cli import bench_delay
 from linfnorm.greedy import RunConfig, check_interpolation, run
 from linfnorm.inner import InnerConfig, bb_norm, qsupport_maximize
 from linfnorm.oracle import grid_norm
-from linfnorm.problems import load_benchmark, make_delay_fixture
+from linfnorm.problems import descriptor_tf, load_benchmark, make_delay_fixture
 from linfnorm.reduced import sigma_max, sigma_max_derivative
 
 from conftest import random_descriptor, random_rational_reduced
@@ -167,6 +168,49 @@ def test_superlinear_signature():
               and tail[-2] / tail[-1] >= 10.0
               and res.converged)
     report("superlinear contraction on order-4000 delay system", ok)
+
+
+def lightly_damped(seed, n=60, decay=1e-3, im_max=8.0):
+    """Stable SISO (A, B, C) with poles -[d, 2d] +- i[0, im_max] behind an
+    orthogonal similarity, and the top of a frequency interval that holds
+    every pole frequency."""
+    rng = np.random.default_rng(seed)
+    nb = n // 2
+    re = -rng.uniform(decay, 2.0 * decay, nb)
+    im = rng.uniform(0.0, im_max, nb)
+    a = sla.block_diag(*[np.array([[x, y], [-y, x]]) for x, y in zip(re, im)])
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = q @ a @ q.T
+    b = rng.standard_normal((n, 1))
+    c = rng.standard_normal((1, n))
+    return a, b, c, 1.5 * float(im.max()) + 1.0
+
+
+def fine_grid_max(a, b, c, hi, npoints=400_001, chunk=20_000):
+    """Largest |C (i w I - A)^{-1} B| of a SISO system over an equidistant
+    grid on [0, hi], from the eigendecomposition of A (numpy only)."""
+    lam, x = np.linalg.eig(a)
+    residues = (c @ x)[0] * np.linalg.solve(x, b)[:, 0]
+    ws = np.linspace(0.0, hi, npoints)
+    best = 0.0
+    for i in range(0, npoints, chunk):
+        h = (1.0 / (1j * ws[i:i + chunk, None] - lam)) @ residues
+        best = max(best, float(np.abs(h).max()))
+    return best
+
+
+def test_lightly_damped_global_peak():
+    """On a system whose peaks are about 1e-3 wide, run() returns the global
+    peak, not a local one: its norm reaches the maximum over a 400,001-point
+    grid, and it stops converged."""
+    a, b, c, hi = lightly_damped(seed=2)
+    tf = descriptor_tf(np.eye(len(a)), a, b, c)
+    res = run(tf, RunConfig(omega_max=hi, r0=20,
+                            inner=InnerConfig(interval=(0.0, hi))))
+    grid = fine_grid_max(a, b, c, hi)
+    ok = (res.norm >= (1.0 - 1e-6) * grid
+          and res.stop_reason == "converged")
+    report("global peak of a lightly damped system (n=60, decay 1e-3)", ok)
 
 
 @pytest.mark.parametrize("name,norm_ref,omega_ref", [

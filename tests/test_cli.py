@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import linfnorm.cli as cli
 import linfnorm.greedy as greedy
 import linfnorm.oracle as oracle
 from linfnorm.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, main
@@ -25,6 +26,12 @@ class TestNormCommand:
         assert doc["norm"] == pytest.approx(1.0)
         assert doc["omega_opt"] == pytest.approx(0.0, abs=1e-8)
         assert doc["converged"] is True
+        assert doc["stop_reason"] == "converged"
+        # the pole at -1 seeds omega = 0, which is an equidistant point
+        assert doc["seeds"] == []
+        assert set(doc) == {"norm", "omega_opt", "iterations", "converged",
+                            "stop_reason", "seeds", "history", "ratios",
+                            "warnings", "skipped_points", "wall_time"}
         printed = json.loads(capsys.readouterr().out)
         assert printed == doc
 
@@ -47,8 +54,10 @@ class TestNormCommand:
 
     def test_singular_expansion_exits_with_warnings(self, tmp_path, capsys,
                                                     monkeypatch):
-        # with r0 = 1 the only initial point is omega = 2.5, so the loop must
-        # expand at the maximizer omega = 0; that expansion is made singular
+        # with r0 = 1 the initial points are omega = 2.5 and the seed
+        # omega = 0 from the pole at -1; every block after the first is made
+        # singular, so the seed is skipped and the loop must expand at the
+        # maximizer omega = 0, which is singular too
         expansion_block = greedy.expansion_block
         calls = []
 
@@ -62,10 +71,29 @@ class TestNormCommand:
         manifest = one_pole_manifest(tmp_path)
         code = main(["norm", str(manifest), "--omega-max", "5", "--r0", "1"])
         doc = json.loads(capsys.readouterr().out)
-        assert len(calls) == 2
+        assert calls == [2.5, 0.0, 0.0]
+        assert doc["skipped_points"] == [0.0]
         assert doc["converged"] is False
+        assert doc["stop_reason"] == "singular_expansion"
         assert any("singular" in w for w in doc["warnings"])
         assert code == EXIT_WARNINGS
+
+    @pytest.mark.parametrize("reason,code", [
+        (greedy.CONVERGED, EXIT_OK),
+        (greedy.MAX_ITERATIONS, EXIT_WARNINGS),
+        (greedy.SINGULAR_EXPANSION, EXIT_WARNINGS),
+    ])
+    def test_exit_code_follows_stop_reason(self, tmp_path, capsys,
+                                           monkeypatch, reason, code):
+        def stopped(tf, cfg):
+            return SolverResult(norm=1.0, omega_opt=0.0, iterations=0,
+                                converged=reason == greedy.CONVERGED,
+                                stop_reason=reason)
+
+        monkeypatch.setattr(cli, "run", stopped)
+        manifest = one_pole_manifest(tmp_path)
+        assert main(["norm", str(manifest), "--omega-max", "5"]) == code
+        assert json.loads(capsys.readouterr().out)["stop_reason"] == reason
 
 
 class TestOracleCommand:
@@ -124,3 +152,26 @@ class TestReportRoundTrip:
         doc = json.loads(report.read_text())
         res = SolverResult.from_dict(doc)
         assert res.to_dict() == doc
+
+    @pytest.mark.parametrize("converged,warnings,reason", [
+        (True, [], greedy.CONVERGED),
+        (False, ["MaxIterations: r_max reached before convergence"],
+         greedy.MAX_ITERATIONS),
+        (False, ["expansion at omega=0.0 hit a singular shift"],
+         greedy.SINGULAR_EXPANSION),
+    ])
+    def test_report_without_stop_reason_and_seeds(self, converged, warnings,
+                                                  reason):
+        # the report layout from before stop_reason and seeds were recorded
+        doc = {"norm": 1.0, "omega_opt": 0.0, "iterations": 1,
+               "converged": converged, "history": [], "ratios": [],
+               "warnings": warnings, "skipped_points": [], "wall_time": 0.1}
+        res = SolverResult.from_dict(doc)
+        assert res.stop_reason == reason
+        assert res.seeds == ()
+        assert res.to_dict() == {**doc, "stop_reason": reason, "seeds": []}
+
+    def test_positional_construction(self):
+        res = SolverResult(2.0, 1.0, 3, False)
+        assert res.stop_reason == greedy.MAX_ITERATIONS
+        assert res.seeds == ()

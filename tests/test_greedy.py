@@ -5,13 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
+import linfnorm.greedy as greedy
 from linfnorm.errors import AllShiftsSingular
-from linfnorm.greedy import (DOMINANT, LAST_TWO, RunConfig, SubspaceState,
+from linfnorm.greedy import (CONVERGED, DOMINANT, LAST_TWO, MAX_ITERATIONS,
+                             SINGULAR_EXPANSION, RunConfig, SubspaceState,
                              check_interpolation, convergence_ratios, expand,
                              expansion_block, run)
 from linfnorm.inner import InnerConfig
 from linfnorm.oracle import grid_norm
 from linfnorm.problems import descriptor_tf, make_delay_fixture
+from linfnorm.reduced import DOMINANT_SEEDS, dominant_frequencies
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
 from conftest import random_descriptor, siso_one_pole
@@ -157,12 +160,16 @@ class TestRun:
         res = run(tf, cfg)
         assert res.iterations <= 5
 
-    def test_last_two_policy_converges(self):
+    def test_last_two_policy_converges(self, monkeypatch):
+        # without seeds: with them this system converges at the second
+        # iteration, before the first rebuild of the bases
+        monkeypatch.setattr(greedy, "dominant_frequencies", lambda tf: ())
         tf, interval = random_descriptor(60, 1, 1, seed=43)
         cfg = RunConfig(omega_max=interval[1], r0=15,
                         subspace_policy=LAST_TWO, keep_states=True,
                         inner=InnerConfig(interval=interval))
         res = run(tf, cfg)
+        assert res.seeds == ()
         sw = grid_norm(tf, interval, 4001)
         assert res.norm <= sw.best_sigma * (1 + 1e-9)
         # after two expansions the bases hold only the last two blocks
@@ -186,7 +193,8 @@ class TestRun:
                         inner=InnerConfig(interval=interval))
         res = run(tf, cfg)
         # one direction per point in dominant mode
-        assert all(h["dim"] <= len(res.history) + 8 for h in res.history)
+        assert all(h["dim"] <= len(res.history) + 8 + len(res.seeds)
+                   for h in res.history)
         sw = grid_norm(tf, interval, 2001)
         assert res.norm <= sw.best_sigma * (1 + 1e-9)
 
@@ -215,6 +223,55 @@ class TestRun:
         assert res.skipped_points == [0.0]
         assert any(w.startswith("initial point omega=0.0")
                    for w in res.warnings)
+
+    def test_stop_reason_converged(self):
+        res = run(siso_one_pole(), RunConfig(omega_max=1.0, r0=2))
+        assert res.stop_reason == CONVERGED
+        assert res.converged
+
+    def test_stop_reason_max_iterations(self):
+        tf, interval = random_descriptor(30, 1, 1, seed=42)
+        res = run(tf, RunConfig(omega_max=interval[1], r0=2, r_max=1,
+                                inner=InnerConfig(interval=interval)))
+        assert res.stop_reason == MAX_ITERATIONS
+        assert not res.converged
+        assert any(w.startswith("MaxIterations") for w in res.warnings)
+
+    def test_stop_reason_singular_expansion(self):
+        # as above: the maximizer omega = 0 is the skipped singular shift
+        tf = descriptor_tf(np.eye(2), np.diag([0.0, -1.0]),
+                           np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]]))
+        res = run(tf, RunConfig(omega_max=5.0, r0=10))
+        assert res.stop_reason == SINGULAR_EXPANSION
+        assert not res.converged
+        assert any(w.startswith("expansion at omega=0.0")
+                   for w in res.warnings)
+
+    def test_seeds_follow_the_equidistant_points(self):
+        tf, interval = random_descriptor(60, 1, 1, seed=43)
+        cfg = RunConfig(omega_max=interval[1], r0=15, keep_states=True,
+                        inner=InnerConfig(interval=interval))
+        res = run(tf, cfg)
+        assert res.seeds == dominant_frequencies(tf)
+        assert len(res.seeds) == DOMINANT_SEEDS
+        grid = np.linspace(0.0, interval[1], 15).tolist()
+        assert res.states[0].points == tuple(grid) + res.seeds
+
+    def test_seeds_outside_the_search_interval_are_dropped(self):
+        tf, (_, hi) = random_descriptor(60, 1, 1, seed=43)
+        res = run(tf, RunConfig(omega_max=hi,
+                                inner=InnerConfig(interval=(-2.0, 2.0))))
+        # real H: the search interval is [0, 2] after the omega >= 0 clip
+        assert res.seeds == tuple(w for w in dominant_frequencies(tf)
+                                  if w <= 2.0)
+        assert 0 < len(res.seeds) < DOMINANT_SEEDS
+
+    def test_delay_function_is_not_seeded(self):
+        res = run(make_delay_fixture(100),
+                  RunConfig(omega_max=50.0,
+                            inner=InnerConfig(interval=(0, 50),
+                                              curvature_bound=-100.0)))
+        assert res.seeds == ()
 
     def test_all_initial_points_singular(self):
         # D(s) = s E with singular E is singular at every shift

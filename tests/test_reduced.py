@@ -1,12 +1,17 @@
 """Tests for projection, reduced evaluation, and singular-value helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from linfnorm.errors import DimensionMismatch
 from linfnorm.greedy import expansion_block
 from linfnorm.problems import descriptor_tf, make_delay_fixture
-from linfnorm.reduced import (project, rational_realization, sigma_max,
+from linfnorm.reduced import (DOMINANT_MAX_N, dominant_frequencies, project,
+                              rational_realization, sigma_max,
                               sigma_max_derivative)
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
@@ -133,3 +138,85 @@ class TestClassify:
         assert fwd is not None and rev is not None
         for x, y in zip(fwd, rev):
             np.testing.assert_array_equal(x, y)
+
+
+def damped_pairs(decays, freqs, gains):
+    """Real block-diagonal system with one 2x2 block per pole pair -d +- iw.
+
+    Block j adds g (s + d) / ((s + d)^2 + w^2), which is
+    (g/2) (1/(s - lam) + 1/(s - conj(lam))), so each pole of the pair has
+    residue g/2 and dominance |g| / (2 d)."""
+    a = sla.block_diag(*[np.array([[-d, w], [-w, -d]])
+                         for d, w in zip(decays, freqs)])
+    n = a.shape[0]
+    b, c = np.zeros((n, 1)), np.zeros((1, n))
+    b[0::2, 0] = 1.0
+    c[0, 0::2] = gains
+    return descriptor_tf(np.eye(n), a, b, c)
+
+
+class TestDominantFrequencies:
+    DECAYS = (0.1, 0.01, 0.5, 0.05)
+    FREQS = (1.0, 2.0, 3.0, 4.0)
+    GAINS = (2.0, 1.0, 1.0, 0.4)
+
+    def test_known_poles_in_dominance_order(self):
+        tf = damped_pairs(self.DECAYS, self.FREQS, self.GAINS)
+        dominance = [g / (2 * d) for d, g in zip(self.DECAYS, self.GAINS)]
+        expected = [w for _, w in sorted(zip(dominance, self.FREQS),
+                                         reverse=True)]
+        assert expected == [2.0, 1.0, 4.0, 3.0]
+        assert dominant_frequencies(tf, 4) == pytest.approx(expected, rel=1e-12)
+        assert dominant_frequencies(tf, 2) == pytest.approx(expected[:2],
+                                                            rel=1e-12)
+
+    def test_conjugate_pairs_give_one_frequency(self):
+        # 8 poles in 4 conjugate pairs: at most 4 frequencies, all >= 0
+        tf = damped_pairs(self.DECAYS, self.FREQS, self.GAINS)
+        assert tf.is_real
+        freqs = dominant_frequencies(tf, 8)
+        assert len(freqs) == 4
+        assert sorted(freqs) == pytest.approx(self.FREQS, rel=1e-12)
+
+    def test_complex_h_gives_signed_frequencies(self):
+        lam = np.array([-0.1 + 2.0j, -0.2 - 3.0j, -1.0 + 0.5j])
+        tf = descriptor_tf(np.eye(3), np.diag(lam), np.ones((3, 1)),
+                           np.ones((1, 3)))
+        assert not tf.is_real
+        # unit residues: dominance 1 / |Re lam| = 10, 5, 1
+        assert dominant_frequencies(tf) == pytest.approx((2.0, -3.0, 0.5),
+                                                         rel=1e-12)
+
+    def test_axis_and_infinite_poles_are_left_out(self):
+        # a driven and observed pole at 0 (on the axis), a pair -0.1 +- 2i,
+        # and an infinite eigenvalue from the zero row of E
+        e = np.diag([1.0, 1.0, 1.0, 0.0])
+        a = sla.block_diag([[0.0]], [[-0.1, 2.0], [-2.0, -0.1]], [[-1.0]])
+        tf = descriptor_tf(e, a, np.ones((4, 1)), np.ones((1, 4)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            freqs = dominant_frequencies(tf)
+        assert caught == []
+        assert freqs == pytest.approx((2.0,), rel=1e-12)
+
+    def test_delay_function_has_none(self):
+        assert dominant_frequencies(make_delay_fixture(50)) == ()
+
+    def test_no_eigensolve_above_the_cutoff(self, monkeypatch):
+        calls = []
+        eig = sla.eig
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "eig", spy)
+        small = damped_pairs(self.DECAYS, self.FREQS, self.GAINS)
+        assert dominant_frequencies(small) != ()
+        assert calls == [(8, 8)]
+        n = DOMINANT_MAX_N + 1
+        big = descriptor_tf(sp.identity(n, format="csc"),
+                            sp.diags(-np.arange(1.0, n + 1.0), format="csc"),
+                            np.ones((n, 1)), np.ones((1, n)))
+        assert dominant_frequencies(big) == ()
+        assert calls == [(8, 8)]
