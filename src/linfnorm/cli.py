@@ -148,20 +148,21 @@ def bench_delay(sizes, r0=10, omega_max=DELAY_OMEGA_MAX, gamma=DELAY_GAMMA,
     return rows
 
 
+def _write_bench_csv(fh, rows) -> None:
+    """The bench_delay rows as CSV under a header line."""
+    writer = csv.DictWriter(
+        fh, fieldnames=["n", "norm", "omega", "seconds", "iterations"])
+    writer.writeheader()
+    writer.writerows(rows)
+
+
 def _cmd_bench(args) -> int:
     rows = bench_delay(args.n, r0=args.r0, omega_max=args.omega_max,
                        gamma=args.gamma, max_inner_iters=args.max_inner_iters)
-    fieldnames = ["n", "norm", "omega", "seconds", "iterations"]
-    writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    _write_bench_csv(sys.stdout, rows)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=fieldnames)
-            w.writeheader()
-            for row in rows:
-                w.writerow(row)
+            _write_bench_csv(fh, rows)
     return EXIT_OK
 
 

@@ -21,11 +21,6 @@ from .errors import DimensionMismatch, SingularShift
 #: reciprocal condition estimate below which a shift is declared singular
 RCOND_THRESHOLD = 1e-14
 
-#: a sparse D(s) is factored by band LU when the LU's band storage,
-#: (2*kl + ku + 1) * n entries, is at most this many times the nonzeros of
-#: the union of its terms' patterns
-BAND_FILL = 2
-
 
 @dataclass(frozen=True)
 class ScalarTerm:
@@ -77,16 +72,19 @@ class MatrixFactor:
                 )
         self.terms = terms
         self.shape = shape
-        self._band_layout = _UNSET
+        self._tridiagonal = _UNSET
 
     @property
-    def band_layout(self) -> BandLayout | None:
-        """Where a sparse square factor's terms land in LAPACK band storage,
-        or None when a term is dense or the band fails BAND_FILL.  Computed
+    def tridiagonal(self) -> tuple | None:
+        """Per term, the flat index of each stored value in the C-ordered
+        (3, n) storage of a tridiagonal factor: super-, main and subdiagonal,
+        each entry in its column.  Terms with one pattern share one array.
+        None unless every term is sparse with |i - j| <= 1 for every stored
+        entry and n >= 3 (scipy's zgttrf wrapper rejects n = 2).  Computed
         on first use, then kept: it depends on the patterns only."""
-        if self._band_layout is _UNSET:
-            self._band_layout = _band_layout(self.terms, self.ncols)
-        return self._band_layout
+        if self._tridiagonal is _UNSET:
+            self._tridiagonal = _tridiagonal_positions(self.terms, self.ncols)
+        return self._tridiagonal
 
     @property
     def nrows(self) -> int:
@@ -117,47 +115,19 @@ class MatrixFactor:
         """d/ds of eval at the shift s."""
         return self._combine([t.derivative(s) for t, _ in self.terms])
 
-    def eval_band(self, s: complex) -> np.ndarray:
-        """eval at the shift s in the band storage of band_layout, which must
-        not be None: each term's stored values times its scalar, added in
-        term order."""
-        layout = self.band_layout
-        ab = np.zeros(layout.rows * layout.n, dtype=np.complex128)
-        for (t, m), pos in zip(self.terms, layout.positions):
+    def eval_tridiagonal(self, s: complex) -> np.ndarray:
+        """eval at the shift s in the (3, n) storage of tridiagonal, which
+        must not be None: each term's stored values times its scalar, added
+        in term order."""
+        n = self.ncols
+        ab = np.zeros(3 * n, dtype=np.complex128)
+        for (t, m), pos in zip(self.terms, self.tridiagonal):
             np.add.at(ab, pos, _stored_values(m) * t.value(s))
-        return ab.reshape((layout.rows, layout.n),
-                          order="C" if layout.tridiagonal else "F")
+        return ab.reshape(3, n)
 
     def scalar_signature(self):
         """Multiset of (degree, delay) pairs, order-insensitive."""
         return sorted((t.degree, t.delay) for t, _ in self.terms)
-
-
-@dataclass(frozen=True)
-class BandLayout:
-    """kl sub- and ku superdiagonals of an n-column band, and per term the
-    flat index in band storage of each stored value; terms with one pattern
-    share one array.
-
-    A tridiagonal band (kl = ku = 1, n > 2) is stored C-ordered as 3 rows:
-    super-, main and subdiagonal, each entry in its column.  Any other band
-    is zgbtrf's Fortran-ordered storage: A[i, j] in row kl + ku + i - j of
-    2*kl + ku + 1 rows, the top kl rows left for pivoting fill-in.
-    """
-
-    kl: int
-    ku: int
-    n: int
-    positions: tuple
-
-    @property
-    def tridiagonal(self) -> bool:
-        # scipy's zgttrf wrapper rejects n = 2, where zgbtrf serves
-        return self.kl == self.ku == 1 and self.n > 2
-
-    @property
-    def rows(self) -> int:
-        return 3 if self.tridiagonal else 2 * self.kl + self.ku + 1
 
 
 def _stored_values(m) -> np.ndarray:
@@ -166,36 +136,20 @@ def _stored_values(m) -> np.ndarray:
     return m.data if m.format in ("csc", "csr", "coo") else m.tocoo().data
 
 
-def _band_layout(terms, n: int) -> BandLayout | None:
-    """The BandLayout of a sum of sparse terms with n columns, or None when a
-    term is dense or the band storage of the union pattern exceeds BAND_FILL
-    times the union's nonzeros."""
-    if not all(sp.issparse(m) for _, m in terms):
+def _tridiagonal_positions(terms, n: int) -> tuple | None:
+    """MatrixFactor.tridiagonal of a sum of terms with n columns."""
+    if n < 3 or not all(sp.issparse(m) for _, m in terms):
         return None
-    entries = [(coo.row, coo.col) for coo in (m.tocoo() for _, m in terms)]
-    kl = max(int(np.max(r - c, initial=0)) for r, c in entries)
-    ku = max(int(np.max(c - r, initial=0)) for r, c in entries)
-    fill = (2 * kl + ku + 1) * n
-    if fill > BAND_FILL * sum(len(r) for r, _ in entries):
-        return None  # the union has at most that many nonzeros
-    layout = BandLayout(kl, ku, n, ())
-    size = layout.rows * n
-    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    union = np.zeros(size, dtype=bool)
+    dtype = np.int32 if 3 * n <= np.iinfo(np.int32).max else np.int64
     positions = []
-    for r, c in entries:
-        r, c = r.astype(np.int64), c.astype(np.int64)
-        if layout.tridiagonal:
-            pos = (ku + r - c) * n + c
-        else:
-            pos = kl + ku + r - c + c * layout.rows
-        pos = pos.astype(dtype)
+    for coo in (m.tocoo() for _, m in terms):
+        r, c = coo.row.astype(np.int64), coo.col.astype(np.int64)
+        if np.any(np.abs(r - c) > 1):
+            return None
+        pos = ((1 + r - c) * n + c).astype(dtype)
         pos = next((p for p in positions if np.array_equal(p, pos)), pos)
         positions.append(pos)
-        union[pos] = True
-    if fill > BAND_FILL * np.count_nonzero(union):
-        return None
-    return BandLayout(kl, ku, n, tuple(positions))
+    return tuple(positions)
 
 
 def _as_dense(m) -> np.ndarray:
@@ -251,30 +205,10 @@ class _SparseFactorization:
         return self._lu.solve(rhs, trans="H" if adjoint else "N")
 
 
-class _BandFactorization:
-    """LAPACK band LU of a sparse D(s) in the band storage of a BandLayout
-    with kl sub- and ku superdiagonals, with the same pivot-based
-    singularity check as the sparse path."""
-
-    def __init__(self, ab: np.ndarray, s: complex, kl: int, ku: int):
-        lu, piv, info = sla.lapack.zgbtrf(ab, kl, ku, overwrite_ab=True)
-        if info > 0:
-            raise SingularShift(s, rcond=0.0)
-        self.rcond = _pivot_rcond(lu[kl + ku], s)
-        self._lu = (lu, piv, kl, ku)
-
-    def solve(self, rhs, adjoint: bool = False) -> np.ndarray:
-        lu, piv, kl, ku = self._lu
-        rhs = np.asarray(_as_dense(rhs), dtype=np.complex128)
-        x, _ = sla.lapack.zgbtrs(lu, kl, ku, rhs, piv,
-                                 trans=2 if adjoint else 0)
-        return x
-
-
 class _TridiagonalFactorization:
-    """LAPACK tridiagonal LU of a sparse D(s) in the band storage of a
-    tridiagonal BandLayout, with the same pivot-based singularity check as
-    the sparse path."""
+    """LAPACK tridiagonal LU of a sparse D(s) given in the (3, n) storage of
+    MatrixFactor.eval_tridiagonal, with the same pivot-based singularity
+    check as the sparse path."""
 
     def __init__(self, ab: np.ndarray, s: complex):
         # rows of ab: superdiagonal from column 1, diagonal, subdiagonal up
@@ -297,8 +231,11 @@ class StructuredTF:
     """The triple (C-factor, D-factor, B-factor) with dimensions (p, n, m).
 
     Holds no factorization between calls, so concurrent evaluation is safe.
-    The only thing kept is the D factor's band layout, which does not depend
-    on the shift; a concurrent first call computes it twice, harmlessly.
+    The only thing kept is the D factor's tridiagonal positions, which do
+    not depend on the shift; a concurrent first call computes them twice,
+    harmlessly.  A sparse D(s) goes to the tridiagonal LU when the factor
+    has tridiagonal positions and to SuperLU otherwise; a dense D(s) gets
+    a LAPACK LU.
     """
 
     def __init__(self, c_factor: MatrixFactor, d_factor: MatrixFactor,
@@ -332,12 +269,9 @@ class StructuredTF:
     def _factorization(self, s: complex):
         """A fresh LU of D(s); raises SingularShift if D(s) is singular."""
         s = complex(s)
-        layout = self.d_factor.band_layout
-        if layout is not None:
-            ab = self.d_factor.eval_band(s)
-            if layout.tridiagonal:
-                return _TridiagonalFactorization(ab, s)
-            return _BandFactorization(ab, s, layout.kl, layout.ku)
+        if self.d_factor.tridiagonal is not None:
+            return _TridiagonalFactorization(
+                self.d_factor.eval_tridiagonal(s), s)
         d = self.d_factor.eval(s)
         if not sp.issparse(d):
             return _DenseFactorization(d, s)

@@ -147,8 +147,14 @@ def _banded_sparse(n, kl, ku, seed):
 def _sparse_pencil(a, rng):
     """H(s) = C (sI - A)^{-1} B with random two-column B and two-row C."""
     n = a.shape[0]
-    d = MatrixFactor([(ScalarTerm(degree=1), sp.identity(n, format="csc")),
-                      (ScalarTerm(), -a)])
+    return _random_io(MatrixFactor([
+        (ScalarTerm(degree=1), sp.identity(n, format="csc")),
+        (ScalarTerm(), -a)]), rng)
+
+
+def _random_io(d, rng):
+    """H(s) = C D(s)^{-1} B with random two-column B and two-row C."""
+    n = d.nrows
     b = MatrixFactor([(ScalarTerm(), rng.standard_normal((n, 2)))])
     c = MatrixFactor([(ScalarTerm(), rng.standard_normal((2, n)))])
     return StructuredTF(c_factor=c, d_factor=d, b_factor=b)
@@ -171,7 +177,7 @@ def routes(monkeypatch):
     """Names of the factorization classes StructuredTF picks, in call order."""
     taken = []
     for name in ("_DenseFactorization", "_SparseFactorization",
-                 "_BandFactorization", "_TridiagonalFactorization"):
+                 "_TridiagonalFactorization"):
         def record(*args, _cls=getattr(structured, name), _name=name):
             taken.append(_name)
             return _cls(*args)
@@ -201,35 +207,43 @@ class TestSolves:
             d = np.asarray(tf.d_factor.eval(s).todense())
             res = np.linalg.norm(d @ x - rhs) / np.linalg.norm(rhs)
             assert res <= 1e-10
-        assert routes == ["_SparseFactorization"] * 3  # too wide for a band
+        assert routes == ["_SparseFactorization"] * 3  # not tridiagonal
 
     def test_band_route_matches_dense_solve(self, routes):
-        # kl != ku, so a swapped band layout gives wrong solves
-        tf = _banded_sparse(60, kl=2, ku=1, seed=8)
+        # a band with kl = 2, and a factor where one term of four reaches
+        # two below the diagonal, are not tridiagonal: SuperLU takes both
         rng = np.random.default_rng(12)
-        rhs = rng.standard_normal((60, 3)) + 1j * rng.standard_normal((60, 3))
-        for s in (0.0, 2j, 0.5 + 3j):
-            d = tf.d_factor.eval(s).toarray()
-            for adjoint, ref in ((False, np.linalg.solve(d, rhs)),
-                                 (True, np.linalg.solve(d.conj().T, rhs))):
-                x = (tf.solve_d_adjoint if adjoint else tf.solve_d)(s, rhs)
-                assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-        assert routes == ["_BandFactorization"] * 6
+        mixed = _mixed_pattern_factor(30, seed=14, reach=2)
+        for tf in (_banded_sparse(60, kl=2, ku=1, seed=8),
+                   _random_io(mixed, np.random.default_rng(15))):
+            n = tf.n
+            rhs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+            for s in (0.0, 2j, 0.5 + 3j):
+                d = tf.d_factor.eval(s).toarray()
+                for adjoint, ref in ((False, np.linalg.solve(d, rhs)),
+                                     (True, np.linalg.solve(d.conj().T, rhs))):
+                    x = (tf.solve_d_adjoint if adjoint else tf.solve_d)(s, rhs)
+                    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert routes == ["_SparseFactorization"] * 12
 
     def test_tridiagonal_route_matches_dense_solve(self, routes):
         # dl != du and a row swap, so swapped off-diagonals or a transpose
-        # in place of the adjoint give wrong solves
-        tf = _tridiagonal_sparse(40, seed=9)
+        # in place of the adjoint give wrong solves; n = 3 and a diagonal
+        # pattern are the edges of the route
         rng = np.random.default_rng(13)
-        rhs = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
-        for s in (0.0, 2j, 0.5 + 3j):
-            d = tf.d_factor.eval(s).toarray()
-            assert abs(d[1, 0]) > abs(d[0, 0])
-            for adjoint, ref in ((False, np.linalg.solve(d, rhs)),
-                                 (True, np.linalg.solve(d.conj().T, rhs))):
-                x = (tf.solve_d_adjoint if adjoint else tf.solve_d)(s, rhs)
-                assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-        assert routes == ["_TridiagonalFactorization"] * 6
+        for tf, swaps in ((_tridiagonal_sparse(40, seed=9), True),
+                          (_tridiagonal_sparse(3, seed=9), True),
+                          (_banded_sparse(40, kl=0, ku=0, seed=9), False)):
+            n = tf.n
+            rhs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+            for s in (0.0, 2j, 0.5 + 3j):
+                d = tf.d_factor.eval(s).toarray()
+                assert (abs(d[1, 0]) > abs(d[0, 0])) == swaps
+                for adjoint, ref in ((False, np.linalg.solve(d, rhs)),
+                                     (True, np.linalg.solve(d.conj().T, rhs))):
+                    x = (tf.solve_d_adjoint if adjoint else tf.solve_d)(s, rhs)
+                    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert routes == ["_TridiagonalFactorization"] * 18
 
     def test_singular_shift_tridiagonal(self, routes):
         # D(s) = s*I + L with L the path-graph Laplacian, exactly singular
@@ -248,7 +262,7 @@ class TestSolves:
     def test_lapack_kernel_per_band(self, monkeypatch):
         calls = []
         lapack = structured.sla.lapack
-        for name in ("zgttrf", "zgttrs", "zgbtrf", "zgbtrs"):
+        for name in ("zgttrf", "zgttrs"):
             def spy(*args, _f=getattr(lapack, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _f(*args, **kwargs)
@@ -256,10 +270,10 @@ class TestSolves:
         make_delay_fixture(3000).eval(1j)
         assert calls == ["zgttrf", "zgttrs"]
         for tf in (_banded_sparse(60, kl=2, ku=1, seed=8),
-                   make_delay_fixture(2)):  # a 2-by-2 band is not tridiagonal
+                   make_delay_fixture(2)):  # scipy's zgttrf rejects n = 2
             calls.clear()
             tf.eval(1j)
-            assert calls == ["zgbtrf", "zgbtrs"]
+            assert calls == []
 
     def test_adjoint_scalar(self):
         tf = siso_one_pole()
@@ -306,7 +320,7 @@ class TestSolves:
         tf = StructuredTF(b, d, b)
         with pytest.raises(SingularShift):
             tf.solve_d(0.0, np.ones((300, 1)))
-        assert routes == ["_BandFactorization"]
+        assert routes == ["_TridiagonalFactorization"]
 
     def test_one_factorization_per_shift(self, monkeypatch):
         shifts = []
@@ -333,10 +347,11 @@ class TestSolves:
                         == sigma_max(tf, omega))
 
 
-def _mixed_pattern_factor(n, seed):
+def _mixed_pattern_factor(n, seed, reach=1):
     """D(s) = s*E + A + exp(-s)*P + Q with diagonal E in DIA, tridiagonal A
     in CSC with unsorted indices, subdiagonal P in COO with one entry stored
-    twice, and superdiagonal Q in CSR."""
+    twice, and superdiagonal Q in CSR.  With reach=2 that second entry of P
+    moves to row 3, column 1, two below the diagonal."""
     rng = np.random.default_rng(seed)
     e = sp.diags(rng.uniform(1.0, 2.0, n))
     a = sp.diags([rng.uniform(-1.0, 1.0, n - 1), rng.uniform(5.0, 6.0, n),
@@ -346,7 +361,8 @@ def _mixed_pattern_factor(n, seed):
     a = sp.csc_matrix((a.data[flip], a.indices[flip], a.indptr), shape=a.shape)
     assert not a.has_sorted_indices
     rows = np.r_[np.arange(1, n), 3]
-    p = sp.coo_matrix((rng.uniform(-1.0, 1.0, n), (rows, rows - 1)),
+    cols = np.r_[np.arange(n - 1), 3 - reach]
+    p = sp.coo_matrix((rng.uniform(-1.0, 1.0, n), (rows, cols)),
                       shape=(n, n))
     q = sp.diags(rng.uniform(-1.0, 1.0, n - 1), 1, format="csr")
     return MatrixFactor([(ScalarTerm(degree=1), e), (ScalarTerm(), a),
@@ -365,9 +381,7 @@ class TestBandLayout:
                    ("data", "indices", "indptr", "row", "col", "offsets")
                    if hasattr(m, k)} for _, m in f.terms]
         rng = np.random.default_rng(15)
-        b = MatrixFactor([(ScalarTerm(), rng.standard_normal((n, 2)))])
-        c = MatrixFactor([(ScalarTerm(), rng.standard_normal((2, n)))])
-        tf = StructuredTF(c, f, b)
+        tf = _random_io(f, rng)
         rhs = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         for s in (0.0, 2j, 0.5 + 3j):
             d = _dense_eval(f, s)
@@ -382,28 +396,29 @@ class TestBandLayout:
 
     def test_computed_once_and_shared(self, monkeypatch):
         computed = []
-        layout_of = structured._band_layout
+        layout_of = structured._tridiagonal_positions
 
         def counting(*args):
             computed.append(args)
             return layout_of(*args)
 
-        monkeypatch.setattr(structured, "_band_layout", counting)
+        monkeypatch.setattr(structured, "_tridiagonal_positions", counting)
         tf = make_delay_fixture(50)
-        layout = tf.d_factor.band_layout
+        positions = tf.d_factor.tridiagonal
         for s in (0.0, 1j, 2j):
             tf.eval(s)
-        assert tf.d_factor.band_layout is layout
+        assert tf.d_factor.tridiagonal is positions
         assert len(computed) == 1
         # the delay family's three terms share one pattern
-        assert len(layout.positions) == 3
-        assert len({id(p) for p in layout.positions}) == 1
-        assert layout.positions[0].dtype == np.int32
+        assert len(positions) == 3
+        assert len({id(p) for p in positions}) == 1
+        assert positions[0].dtype == np.int32
 
     def test_route_independent_of_shift(self, routes):
         # A has no diagonal, so at s = 0, where the degree-1 term vanishes,
-        # D(0) = -A alone is too sparse for its band; n is even, so D(0) is
-        # nonsingular and needs row swaps
+        # D(0) = -A has an empty main diagonal; the route follows the terms'
+        # patterns, not D(s).  n is even, so D(0) is nonsingular and needs
+        # row swaps
         n = 40
         rng = np.random.default_rng(16)
         a = sp.diags([rng.uniform(0.5, 1.5, n - 1),
@@ -418,7 +433,7 @@ class TestBandLayout:
         assert routes == ["_TridiagonalFactorization"] * 2
 
     def test_delay_band_matches_csc_scatter(self):
-        # the band is the assembled CSC D(s) scattered into band storage,
+        # the storage is the assembled CSC D(s) scattered into three rows,
         # to the last bit: the terms are added in the same order (the last
         # two shifts round differently in any other order)
         n = 200
@@ -428,7 +443,7 @@ class TestBandLayout:
             cols = np.repeat(np.arange(n), np.diff(d.indptr))
             ab = np.zeros((3, n), dtype=np.complex128)
             ab[1 + d.indices - cols, cols] = d.data
-            np.testing.assert_array_equal(f.eval_band(s), ab)
+            np.testing.assert_array_equal(f.eval_tridiagonal(s), ab)
 
 
 class TestEvalH:
