@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import AllShiftsSingular, SingularShift, UnboundedOnAxis
+from .errors import (AllShiftsSingular, DimensionMismatch, SingularShift,
+                     UnboundedOnAxis)
 from .inner import InnerConfig, maximize
 from .reduced import dominant_frequencies, project, sigma_max_derivative
 from .structured import StructuredTF, _as_dense
@@ -140,31 +141,18 @@ def expansion_block(tf: StructuredTF, omega: float, mode: str = FULL):
 
 
 def _append_orthonormal(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt append with one re-orthogonalization pass; block columns
-    that fail the dependency check are dropped."""
-    k = basis.shape[1]
-    # Fortran order keeps every column contiguous during the sweep; the
-    # result is C-ordered because the products downstream round differently
-    # on a Fortran-ordered basis
-    out = np.empty((basis.shape[0], k + block.shape[1]), dtype=np.complex128,
-                   order="F")
-    out[:, :k] = basis
-    for i in range(block.shape[1]):
-        v = out[:, k]
-        v[:] = block[:, i]
+    """Classical Gram-Schmidt, twice (CGS2): each block column is projected
+    out of the current basis in two passes and appended unless it fails the
+    dependency check.  The columns of ``basis`` are never written."""
+    q = basis
+    for v in block.T:
         pre = np.linalg.norm(v)
         for _ in range(2):
-            for j in range(k):
-                q = out[:, j]
-                v -= q * np.vdot(q, v)
+            v = v - q @ (v.conj() @ q).conj()
         nrm = np.linalg.norm(v)
-        if nrm < DEFLATION_TOL * (pre + 1.0):
-            continue
-        v /= nrm
-        k += 1
-    if k == basis.shape[1]:
-        return basis
-    return np.ascontiguousarray(out[:, :k])
+        if nrm >= DEFLATION_TOL * (pre + 1.0):
+            q = np.column_stack((q, v / nrm))
+    return q
 
 
 def expand(state: SubspaceState, Vb: np.ndarray, Wb: np.ndarray,
@@ -175,10 +163,17 @@ def expand(state: SubspaceState, Vb: np.ndarray, Wb: np.ndarray,
     Nearly dependent directions are dropped; if the drops leave the two
     bases with unequal column counts, the newest surviving columns of the
     larger basis are removed until the counts match.  A fully degenerate
-    expansion leaves the dimension unchanged.
+    expansion leaves the dimension unchanged.  Each block must be 2-D with
+    one row per basis row.
     """
-    v_new = _append_orthonormal(state.V, np.atleast_2d(Vb))
-    w_new = _append_orthonormal(state.W, np.atleast_2d(Wb))
+    n = state.V.shape[0]
+    for block in (Vb, Wb):
+        if block.ndim != 2 or block.shape[0] != n:
+            raise DimensionMismatch(
+                f"expansion blocks must be 2-D with {n} rows, "
+                f"got shape {block.shape}")
+    v_new = _append_orthonormal(state.V, Vb)
+    w_new = _append_orthonormal(state.W, Wb)
     common = min(v_new.shape[1], w_new.shape[1])
     return SubspaceState(V=v_new[:, :common], W=w_new[:, :common],
                          points=state.points + (omega,))

@@ -89,10 +89,11 @@ def imaginary_crossings(realization, gamma: float) -> np.ndarray:
     return np.asarray(merged)
 
 
-def _sigma_on_axis(model, w: float) -> float:
-    """sigma_max, with a singular shift reported as a pole on the axis."""
+def _on_axis(evaluate, model, w: float):
+    """evaluate(model, w), with a singular shift reported as a pole on the
+    axis."""
     try:
-        return sigma_max(model, w)
+        return evaluate(model, w)
     except SingularShift as err:
         raise UnboundedOnAxis(f"pole on the axis near omega={w}") from err
 
@@ -116,7 +117,7 @@ def bb_norm(model, cfg: InnerConfig, points=()) -> InnerResult:
     evals = 0
     best_w, best = lo, -np.inf
     for w in cands:
-        s = _sigma_on_axis(model, w)
+        s = _on_axis(sigma_max, model, w)
         evals += 1
         if s > best:
             best_w, best = w, s
@@ -132,7 +133,7 @@ def bb_norm(model, cfg: InnerConfig, points=()) -> InnerResult:
         improved = False
         for wa, wb in zip(knots[:-1], knots[1:]):
             w = 0.5 * (wa + wb)
-            s = _sigma_on_axis(model, w)
+            s = _on_axis(sigma_max, model, w)
             evals += 1
             if s > best:
                 best_w, best = w, s
@@ -237,11 +238,7 @@ def maximize(model, cfg: InnerConfig, points=()) -> InnerResult:
         return bb_norm(model, cfg, points)
 
     def f(w):
-        try:
-            d = sigma_max_derivative(model, w)
-        except SingularShift as err:
-            raise UnboundedOnAxis(
-                f"pole on the axis near omega={w}") from err
+        d = _on_axis(sigma_max_derivative, model, w)
         return d.sigma, d.value
 
     return qsupport_maximize(f, cfg)

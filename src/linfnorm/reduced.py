@@ -35,7 +35,7 @@ def _project_factor(factor, V=None, W=None) -> MatrixFactor:
         out = _as_dense(out)
         if W is not None:
             out = W.conj().T @ out
-        projected.append((term, np.ascontiguousarray(out)))
+        projected.append((term, out))
     return MatrixFactor(projected)
 
 

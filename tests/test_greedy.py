@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import linfnorm.greedy as greedy
-from linfnorm.errors import AllShiftsSingular
+from linfnorm.errors import AllShiftsSingular, DimensionMismatch
 from linfnorm.greedy import (CONVERGED, DOMINANT, LAST_TWO, MAX_ITERATIONS,
                              SINGULAR_EXPANSION, RunConfig, SubspaceState,
                              check_interpolation, convergence_ratios, expand,
@@ -63,14 +63,30 @@ class TestExpansionBlock:
 
 
 class TestExpand:
-    def test_dependent_column_stagnates(self):
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("rel, kept", [(0.0, False), (1e-14, False),
+                                           (1e-6, True)])
+    def test_dependent_column_stagnates(self, rel, kept, dtype, width):
+        # block columns in the span up to a relative perturbation rel:
+        # dropped far below DEFLATION_TOL, kept far above it
         rng = np.random.default_rng(30)
-        q, _ = np.linalg.qr(rng.standard_normal((10, 3)))
+
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            if dtype is complex:
+                x = x + 1j * rng.standard_normal(shape)
+            return x
+
+        q, _ = np.linalg.qr(draw(10, 3))
         state = SubspaceState(V=q, W=q.copy())
-        col = q @ np.array([1.0, -2.0, 0.5])  # already in span
-        new = expand(state, col.reshape(-1, 1), col.reshape(-1, 1), 1.0)
-        assert new.dim == 3
-        assert new.dim == state.dim
+        block = q @ draw(3, width)
+        noise = draw(10, width)
+        block += rel * noise * (np.linalg.norm(block, axis=0)
+                                / np.linalg.norm(noise, axis=0))
+        new = expand(state, block, block, 1.0)
+        assert new.dim == state.dim + (width if kept else 0)
+        assert orthonormality_defect(new.V) <= 1e-12
 
     def test_fresh_columns_grow_by_block_width(self):
         rng = np.random.default_rng(31)
@@ -99,6 +115,18 @@ class TestExpand:
         assert state.dim == 40
         assert orthonormality_defect(state.V) <= 1e-12
         assert orthonormality_defect(state.W) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(10,), (9, 1), (1, 10)])
+    def test_block_shape_is_checked(self, shape):
+        # a block is read as columns with one row per basis row; a 1-D
+        # block is not read as a (1, n) row
+        state = SubspaceState.empty(10)
+        good = np.ones((10, 1))
+        bad = np.random.default_rng(35).standard_normal(shape)
+        with pytest.raises(DimensionMismatch):
+            expand(state, bad, good, 1.0)
+        with pytest.raises(DimensionMismatch):
+            expand(state, good, bad, 1.0)
 
     def test_input_state_is_unchanged(self):
         rng = np.random.default_rng(34)

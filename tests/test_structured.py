@@ -209,7 +209,7 @@ class TestSolves:
             assert res <= 1e-10
         assert routes == ["_SparseFactorization"] * 3  # not tridiagonal
 
-    def test_band_route_matches_dense_solve(self, routes):
+    def test_superlu_route_matches_dense_solve(self, routes):
         # a band with kl = 2, and a factor where one term of four reaches
         # two below the diagonal, are not tridiagonal: SuperLU takes both
         rng = np.random.default_rng(12)
@@ -259,7 +259,7 @@ class TestSolves:
             StructuredTF(c, d, b).eval(0.0)
         assert routes == ["_TridiagonalFactorization"]
 
-    def test_lapack_kernel_per_band(self, monkeypatch):
+    def test_lapack_kernel_only_for_tridiagonal(self, monkeypatch):
         calls = []
         lapack = structured.sla.lapack
         for name in ("zgttrf", "zgttrs"):
@@ -373,7 +373,7 @@ def _dense_eval(factor, s):
     return sum(t.value(s) * m.toarray() for t, m in factor.terms)
 
 
-class TestBandLayout:
+class TestTridiagonalPositions:
     def test_mixed_patterns_match_dense_solve(self, routes):
         n = 30
         f = _mixed_pattern_factor(n, seed=14)
@@ -432,7 +432,7 @@ class TestBandLayout:
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         assert routes == ["_TridiagonalFactorization"] * 2
 
-    def test_delay_band_matches_csc_scatter(self):
+    def test_delay_tridiagonal_matches_csc_scatter(self):
         # the storage is the assembled CSC D(s) scattered into three rows,
         # to the last bit: the terms are added in the same order (the last
         # two shifts round differently in any other order)
