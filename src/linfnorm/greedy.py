@@ -32,6 +32,7 @@ LAST_TWO = "lasttwo"
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
 SINGULAR_EXPANSION = "singular_expansion"
+REPAIR_FAILED = "repair_failed"
 
 
 @dataclass
@@ -242,9 +243,11 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     points already.  Initial points that hit a singular shift are skipped
     and listed in ``warnings``; at least one must survive.  Terminates when
     two consecutive maximizers agree to relative tolerance eps, after r_max
-    iterations, or at a singular expansion shift; ``stop_reason`` says
-    which.  For a real-coefficient H, sigma is even in omega, so the reduced
-    models are maximized over the part of the interval with omega >= 0.
+    iterations, at a singular expansion shift, or when a reduced model
+    still has a pole on the axis after one repair expansion at the interval
+    midpoint; ``stop_reason`` says which.  For a real-coefficient H, sigma
+    is even in omega, so the reduced models are maximized over the part of
+    the interval with omega >= 0.
     """
     t0 = time.perf_counter()
     inner_cfg = cfg.inner or InnerConfig(interval=(0.0, cfg.omega_max))
@@ -290,7 +293,10 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
             # reduced model has an axis pole: one repair expansion at the
             # interval midpoint, then retry once
             if repaired:
-                raise
+                warns.append("reduced model kept a pole on the axis after "
+                             "its repair expansion")
+                stop_reason = REPAIR_FAILED
+                break
             repaired = True
             mid = 0.5 * sum(inner_cfg.interval)
             vb, wb = expansion_block(tf, mid, cfg.expansion_mode)

@@ -1,9 +1,15 @@
 """Global maximization of sigma(H(i*omega)) for small reduced models.
 
 Two routes: a Boyd-Balakrishnan style level-set iteration for rational
-models (imaginary eigenvalues of a structured pencil locate the level
-crossings), and a curvature-bounded piecewise-quadratic support search for
-everything else (delay terms, higher-degree terms).
+models (imaginary eigenvalues of a Hamiltonian matrix or pencil locate the
+level crossings), and a curvature-bounded piecewise-quadratic support search
+for everything else (delay terms, higher-degree terms).
+
+The level-set route factors E once per maximization.  When its reciprocal
+condition estimate is at least IMAG_TOL, the realization is brought to
+E = I and each level takes a standard eigensolve of the Hamiltonian
+matrix; a singular or ill-conditioned E (descriptor systems with infinite
+poles) keeps the generalized eigensolve (QZ) of the pencil.
 """
 
 from __future__ import annotations
@@ -57,24 +63,29 @@ def imaginary_crossings(realization, gamma: float) -> np.ndarray:
 
         lambda * diag(E, E^*)  -  [[A, BB^*/gamma], [-C^*C/gamma, -A^*]]
 
-    exactly when gamma is a singular value of H(i*omega).  Solved with a
-    general dense generalized eigensolver; eigenvalues with
+    exactly when gamma is a singular value of H(i*omega).  E = None stands
+    for the identity: the eigenvalues are then those of the Hamiltonian
+    matrix on the right, from a standard dense eigensolver, and otherwise
+    those of the pencil, from a generalized one (QZ).  Eigenvalues with
     |Re lambda| <= IMAG_TOL * (1 + |lambda|) are accepted.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     e, a, b, c = realization
-    n = e.shape[0]
+    n = a.shape[0]
     m = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     m[:n, :n] = a
     m[:n, n:] = (b @ b.conj().T) / gamma
     m[n:, :n] = -(c.conj().T @ c) / gamma
     m[n:, n:] = -a.conj().T
-    nn = np.zeros_like(m)
-    nn[:n, :n] = e
-    nn[n:, n:] = e.conj().T
     try:
-        eigvals = sla.eig(m, nn, right=False)
+        if e is None:
+            eigvals = sla.eigvals(m, overwrite_a=True, check_finite=False)
+        else:
+            nn = np.zeros_like(m)
+            nn[:n, :n] = e
+            nn[n:, n:] = e.conj().T
+            eigvals = sla.eig(m, nn, right=False)
     except (sla.LinAlgError, ValueError) as err:
         raise PencilSingular(str(err)) from err
     eigvals = eigvals[np.isfinite(eigvals)]
@@ -89,6 +100,22 @@ def imaginary_crossings(realization, gamma: float) -> np.ndarray:
     return np.asarray(merged)
 
 
+def standard_form(realization):
+    """(None, E^{-1}A, E^{-1}B, C) from one LU of E, or ``realization`` as it
+    is when E is singular or its 1-norm reciprocal condition estimate is
+    below IMAG_TOL."""
+    e, a, b, c = realization
+    n = e.shape[0]
+    lu, piv, info = sla.lapack.zgetrf(e)
+    if info != 0:
+        return realization
+    rcond, info = sla.lapack.zgecon(lu, np.linalg.norm(e, 1), norm="1")
+    if info != 0 or not rcond >= IMAG_TOL:
+        return realization
+    x = sla.lu_solve((lu, piv), np.hstack((a, b)), check_finite=False)
+    return None, x[:, :n], x[:, n:], c
+
+
 def _on_axis(evaluate, model, w: float):
     """evaluate(model, w), with a singular shift reported as a pole on the
     axis."""
@@ -98,7 +125,8 @@ def _on_axis(evaluate, model, w: float):
         raise UnboundedOnAxis(f"pole on the axis near omega={w}") from err
 
 
-def bb_norm(model, cfg: InnerConfig, points=()) -> InnerResult:
+def bb_norm(model, cfg: InnerConfig, points=(),
+            realization=None) -> InnerResult:
     """Boyd-Balakrishnan level-set maximization for rational models.
 
     Starting from the best sigma over the interval endpoints, its midpoint
@@ -107,10 +135,16 @@ def bb_norm(model, cfg: InnerConfig, points=()) -> InnerResult:
     incumbent and the crossing frequencies of that level are located via
     imaginary_crossings; sigma at the midpoints of consecutive crossings
     yields the next incumbent.  Terminates when no crossings remain.
+
+    ``realization`` is the model's rational_realization when the caller
+    has it already; it is built here otherwise.  It goes through
+    standard_form once, before the first level.
     """
-    realization = rational_realization(model)
+    if realization is None:
+        realization = rational_realization(model)
     if realization is None:
         raise ValueError("bb_norm requires a rational model")
+    realization = standard_form(realization)
     lo, hi = cfg.interval
     cands = [lo, hi, 0.5 * (lo + hi)]
     cands.extend(w for w in points if lo <= w <= hi)
@@ -234,8 +268,9 @@ def maximize(model, cfg: InnerConfig, points=()) -> InnerResult:
 
     ``points`` are extra starting candidates for the level-set route.
     """
-    if rational_realization(model) is not None:
-        return bb_norm(model, cfg, points)
+    realization = rational_realization(model)
+    if realization is not None:
+        return bb_norm(model, cfg, points, realization)
 
     def f(w):
         d = _on_axis(sigma_max_derivative, model, w)

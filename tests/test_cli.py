@@ -9,7 +9,7 @@ import linfnorm.cli as cli
 import linfnorm.greedy as greedy
 import linfnorm.oracle as oracle
 from linfnorm.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, main
-from linfnorm.errors import SingularShift
+from linfnorm.errors import SingularShift, UnboundedOnAxis
 from linfnorm.greedy import SolverResult
 
 from test_problems import one_pole_manifest
@@ -78,10 +78,26 @@ class TestNormCommand:
         assert any("singular" in w for w in doc["warnings"])
         assert code == EXIT_WARNINGS
 
+    def test_repair_failed_exits_with_warnings(self, tmp_path, capsys,
+                                              monkeypatch):
+        def unbounded(rm, cfg, points=()):
+            raise UnboundedOnAxis("pole on the axis")
+
+        monkeypatch.setattr(greedy, "maximize", unbounded)
+        manifest = one_pole_manifest(tmp_path)
+        code = main(["norm", str(manifest), "--omega-max", "5"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_WARNINGS
+        assert doc["stop_reason"] == "repair_failed"
+        assert doc["converged"] is False
+        assert doc["norm"] == pytest.approx(1.0)   # sigma at omega = 0
+        assert SolverResult.from_dict(doc).to_dict() == doc
+
     @pytest.mark.parametrize("reason,code", [
         (greedy.CONVERGED, EXIT_OK),
         (greedy.MAX_ITERATIONS, EXIT_WARNINGS),
         (greedy.SINGULAR_EXPANSION, EXIT_WARNINGS),
+        (greedy.REPAIR_FAILED, EXIT_WARNINGS),
     ])
     def test_exit_code_follows_stop_reason(self, tmp_path, capsys,
                                            monkeypatch, reason, code):

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 import linfnorm.greedy as greedy
-from linfnorm.errors import AllShiftsSingular, DimensionMismatch
+from linfnorm.errors import (AllShiftsSingular, DimensionMismatch,
+                             UnboundedOnAxis)
 from linfnorm.greedy import (CONVERGED, DOMINANT, LAST_TWO, MAX_ITERATIONS,
-                             SINGULAR_EXPANSION, RunConfig, SubspaceState,
-                             check_interpolation, convergence_ratios, expand,
-                             expansion_block, run)
+                             REPAIR_FAILED, SINGULAR_EXPANSION, RunConfig,
+                             SubspaceState, check_interpolation,
+                             convergence_ratios, expand, expansion_block, run)
 from linfnorm.inner import InnerConfig
 from linfnorm.oracle import grid_norm
 from linfnorm.problems import descriptor_tf, make_delay_fixture
-from linfnorm.reduced import DOMINANT_SEEDS, dominant_frequencies
+from linfnorm.reduced import DOMINANT_SEEDS, dominant_frequencies, sigma_max
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
 from conftest import random_descriptor, siso_one_pole
@@ -274,6 +275,28 @@ class TestRun:
         assert not res.converged
         assert any(w.startswith("expansion at omega=0.0")
                    for w in res.warnings)
+
+    def test_stop_reason_repair_failed(self, monkeypatch):
+        # the reduced model has an axis pole before and after the repair
+        # expansion at the interval midpoint
+        tf, interval = random_descriptor(30, 1, 1, seed=42)
+        calls = []
+
+        def unbounded(rm, cfg, points=()):
+            calls.append(rm.n)
+            raise UnboundedOnAxis("pole on the axis")
+
+        monkeypatch.setattr(greedy, "maximize", unbounded)
+        res = run(tf, RunConfig(omega_max=interval[1], r0=4,
+                                inner=InnerConfig(interval=interval)))
+        assert len(calls) == 2 and calls[1] > calls[0]
+        assert res.stop_reason == REPAIR_FAILED
+        assert not res.converged
+        assert res.history == []
+        assert any("after its repair expansion" in w for w in res.warnings)
+        # certified on the full H at the last omega, here the first point
+        assert res.omega_opt == 0.0
+        assert res.norm == sigma_max(tf, 0.0)
 
     def test_seeds_follow_the_equidistant_points(self):
         tf, interval = random_descriptor(60, 1, 1, seed=43)

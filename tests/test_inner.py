@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
+import linfnorm.inner as inner
 from linfnorm.errors import InvalidBound
-from linfnorm.greedy import expansion_block
+from linfnorm.greedy import (RunConfig, SubspaceState, expand,
+                             expansion_block, run)
 from linfnorm.inner import (InnerConfig, bb_norm, imaginary_crossings,
-                            maximize, qsupport_maximize)
+                            maximize, qsupport_maximize, standard_form)
 from linfnorm.oracle import grid_norm
-from linfnorm.problems import make_delay_fixture
+from linfnorm.problems import descriptor_tf, make_delay_fixture
 from linfnorm.reduced import (project, rational_realization, sigma_max,
                               sigma_max_derivative)
 
-from conftest import random_rational_reduced, siso_one_pole, siso_two_pole
+from conftest import (random_descriptor, random_rational_reduced,
+                      siso_one_pole, siso_two_pole)
 
 
 def estimated_curvature_bound(model, interval, npoints=400):
@@ -24,6 +27,33 @@ def estimated_curvature_bound(model, interval, npoints=400):
     second = (sig[2:] - 2 * sig[1:-1] + sig[:-2]) / h**2
     worst = float(second.max())  # max sigma'' == -min (-sigma)''
     return -(1.5 * abs(worst) + 1.0)
+
+
+def projected_descriptor(seed):
+    """A random descriptor of order 40 (m = p = 2) projected at six
+    equidistant points; its reduced E = W^* V is not the identity."""
+    tf, interval = random_descriptor(40, 2, 2, seed)
+    state = SubspaceState.empty(tf.n)
+    for w in np.linspace(*interval, 6):
+        state = expand(state, *expansion_block(tf, float(w)), float(w))
+    return project(tf, state.V, state.W), interval
+
+
+def singular_e_descriptor(seed=0):
+    """Order 8 with E = diag(1, ..., 1, 0, 0) and m = p = 2: the stable
+    state-space part of random_descriptor(6, ...) and two algebraic
+    equations driven by it.  Returns (tf, interval)."""
+    tf6, interval = random_descriptor(6, 2, 2, seed)
+    a6 = rational_realization(tf6)[1].real
+    rng = np.random.default_rng(seed + 1)
+    a = np.zeros((8, 8))
+    a[:6, :6] = a6
+    a[6:, :6] = rng.standard_normal((2, 6))
+    a[6:, 6:] = -np.eye(2) - 0.5 * rng.standard_normal((2, 2))
+    e = np.diag([1.0] * 6 + [0.0, 0.0])
+    b = rng.standard_normal((8, 2))
+    c = rng.standard_normal((2, 8))
+    return descriptor_tf(e, a, b, c), interval
 
 
 class TestImaginaryCrossings:
@@ -64,6 +94,22 @@ class TestImaginaryCrossings:
         with pytest.raises(ValueError):
             imaginary_crossings(rational_realization(rm), -1.0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_standard_and_qz_routes_agree(self, seed):
+        rm, interval = projected_descriptor(seed)
+        realization = rational_realization(rm)
+        e = realization[0]
+        assert not np.allclose(e, np.eye(e.shape[0]))
+        standard = standard_form(realization)
+        assert standard[0] is None
+        top = grid_norm(rm, interval, 2001).best_sigma
+        for level in (0.3, 0.6, 0.95):
+            qz = imaginary_crossings(realization, level * top)
+            eig = imaginary_crossings(standard, level * top)
+            assert len(qz) > 0
+            assert len(eig) == len(qz)
+            np.testing.assert_allclose(eig, qz, rtol=1e-9, atol=1e-12)
+
 
 class TestBBNorm:
     def test_one_pole(self):
@@ -96,6 +142,27 @@ class TestBBNorm:
         rm = make_delay_fixture(4)
         with pytest.raises(ValueError):
             bb_norm(rm, InnerConfig(interval=(0, 10)))
+
+    def test_singular_e_matches_grid_oracle(self, monkeypatch):
+        tf, interval = singular_e_descriptor()
+        routes = []
+        crossings = inner.imaginary_crossings
+
+        def spy(realization, gamma):
+            routes.append(realization[0] is None)
+            return crossings(realization, gamma)
+
+        monkeypatch.setattr(inner, "imaginary_crossings", spy)
+        sw = grid_norm(tf, interval, 4001, refine_tol=1e-10)
+        cfg = InnerConfig(interval=interval)
+        assert bb_norm(tf, cfg).value == pytest.approx(sw.best_sigma,
+                                                       rel=1e-7)
+        # run() saturates the basis at n = 8, so every reduced E is
+        # singular as well
+        res = run(tf, RunConfig(omega_max=interval[1], inner=cfg))
+        assert res.converged
+        assert res.norm == pytest.approx(sw.best_sigma, rel=1e-7)
+        assert routes and not any(routes)
 
 
 class TestQSupport:

@@ -1,4 +1,5 @@
-"""Every imported name in the library and the tests is used."""
+"""Static checks on the library and test sources: every imported name is
+used, and every file parses as Python 3.10, the declared floor."""
 
 import ast
 from pathlib import Path
@@ -24,9 +25,18 @@ def unused_imports(path):
             for name, line in sorted(imported.items()) if name not in used]
 
 
+def sources():
+    return (sorted((ROOT / "src" / "linfnorm").glob("*.py"))
+            + sorted((ROOT / "tests").glob("*.py")))
+
+
 def test_no_unused_imports():
     # __init__.py imports names to re-export them
-    paths = [p for p in sorted((ROOT / "src" / "linfnorm").glob("*.py"))
-             if p.name != "__init__.py"]
-    paths += sorted((ROOT / "tests").glob("*.py"))
+    paths = [p for p in sources() if p.name != "__init__.py"]
     assert [u for p in paths for u in unused_imports(p)] == []
+
+
+def test_parses_as_python_3_10():
+    for path in sources():
+        ast.parse(path.read_text(), filename=str(path),
+                  feature_version=(3, 10))
