@@ -13,7 +13,7 @@ from .oracle import SweepResult, grid_norm, sweep_csv
 from .problems import (descriptor_tf, load_benchmark, load_problem,
                        make_delay_fixture)
 from .reduced import (dominant_frequencies, project, rational_realization,
-                      sigma_max, sigma_max_derivative)
+                      sigma_and_slope, sigma_max)
 from .structured import MatrixFactor, ScalarTerm, StructuredTF
 
 __all__ = [
@@ -26,8 +26,8 @@ __all__ = [
     "maximize", "qsupport_maximize",
     "SweepResult", "grid_norm", "sweep_csv",
     "descriptor_tf", "load_benchmark", "load_problem", "make_delay_fixture",
-    "dominant_frequencies", "project", "rational_realization", "sigma_max",
-    "sigma_max_derivative",
+    "dominant_frequencies", "project", "rational_realization",
+    "sigma_and_slope", "sigma_max",
     "MatrixFactor", "ScalarTerm", "StructuredTF",
 ]
 

@@ -17,11 +17,13 @@ import numpy as np
 from .errors import (AllShiftsSingular, DimensionMismatch, SingularShift,
                      UnboundedOnAxis)
 from .inner import InnerConfig, maximize
-from .reduced import dominant_frequencies, project, sigma_max_derivative
+from .reduced import dominant_frequencies, project, sigma_and_slope
 from .structured import StructuredTF, _as_dense
 
 #: post-projection norm threshold for dropping dependent expansion directions
 DEFLATION_TOL = 1e-10
+#: relative gap below which the largest singular value is flagged non-simple
+SIMPLICITY_GAP = 1e-8
 
 FULL = "full"
 DOMINANT = "dominant"
@@ -192,26 +194,36 @@ def check_interpolation(tf: StructuredTF, state: SubspaceState,
     if not state.points:
         return report
     rm = project(tf, state.V, state.W)
-    for omega in state.points:
+    if mode == FULL:
+        _, slopes_full = sigma_and_slope(tf, state.points, slope=True)
+        _, slopes_red = sigma_and_slope(rm, state.points, slope=True)
+    for k, omega in enumerate(state.points):
         h = tf.eval(1j * omega)
         hr = rm.eval(1j * omega)
-        h_norm = np.linalg.norm(h, 2)
+        sv = np.linalg.svd(h, compute_uv=False)
+        svr = np.linalg.svd(hr, compute_uv=False)
         entry = {
             "omega": omega,
-            "h_norm": float(h_norm),
+            "h_norm": float(sv[0]),
             "matrix_mismatch": float(np.linalg.norm(h - hr, 2)),
-            "sigma_gap": float(np.linalg.svd(hr, compute_uv=False)[0]
-                               - np.linalg.svd(h, compute_uv=False)[0]),
+            "sigma_gap": float(svr[0] - sv[0]),
         }
         if mode == FULL:
-            d_full = sigma_max_derivative(tf, omega)
-            d_red = sigma_max_derivative(rm, omega)
-            entry["slope_full"] = d_full.value
-            entry["slope_reduced"] = d_red.value
-            entry["slope_mismatch"] = abs(d_full.value - d_red.value)
-            entry["simple"] = bool(d_full.simple and d_red.simple)
+            entry["slope_full"] = float(slopes_full[k])
+            entry["slope_reduced"] = float(slopes_red[k])
+            entry["slope_mismatch"] = abs(entry["slope_full"]
+                                          - entry["slope_reduced"])
+            entry["simple"] = _simple(sv) and _simple(svr)
         report.append(entry)
     return report
+
+
+def _simple(svals) -> bool:
+    """Whether the largest singular value is more than SIMPLICITY_GAP
+    (relative) above the second; the slope of sigma is unreliable
+    otherwise."""
+    return bool(svals.size < 2
+                or svals[0] - svals[1] > SIMPLICITY_GAP * svals[0])
 
 
 def _converged(w_new: float, w_ref: float, eps: float) -> bool:

@@ -14,7 +14,6 @@ poles) keeps the generalized eigensolve (QZ) of the pencil.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ import scipy.linalg as sla
 
 from .errors import (InvalidBound, NoConvergence, PencilSingular,
                      SingularShift, UnboundedOnAxis)
-from .reduced import rational_realization, sigma_max, sigma_max_derivative
+from .reduced import rational_realization, sigma_and_slope
 
 #: tolerance for accepting a pencil eigenvalue as purely imaginary
 IMAG_TOL = 1e-8
@@ -116,13 +115,14 @@ def standard_form(realization):
     return None, x[:, :n], x[:, n:], c
 
 
-def _on_axis(evaluate, model, w: float):
-    """evaluate(model, w), with a singular shift reported as a pole on the
-    axis."""
+def _on_axis(model, omegas, slope: bool = False):
+    """sigma_and_slope(model, omegas, slope), with a singular shift reported
+    as a pole on the axis at its omega."""
     try:
-        return evaluate(model, w)
+        return sigma_and_slope(model, omegas, slope)
     except SingularShift as err:
-        raise UnboundedOnAxis(f"pole on the axis near omega={w}") from err
+        raise UnboundedOnAxis(
+            f"pole on the axis near omega={err.s.imag}") from err
 
 
 def bb_norm(model, cfg: InnerConfig, points=(),
@@ -134,7 +134,9 @@ def bb_norm(model, cfg: InnerConfig, points=(),
     reduced model), the level is repeatedly raised slightly above the
     incumbent and the crossing frequencies of that level are located via
     imaginary_crossings; sigma at the midpoints of consecutive crossings
-    yields the next incumbent.  Terminates when no crossings remain.
+    yields the next incumbent.  Terminates when no crossings remain.  The
+    starting candidates are evaluated in one call, and so are the
+    midpoints of each level.
 
     ``realization`` is the model's rational_realization when the caller
     has it already; it is built here otherwise.  It goes through
@@ -148,13 +150,10 @@ def bb_norm(model, cfg: InnerConfig, points=(),
     lo, hi = cfg.interval
     cands = [lo, hi, 0.5 * (lo + hi)]
     cands.extend(w for w in points if lo <= w <= hi)
-    evals = 0
-    best_w, best = lo, -np.inf
-    for w in cands:
-        s = _on_axis(sigma_max, model, w)
-        evals += 1
-        if s > best:
-            best_w, best = w, s
+    sig, _ = _on_axis(model, cands)
+    evals = len(cands)
+    k = int(np.argmax(sig))
+    best_w, best = cands[k], float(sig[k])
     if best <= 0:
         return InnerResult(best_w, best, 0.0, evals)
     for _ in range(cfg.max_inner_iters):
@@ -164,17 +163,14 @@ def bb_norm(model, cfg: InnerConfig, points=(),
         if not crossings:
             return InnerResult(best_w, best, 2.0 * BB_REL_TOL * best, evals)
         knots = sorted({lo, hi, *crossings})
-        improved = False
-        for wa, wb in zip(knots[:-1], knots[1:]):
-            w = 0.5 * (wa + wb)
-            s = _on_axis(sigma_max, model, w)
-            evals += 1
-            if s > best:
-                best_w, best = w, s
-                improved = True
-        if not improved:
+        mids = [0.5 * (wa + wb) for wa, wb in zip(knots[:-1], knots[1:])]
+        sig, _ = _on_axis(model, mids)
+        evals += len(mids)
+        k = int(np.argmax(sig))
+        if not sig[k] > best:
             # crossings at a level indistinguishable from the incumbent
             return InnerResult(best_w, best, 2.0 * BB_REL_TOL * best, evals)
+        best_w, best = mids[k], float(sig[k])
     raise NoConvergence(
         f"level-set iteration did not settle in {cfg.max_inner_iters} rounds")
 
@@ -182,82 +178,72 @@ def bb_norm(model, cfg: InnerConfig, points=(),
 def qsupport_maximize(f, cfg: InnerConfig) -> InnerResult:
     """Global maximization via curvature-bounded quadratic supports.
 
-    ``f(omega)`` must return (sigma, dsigma/domega).  With gamma a global
-    lower bound on the second derivative of -sigma, each sample (w_k, s_k,
-    d_k) yields the upper support
+    ``f(omegas)`` must return the arrays (sigma, dsigma/domega) at the
+    given frequencies.  With gamma a global lower bound on the second
+    derivative of -sigma, each sample (w_k, s_k, d_k) yields the upper
+    support
 
         u_k(w) = s_k + d_k (w - w_k) - (gamma/2) (w - w_k)^2  >=  sigma(w),
 
     and the maximum of the pointwise-min envelope of adjacent supports
-    bounds the global maximum.  Each iteration refines every interval whose
-    envelope peak still exceeds the incumbent plus the tolerance.
+    bounds the global maximum.  Each round refines every interval whose
+    envelope peak still exceeds the incumbent plus the tolerance, with one
+    call of ``f`` at all of their peaks.
     """
     lo, hi = cfg.interval
     gamma = cfg.curvature_bound
     c2 = -0.5 * gamma  # positive quadratic coefficient of the supports
 
-    omegas: list[float] = []
-    sigmas: list[float] = []
-    slopes: list[float] = []
-    evals = 0
-    best_w, best = lo, -np.inf
-
-    def support(k: int, w: float) -> float:
-        d = w - omegas[k]
-        return sigmas[k] + slopes[k] * d + c2 * d * d
-
-    def add_sample(w: float, bound: float | None = None):
-        nonlocal evals, best_w, best
-        s, d = f(w)
-        evals += 1
-        if bound is not None and s > bound + 1e-9 * (1.0 + abs(s)):
-            raise InvalidBound(
-                f"sigma({w}) = {s} exceeds the certified envelope bound {bound}; "
-                "the curvature bound is not valid")
-        idx = bisect.bisect_left(omegas, w)
-        omegas.insert(idx, w)
-        sigmas.insert(idx, s)
-        slopes.insert(idx, d)
-        if s > best:
-            best_w, best = w, s
-
-    for w in (lo, 0.5 * (lo + hi), hi):
-        add_sample(w)
-
-    def pair_peak(k: int):
-        """Peak of min(u_k, u_{k+1}) on [omega_k, omega_{k+1}]."""
-        wa, wb = omegas[k], omegas[k + 1]
-        # equal quadratic coefficients make the difference linear
-        lin = (slopes[k] - slopes[k + 1]) + 2.0 * c2 * (wb - wa)
-        const = ((sigmas[k] - slopes[k] * wa + c2 * wa * wa)
-                 - (sigmas[k + 1] - slopes[k + 1] * wb + c2 * wb * wb))
-        if lin == 0.0:
-            wx = 0.5 * (wa + wb)
-        else:
-            wx = -const / lin
-        wx = min(max(wx, wa), wb)
-        return wx, min(support(k, wx), support(k + 1, wx))
+    omegas = np.array([lo, 0.5 * (lo + hi), hi], dtype=float)
+    sigmas, slopes = (np.asarray(a, dtype=float) for a in f(omegas))
+    evals = omegas.size
+    k = int(np.argmax(sigmas))
+    best_w, best = float(omegas[k]), float(sigmas[k])
 
     for _ in range(cfg.max_inner_iters):
+        # peak of min(u_k, u_{k+1}) on [omega_k, omega_{k+1}]; equal
+        # quadratic coefficients make the difference of the two supports
+        # linear
+        wa, wb = omegas[:-1], omegas[1:]
+        sa, sb, da, db = sigmas[:-1], sigmas[1:], slopes[:-1], slopes[1:]
+        lin = (da - db) + 2.0 * c2 * (wb - wa)
+        const = (sa - da * wa + c2 * wa * wa) - (sb - db * wb + c2 * wb * wb)
+        flat = lin == 0.0
+        wx = np.where(flat, 0.5 * (wa + wb),
+                      -const / np.where(flat, 1.0, lin))
+        wx = np.minimum(np.maximum(wx, wa), wb)
+        xa, xb = wx - wa, wx - wb
+        peaks = np.minimum(sa + da * xa + c2 * xa * xa,
+                           sb + db * xb + c2 * xb * xb)
+        envelope_max = float(peaks.max())
         tol_abs = cfg.support_tol * (1.0 + abs(best))
-        peaks = [pair_peak(k) for k in range(len(omegas) - 1)]
-        envelope_max = max(v for _, v in peaks)
         if envelope_max - best <= tol_abs:
             return InnerResult(best_w, best,
                                max(envelope_max - best, 0.0), evals)
-        targets = []
-        for (wx, v), k in zip(peaks, range(len(peaks))):
-            if v - best <= tol_abs:
-                continue
-            spacing = min(wx - omegas[k], omegas[k + 1] - wx)
-            if spacing <= 1e-13 * (1.0 + abs(wx)):
-                continue  # interval exhausted at floating-point resolution
-            targets.append((wx, v))
-        if not targets:
+        spacing = np.minimum(xa, -xb)
+        # leave out intervals exhausted at floating-point resolution
+        keep = ((peaks - best > tol_abs)
+                & (spacing > 1e-13 * (1.0 + np.abs(wx))))
+        targets, bounds = wx[keep], peaks[keep]
+        if not targets.size:
             return InnerResult(best_w, best,
                                max(envelope_max - best, 0.0), evals)
-        for wx, v in targets:
-            add_sample(wx, bound=v)
+        s, d = (np.asarray(a, dtype=float) for a in f(targets))
+        evals += targets.size
+        over = np.flatnonzero(s > bounds + 1e-9 * (1.0 + np.abs(s)))
+        if over.size:
+            i = over[0]
+            raise InvalidBound(
+                f"sigma({targets[i]}) = {s[i]} exceeds the certified "
+                f"envelope bound {bounds[i]}; the curvature bound is not "
+                "valid")
+        k = int(np.argmax(s))
+        if s[k] > best:
+            best_w, best = float(targets[k]), float(s[k])
+        at = np.searchsorted(omegas, targets)
+        omegas = np.insert(omegas, at, targets)
+        sigmas = np.insert(sigmas, at, s)
+        slopes = np.insert(slopes, at, d)
     raise NoConvergence(
         f"support search did not certify the maximum in "
         f"{cfg.max_inner_iters} refinement rounds")
@@ -271,9 +257,4 @@ def maximize(model, cfg: InnerConfig, points=()) -> InnerResult:
     realization = rational_realization(model)
     if realization is not None:
         return bb_norm(model, cfg, points, realization)
-
-    def f(w):
-        d = _on_axis(sigma_max_derivative, model, w)
-        return d.sigma, d.value
-
-    return qsupport_maximize(f, cfg)
+    return qsupport_maximize(lambda ws: _on_axis(model, ws, slope=True), cfg)

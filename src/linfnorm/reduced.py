@@ -7,16 +7,12 @@ models are always dense.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import DimensionMismatch
 from .structured import MatrixFactor, StructuredTF, _as_dense
 
-#: relative gap below which the largest singular value is flagged non-simple
-SIMPLICITY_GAP = 1e-8
 #: dominant-pole frequencies that run() adds to its initial points
 DOMINANT_SEEDS = 8
 #: largest order whose poles dominant_frequencies computes.  Its dense
@@ -55,39 +51,35 @@ def project(tf: StructuredTF, V: np.ndarray, W: np.ndarray) -> StructuredTF:
     )
 
 
-class SigmaDerivative(NamedTuple):
-    sigma: float
-    value: float
-    simple: bool
-
-
 def sigma_max(tf: StructuredTF, omega: float) -> float:
     """Largest singular value of H(i*omega)."""
-    # with vectors, as in sigma_max_derivative: gesdd rounds sigma
-    # differently without them once min(m, p) >= 2
+    # with vectors, as in sigma_and_slope: gesdd rounds sigma differently
+    # without them once min(m, p) >= 2
     _, svals, _ = np.linalg.svd(tf.eval(1j * omega))
     return float(svals[0])
 
 
-def sigma_max_derivative(tf: StructuredTF, omega: float) -> SigmaDerivative:
-    """Largest singular value of H(i*omega) and its d/domega, from one
-    factorization of D(i*omega).
+def sigma_and_slope(tf: StructuredTF, omegas, slope: bool = False):
+    """Largest singular value of H(i*omega) at every omega of ``omegas``,
+    and with ``slope`` its d/domega, as two float arrays; the slopes are
+    None without ``slope``.
 
-    ``sigma`` equals ``sigma_max(tf, omega)``.  The slope ``value`` is
-    Re(w^* dH/domega v) for the top singular pair; the pair's common phase
-    cancels, so it is not normalized.  The ``simple`` flag is False when the
-    top singular value is within SIMPLICITY_GAP (relative) of the second,
-    in which case the derivative formula is unreliable.
+    All shifts go through one StructuredTF.eval_stack and one batched SVD.
+    The slope is Re(w^* dH/domega v) for the top singular pair; the pair's
+    common phase cancels, so it is not normalized.  It is unreliable where
+    the top singular value is not simple.  A singular D(i*omega) raises
+    SingularShift with that shift.
     """
-    h, hprime = tf.eval_with_derivative(1j * omega)
+    shifts = [1j * float(w) for w in omegas]
+    if not shifts:
+        return np.empty(0), (np.empty(0) if slope else None)
+    h, hprime = tf.eval_stack(shifts, derivative=slope)
     u, svals, vh = np.linalg.svd(h)
-    v, w = vh[0].conj(), u[:, 0]
-    simple = True
-    if svals.size > 1 and svals[0] - svals[1] <= SIMPLICITY_GAP * svals[0]:
-        simple = False
-    dh = 1j * hprime
-    value = float(np.real(w.conj() @ dh @ v))
-    return SigmaDerivative(float(svals[0]), value, simple)
+    if not slope:
+        return svals[:, 0], None
+    w = u[:, :, :1].conj().swapaxes(1, 2)   # (k, 1, p)
+    v = vh[:, :1, :].conj().swapaxes(1, 2)  # (k, m, 1)
+    return svals[:, 0], (w @ (1j * hprime) @ v)[:, 0, 0].real
 
 
 def rational_realization(tf: StructuredTF):

@@ -115,6 +115,18 @@ class MatrixFactor:
         """d/ds of eval at the shift s."""
         return self._combine([t.derivative(s) for t, _ in self.terms])
 
+    def stack(self, shifts, derivative: bool = False) -> np.ndarray:
+        """eval (or eval_derivative) at every shift, as a dense
+        (len(shifts), nrows, ncols) stack; each layer is summed in eval's
+        term order."""
+        acc = None
+        for t, m in self.terms:
+            scalar = t.derivative if derivative else t.value
+            c = np.array([scalar(s) for s in shifts])[:, None, None]
+            contrib = _as_dense(m) * c
+            acc = contrib if acc is None else acc + contrib
+        return acc
+
     def eval_tridiagonal(self, s: complex) -> np.ndarray:
         """eval at the shift s in the (3, n) storage of tridiagonal, which
         must not be None: each term's stored values times its scalar, added
@@ -158,24 +170,31 @@ def _as_dense(m) -> np.ndarray:
     return np.asarray(m)
 
 
+def _dense_lu(d: np.ndarray, anorm: float, s: complex):
+    """(lu, piv, rcond) of a dense complex D(s) with 1-norm anorm; raises
+    SingularShift when the 1-norm reciprocal condition estimate is below
+    RCOND_THRESHOLD."""
+    lu, piv, info = sla.lapack.zgetrf(d)
+    if info > 0:
+        raise SingularShift(s, rcond=0.0)
+    rcond, info = sla.lapack.zgecon(lu, anorm, norm="1")
+    if info != 0 or not np.isfinite(rcond) or rcond < RCOND_THRESHOLD:
+        raise SingularShift(s, rcond=float(rcond))
+    return lu, piv, float(rcond)
+
+
 class _DenseFactorization:
     """LU of a dense D(s) with a 1-norm reciprocal condition estimate."""
 
     def __init__(self, d: np.ndarray, s: complex):
         d = np.ascontiguousarray(d, dtype=np.complex128)
         anorm = np.linalg.norm(d, 1) if d.size else 0.0
-        lu, piv, info = sla.lapack.zgetrf(d)
-        if info > 0:
-            raise SingularShift(s, rcond=0.0)
-        rcond, info = sla.lapack.zgecon(lu, anorm, norm="1")
-        if info != 0 or not np.isfinite(rcond) or rcond < RCOND_THRESHOLD:
-            raise SingularShift(s, rcond=float(rcond))
-        self._lu = (lu, piv)
-        self.rcond = float(rcond)
+        *self._lu, self.rcond = _dense_lu(d, anorm, s)
 
     def solve(self, rhs, adjoint: bool = False) -> np.ndarray:
         rhs = np.asarray(_as_dense(rhs), dtype=np.complex128)
-        return sla.lu_solve(self._lu, rhs, trans=2 if adjoint else 0)
+        x, _ = sla.lapack.zgetrs(*self._lu, rhs, trans=2 if adjoint else 0)
+        return x
 
 
 def _pivot_rcond(udiag: np.ndarray, s: complex) -> float:
@@ -299,12 +318,48 @@ class StructuredTF:
         return _as_dense(self.c_factor.eval(s) @ x)
 
     def eval_with_derivative(self, s: complex):
-        """(H(s), H'(s)) from one factorization of D(s), where
-        H' = C'D^{-1}B - CD^{-1}D'D^{-1}B + CD^{-1}B'."""
+        """(H(s), H'(s)) from one factorization of D(s)."""
         cs, x, y = self._resolvents(s)
-        cd = y.conj().T  # rows of C D^{-1}
-        dprime = self.d_factor.eval_derivative(s)
-        out = _as_dense(self.c_factor.eval_derivative(s) @ x)
-        out -= cd @ _as_dense(dprime @ x)
-        out += cd @ _as_dense(self.b_factor.eval_derivative(s))
-        return _as_dense(cs @ x), out
+        return _as_dense(cs @ x), _h_prime(
+            self.c_factor.eval_derivative(s), self.d_factor.eval_derivative(s),
+            self.b_factor.eval_derivative(s), x, y)
+
+    def eval_stack(self, shifts, derivative: bool = False):
+        """H at every shift as a (len(shifts), p, m) stack, and H' likewise
+        with ``derivative`` (None without).
+
+        A dense D is assembled for all shifts at once and factored shift by
+        shift, with the singularity check of a single evaluation; a sparse D
+        (a full-order function) goes shift by shift through
+        eval_with_derivative.  Raises SingularShift with the first singular
+        shift.  ``shifts`` must not be empty.
+        """
+        if all(sp.issparse(m) for _, m in self.d_factor.terms):
+            h, hprime = zip(*(self.eval_with_derivative(s) for s in shifts))
+            return np.array(h), np.array(hprime) if derivative else None
+        d = self.d_factor.stack(shifts)
+        b = self.b_factor.stack(shifts)
+        c = self.c_factor.stack(shifts)
+        anorms = np.abs(d).sum(axis=1).max(axis=1)
+        x = np.empty(b.shape, dtype=np.complex128)
+        y = (np.empty((len(shifts), self.n, self.p), dtype=np.complex128)
+             if derivative else None)
+        for k, s in enumerate(shifts):
+            lu, piv, _ = _dense_lu(d[k], anorms[k], s)
+            x[k] = sla.lapack.zgetrs(lu, piv, b[k])[0]
+            if derivative:
+                y[k] = sla.lapack.zgetrs(lu, piv, c[k].conj().T, trans=2)[0]
+        if not derivative:
+            return c @ x, None
+        return c @ x, _h_prime(
+            self.c_factor.stack(shifts, derivative=True),
+            self.d_factor.stack(shifts, derivative=True),
+            self.b_factor.stack(shifts, derivative=True), x, y)
+
+
+def _h_prime(c_prime, d_prime, b_prime, x, y) -> np.ndarray:
+    """H' = C'D^{-1}B - CD^{-1}D'D^{-1}B + CD^{-1}B' from X = D^{-1}B and
+    Y = D^{-*}C^*, at one shift or stacked over shifts."""
+    cd = y.conj().swapaxes(-1, -2)  # rows of C D^{-1}
+    return (_as_dense(c_prime @ x) - cd @ _as_dense(d_prime @ x)
+            + cd @ _as_dense(b_prime))

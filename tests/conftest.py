@@ -49,6 +49,15 @@ def siso_two_pole():
                          np.array([[1.0], [1.0]]), np.array([[1.0, 1.0]]))
 
 
+def pointwise_sigma_and_slope(tf, omega):
+    """(sigma, dsigma/domega) of H(i*omega) from one evaluation: the
+    per-point reference for reduced.sigma_and_slope."""
+    h, hprime = tf.eval_with_derivative(1j * omega)
+    u, svals, vh = np.linalg.svd(h)
+    slope = np.real(u[:, 0].conj() @ (1j * hprime) @ vh[0].conj())
+    return float(svals[0]), float(slope)
+
+
 def constant_factor(mat):
     return MatrixFactor([(ScalarTerm(), np.atleast_2d(np.asarray(mat, dtype=float)))])
 

@@ -360,6 +360,13 @@ class TestCheckInterpolation:
         tf = siso_one_pole()
         assert check_interpolation(tf, SubspaceState.empty(1)) == []
 
+    def test_nonsimple_flag(self):
+        # twice the same SISO channel: sigma_1 = sigma_2 exactly
+        tf = descriptor_tf(np.eye(2), -np.eye(2), np.eye(2), np.eye(2))
+        state = expand(SubspaceState.empty(2), *expansion_block(tf, 1.0), 1.0)
+        [entry] = check_interpolation(tf, state)
+        assert not entry["simple"]
+
 
 class TestConvergenceRatios:
     def test_matches_direct_formula(self):

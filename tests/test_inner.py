@@ -1,21 +1,27 @@
 """Tests for the level-set and quadratic-support inner maximizers."""
 
+import bisect
+
 import numpy as np
 import pytest
 
 import linfnorm.inner as inner
-from linfnorm.errors import InvalidBound
+from linfnorm.errors import InvalidBound, UnboundedOnAxis
 from linfnorm.greedy import (RunConfig, SubspaceState, expand,
                              expansion_block, run)
 from linfnorm.inner import (InnerConfig, bb_norm, imaginary_crossings,
                             maximize, qsupport_maximize, standard_form)
 from linfnorm.oracle import grid_norm
 from linfnorm.problems import descriptor_tf, make_delay_fixture
-from linfnorm.reduced import (project, rational_realization, sigma_max,
-                              sigma_max_derivative)
+from linfnorm.reduced import (project, rational_realization, sigma_and_slope,
+                              sigma_max)
+from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
-from conftest import (random_descriptor, random_rational_reduced,
+from conftest import (constant_factor, pointwise_sigma_and_slope,
+                      random_descriptor, random_rational_reduced,
                       siso_one_pole, siso_two_pole)
+
+DELAY_INNER = InnerConfig(interval=(0.0, 50.0), curvature_bound=-100.0)
 
 
 def estimated_curvature_bound(model, interval, npoints=400):
@@ -37,6 +43,68 @@ def projected_descriptor(seed):
     for w in np.linspace(*interval, 6):
         state = expand(state, *expansion_block(tf, float(w)), float(w))
     return project(tf, state.V, state.W), interval
+
+
+def delay_reduced_model(n):
+    """The delay model of order n projected at ten equidistant points in
+    [0, 50], as run() initializes it."""
+    tf = make_delay_fixture(n)
+    state = SubspaceState.empty(tf.n)
+    for w in np.linspace(0.0, 50.0, 10):
+        state = expand(state, *expansion_block(tf, float(w)), float(w))
+    return project(tf, state.V, state.W)
+
+
+def pointwise_qsupport(f, cfg):
+    """The support search of qsupport_maximize, one scalar f(omega) call
+    per point and no InvalidBound check: the reference for the batched
+    search.  Returns (omega_opt, value, evaluations, rounds)."""
+    lo, hi = cfg.interval
+    c2 = -0.5 * cfg.curvature_bound
+    samples = []
+    best_w, best = lo, -np.inf
+    for w in (lo, 0.5 * (lo + hi), hi):
+        samples.append((w, *f(w)))
+        if samples[-1][1] > best:
+            best_w, best = w, samples[-1][1]
+    rounds = 0
+    while True:
+        tol = cfg.support_tol * (1.0 + abs(best))
+        envelope, targets = -np.inf, []
+        for (wa, sa, da), (wb, sb, db) in zip(samples[:-1], samples[1:]):
+            lin = (da - db) + 2.0 * c2 * (wb - wa)
+            const = ((sa - da * wa + c2 * wa * wa)
+                     - (sb - db * wb + c2 * wb * wb))
+            wx = 0.5 * (wa + wb) if lin == 0.0 else -const / lin
+            wx = min(max(wx, wa), wb)
+            xa, xb = wx - wa, wx - wb
+            v = min(sa + da * xa + c2 * xa * xa, sb + db * xb + c2 * xb * xb)
+            envelope = max(envelope, v)
+            if (v - best > tol
+                    and min(xa, wb - wx) > 1e-13 * (1.0 + abs(wx))):
+                targets.append(wx)
+        if envelope - best <= tol or not targets:
+            return best_w, best, len(samples), rounds
+        rounds += 1
+        for w in targets:
+            s, d = f(w)
+            bisect.insort(samples, (w, s, d))
+            if s > best:
+                best_w, best = w, s
+
+
+def spy_on_evaluator(monkeypatch):
+    """The number of omegas of every sigma_and_slope call the inner solvers
+    make, in call order."""
+    sizes = []
+    batched = inner.sigma_and_slope
+
+    def spy(model, omegas, slope=False):
+        sizes.append(len(omegas))
+        return batched(model, omegas, slope)
+
+    monkeypatch.setattr(inner, "sigma_and_slope", spy)
+    return sizes
 
 
 def singular_e_descriptor(seed=0):
@@ -185,15 +253,7 @@ class TestQSupport:
     def test_delay_reduced_model_after_initialization(self):
         # published optimizer of the delay benchmark, reached already by the
         # initial reduced model
-        tf = make_delay_fixture(100)
-        from linfnorm.greedy import SubspaceState, expand
-        state = SubspaceState.empty(tf.n)
-        for w0 in np.linspace(0.0, 50.0, 10):
-            vb, wb = expansion_block(tf, float(w0))
-            state = expand(state, vb, wb, float(w0))
-        rm = project(tf, state.V, state.W)
-        res = maximize(rm, InnerConfig(interval=(0, 50),
-                                       curvature_bound=-100.0))
+        res = maximize(delay_reduced_model(100), DELAY_INNER)
         assert res.omega_opt == pytest.approx(3.07547, abs=2e-3)
 
     def test_invalid_curvature_bound_detected(self):
@@ -213,7 +273,7 @@ class TestQSupport:
 
         def f(w):
             s = np.sin(3 * w) + 0.5 * np.cos(w)
-            evals.append(s)
+            evals.extend(s)
             return s, 3 * np.cos(3 * w) - 0.5 * np.sin(w)
 
         res = qsupport_maximize(
@@ -251,8 +311,62 @@ class TestMaximize:
             cfg_q = InnerConfig(interval=interval, curvature_bound=gamma,
                                 max_inner_iters=500)
 
-            def f(w, rm=rm):
-                return sigma_max_derivative(rm, w)[:2]
+            def f(ws, rm=rm):
+                return sigma_and_slope(rm, ws, slope=True)
 
             res_q = qsupport_maximize(f, cfg_q)
             assert res_q.value == pytest.approx(res_bb.value, rel=1e-6)
+
+
+class TestBatching:
+    def test_support_search_one_call_per_round(self, monkeypatch):
+        rm = delay_reduced_model(5000)
+        sizes = spy_on_evaluator(monkeypatch)
+        res = maximize(rm, DELAY_INNER)
+        w, value, evals, rounds = pointwise_qsupport(
+            lambda w: pointwise_sigma_and_slope(rm, w), DELAY_INNER)
+        assert (res.omega_opt, res.value, res.evaluations) == (w, value, evals)
+        assert res.evaluations == 542
+        assert type(res.omega_opt) is float and type(res.value) is float
+        # the three starting points, then one call per round
+        assert sizes[0] == 3 and len(sizes) == 1 + rounds
+        assert sum(sizes) == res.evaluations
+
+    def test_level_set_one_call_per_level(self, monkeypatch):
+        rm, interval = projected_descriptor(1)
+        lo, hi = interval
+        points = (0.25 * hi, 0.5 * hi, 2.0 * hi)  # the last is outside
+        sizes = spy_on_evaluator(monkeypatch)
+        levels = []
+        crossings = inner.imaginary_crossings
+
+        def spy(realization, gamma):
+            out = crossings(realization, gamma)
+            levels.append(any(lo < w < hi for w in out))
+            return out
+
+        monkeypatch.setattr(inner, "imaginary_crossings", spy)
+        res = bb_norm(rm, InnerConfig(interval=interval), points)
+        # the candidates, then one call per level with crossings
+        assert sizes[0] == 5 and sum(levels) >= 1
+        assert len(sizes) == 1 + sum(levels)
+        assert sum(sizes) == res.evaluations
+        sw = grid_norm(rm, interval, 2001, refine_tol=1e-10)
+        assert res.value == pytest.approx(sw.best_sigma, rel=1e-7)
+
+    @pytest.mark.parametrize("route", ["level_set", "support"])
+    def test_axis_pole_names_its_omega(self, route):
+        # the pole at 2i is the third point of the first batch
+        if route == "level_set":
+            # H(s) = 1/(s - 2i); candidates 0, 4 and 2
+            model = descriptor_tf(np.eye(1), np.array([[2j]]), np.ones(1),
+                                  np.ones(1))
+            interval = (0.0, 4.0)
+        else:
+            # H(s) = 1/(s^2 + 4); starting points 1, 1.5 and 2
+            d = MatrixFactor([(ScalarTerm(degree=2), np.eye(1)),
+                              (ScalarTerm(), 4.0 * np.eye(1))])
+            model = StructuredTF(constant_factor(1.0), d, constant_factor(1.0))
+            interval = (1.0, 2.0)
+        with pytest.raises(UnboundedOnAxis, match=r"omega=2\.0$"):
+            maximize(model, InnerConfig(interval=interval))

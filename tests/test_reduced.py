@@ -7,15 +7,16 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from linfnorm.errors import DimensionMismatch
-from linfnorm.greedy import expansion_block
+from linfnorm.errors import DimensionMismatch, SingularShift
+from linfnorm.greedy import SubspaceState, expand, expansion_block
 from linfnorm.problems import descriptor_tf, make_delay_fixture
 from linfnorm.reduced import (DOMINANT_MAX_N, dominant_frequencies, project,
-                              rational_realization, sigma_max,
-                              sigma_max_derivative)
+                              rational_realization, sigma_and_slope,
+                              sigma_max)
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
-from conftest import random_descriptor, siso_one_pole
+from conftest import (pointwise_sigma_and_slope, random_descriptor,
+                      siso_one_pole)
 
 
 class TestProject:
@@ -85,31 +86,78 @@ class TestSigmaMax:
 
 class TestSigmaDerivative:
     def test_even_peak(self):
-        rm = siso_one_pole()
-        assert sigma_max_derivative(rm, 0.0).value == pytest.approx(0.0, abs=1e-12)
+        _, slope = sigma_and_slope(siso_one_pole(), [0.0], slope=True)
+        assert slope[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_closed_form(self):
         # sigma(omega) = (1+omega^2)^{-1/2}, slope at 1 is -1/(2*sqrt(2))
-        rm = siso_one_pole()
-        assert sigma_max_derivative(rm, 1.0).value == pytest.approx(
-            -1 / (2 * np.sqrt(2)))
+        _, slope = sigma_and_slope(siso_one_pole(), [1.0], slope=True)
+        assert slope[0] == pytest.approx(-1 / (2 * np.sqrt(2)))
 
     def test_matches_finite_difference(self):
         rm, _ = random_descriptor(14, 2, 3, seed=8)
-        for omega in (0.7, 1.9, 4.0):
+        omegas = [0.7, 1.9, 4.0]
+        _, slopes = sigma_and_slope(rm, omegas, slope=True)
+        for omega, slope in zip(omegas, slopes):
             h = 1e-6
             fd = (sigma_max(rm, omega + h)
                   - sigma_max(rm, omega - h)) / (2 * h)
-            d = sigma_max_derivative(rm, omega)
-            assert d.value == pytest.approx(fd, rel=1e-5, abs=1e-8)
+            assert slope == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
-    def test_nonsimple_flag(self):
-        # twice the same SISO channel: sigma_1 = sigma_2 exactly
-        e = np.eye(2)
-        a = -np.eye(2)
-        tf = descriptor_tf(e, a, np.eye(2), np.eye(2))
-        d = sigma_max_derivative(tf, 1.0)
-        assert not d.simple
+
+SHAPES = [(1, 1), (2, 2), (1, 3), (3, 1), (2, 3)]
+
+
+def projected_model(index):
+    """For index < 5, a random_descriptor of order 40 with (m, p) =
+    SHAPES[index] projected at five points; for index 5, the delay model of
+    order 300 projected at ten points in [0, 50].  Returns (model,
+    interval)."""
+    if index < len(SHAPES):
+        m, p = SHAPES[index]
+        tf, interval = random_descriptor(40, m, p, seed=10 * m + p)
+        points = np.linspace(*interval, 5)
+    else:
+        tf, interval = make_delay_fixture(300), (0.0, 50.0)
+        points = np.linspace(*interval, 10)
+    state = SubspaceState.empty(tf.n)
+    for w in points:
+        state = expand(state, *expansion_block(tf, float(w)), float(w))
+    return project(tf, state.V, state.W), interval
+
+
+class TestSigmaAndSlope:
+    @pytest.mark.parametrize("index", range(len(SHAPES) + 1))
+    def test_matches_pointwise(self, index):
+        rm, interval = projected_model(index)
+        omegas = np.random.default_rng(index).uniform(*interval, 64)
+        sigmas, slopes = sigma_and_slope(rm, omegas, slope=True)
+        only_sigmas, none = sigma_and_slope(rm, omegas)
+        assert none is None
+        np.testing.assert_array_equal(only_sigmas, sigmas)
+        for w, sigma, slope in zip(omegas, sigmas, slopes):
+            ref_sigma, ref_slope = pointwise_sigma_and_slope(rm, w)
+            if rm.m == rm.p:
+                assert sigma == sigma_max(rm, w)
+            # the stacked matmul rounds C X differently when m != p
+            assert sigma == pytest.approx(sigma_max(rm, w), rel=2e-15)
+            assert sigma == pytest.approx(ref_sigma, rel=2e-15)
+            assert abs(slope - ref_slope) <= 1e-14 * (1 + abs(ref_slope))
+
+    def test_empty(self):
+        rm, _ = projected_model(1)
+        sigmas, slopes = sigma_and_slope(rm, [], slope=True)
+        assert sigmas.shape == slopes.shape == (0,)
+        assert sigma_and_slope(rm, np.empty(0))[0].shape == (0,)
+
+    def test_singular_shift_in_batch(self):
+        # a pole at 2i: D(2i) = diag(0, 1 + 2i) is exactly singular
+        tf = descriptor_tf(np.eye(2), np.diag([2j, -1.0]), np.ones((2, 1)),
+                           np.ones((1, 2)))
+        for slope in (False, True):
+            with pytest.raises(SingularShift) as err:
+                sigma_and_slope(tf, [0.5, 1.0, 2.0, 3.0], slope=slope)
+            assert err.value.s == 2j
 
 
 class TestClassify:

@@ -10,7 +10,7 @@ import linfnorm.structured as structured
 from linfnorm.errors import DimensionMismatch, SingularShift
 from linfnorm.greedy import expansion_block
 from linfnorm.problems import delay_coupling_matrix, make_delay_fixture
-from linfnorm.reduced import sigma_max, sigma_max_derivative
+from linfnorm.reduced import sigma_and_slope, sigma_max
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
 from conftest import random_descriptor, siso_one_pole
@@ -343,8 +343,8 @@ class TestSolves:
             tf.solve_d_adjoint(1.5j, np.ones((tf.n, tf.p)))
             assert vars(tf) == state
             for omega in (0.0, 0.7, 3.1):
-                assert (sigma_max_derivative(tf, omega).sigma
-                        == sigma_max(tf, omega))
+                sigma, _ = sigma_and_slope(tf, [omega], slope=True)
+                assert sigma[0] == sigma_max(tf, omega)
 
 
 def _mixed_pattern_factor(n, seed, reach=1):
