@@ -146,15 +146,22 @@ def expansion_block(tf: StructuredTF, omega: float, mode: str = FULL):
 def _append_orthonormal(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Classical Gram-Schmidt, twice (CGS2): each block column is projected
     out of the current basis in two passes and appended unless it fails the
-    dependency check.  The columns of ``basis`` are never written."""
-    q = basis
+    dependency check.  The columns of ``basis`` are never written.
+
+    The basis is kept Fortran-ordered, so each basis column is contiguous
+    and a pass is two numpy calls, ``vecdot`` (every column with the vector)
+    and ``vecmat`` (the combination of the columns).  A BLAS matrix-vector
+    product hands half of its work to a second thread from about 4000
+    basis entries and, when the other core is busy, waits milliseconds for
+    it; these two calls stay on one thread well beyond that."""
+    q = np.asfortranarray(basis)
     for v in block.T:
         pre = np.linalg.norm(v)
         for _ in range(2):
-            v = v - q @ (v.conj() @ q).conj()
+            v = v - np.vecmat(np.vecdot(q.T, v).conj(), q.T)
         nrm = np.linalg.norm(v)
         if nrm >= DEFLATION_TOL * (pre + 1.0):
-            q = np.column_stack((q, v / nrm))
+            q = np.concatenate((q, (v / nrm)[:, None]), axis=1)
     return q
 
 
@@ -189,13 +196,16 @@ def check_interpolation(tf: StructuredTF, state: SubspaceState,
     In full mode the matrix mismatch ||H - H_reduced|| at each point is
     reported; in dominant mode only the one-sided sigma gap is meaningful.
     The slope mismatch is reported whenever sigma is simple on both sides.
+    The full function's slopes are taken one point at a time, so a dense
+    full-order D is held at one shift only; the reduced model's in one call.
     """
     report = []
     if not state.points:
         return report
     rm = project(tf, state.V, state.W)
     if mode == FULL:
-        _, slopes_full = sigma_and_slope(tf, state.points, slope=True)
+        slopes_full = [sigma_and_slope(tf, [omega], slope=True)[1][0]
+                       for omega in state.points]
         _, slopes_red = sigma_and_slope(rm, state.points, slope=True)
     for k, omega in enumerate(state.points):
         h = tf.eval(1j * omega)

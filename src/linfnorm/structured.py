@@ -98,14 +98,17 @@ class MatrixFactor:
     def is_real(self) -> bool:
         return not any(np.iscomplexobj(m) for _, m in self.terms)
 
-    def _combine(self, coeffs):
-        all_sparse = all(sp.issparse(m) for _, m in self.terms)
+    def _combine(self, coeffs, dense: bool = False):
+        """Sum of each coefficient matrix times its entry of coeffs, in term
+        order: sparse when every coefficient is and not ``dense``, else
+        dense.  Dense coeffs may be (k, 1, 1) arrays, which give a
+        (k, nrows, ncols) stack."""
+        sparse = not dense and all(sp.issparse(m) for _, m in self.terms)
         acc = None
         for c, (_, m) in zip(coeffs, self.terms):
-            contrib = (m * c) if all_sparse else (np.asarray(
-                m.todense() if sp.issparse(m) else m) * c)
+            contrib = (m * c) if sparse else _as_dense(m) * c
             acc = contrib if acc is None else acc + contrib
-        return acc.tocsc() if all_sparse else acc
+        return acc.tocsc() if sparse else acc
 
     def eval(self, s: complex):
         """Sum of term values times coefficients at the shift s."""
@@ -119,13 +122,10 @@ class MatrixFactor:
         """eval (or eval_derivative) at every shift, as a dense
         (len(shifts), nrows, ncols) stack; each layer is summed in eval's
         term order."""
-        acc = None
-        for t, m in self.terms:
-            scalar = t.derivative if derivative else t.value
-            c = np.array([scalar(s) for s in shifts])[:, None, None]
-            contrib = _as_dense(m) * c
-            acc = contrib if acc is None else acc + contrib
-        return acc
+        return self._combine(
+            [np.array([(t.derivative if derivative else t.value)(s)
+                       for s in shifts])[:, None, None]
+             for t, _ in self.terms], dense=True)
 
     def eval_tridiagonal(self, s: complex) -> np.ndarray:
         """eval at the shift s in the (3, n) storage of tridiagonal, which
@@ -328,8 +328,9 @@ class StructuredTF:
         """H at every shift as a (len(shifts), p, m) stack, and H' likewise
         with ``derivative`` (None without).
 
-        A dense D is assembled for all shifts at once and factored shift by
-        shift, with the singularity check of a single evaluation; a sparse D
+        A dense D is assembled for all shifts at once, len(shifts) n-by-n
+        layers (D' too with ``derivative``), and factored shift by shift,
+        with the singularity check of a single evaluation; a sparse D
         (a full-order function) goes shift by shift through
         eval_with_derivative.  Raises SingularShift with the first singular
         shift.  ``shifts`` must not be empty.

@@ -89,6 +89,16 @@ class TestExpand:
         assert new.dim == state.dim + (width if kept else 0)
         assert orthonormality_defect(new.V) <= 1e-12
 
+    def test_bases_are_fortran_ordered(self):
+        # contiguous columns for the CGS2 passes and for project's
+        # column-wise sparse products
+        tf = make_delay_fixture(50)
+        state = SubspaceState(V=np.eye(50)[:, :1], W=np.eye(50)[:, :1])
+        for omega in (0.5, 1.5, 2.5):
+            state = expand(state, *expansion_block(tf, omega), omega)
+        assert state.dim == 4
+        assert state.V.flags.f_contiguous and state.W.flags.f_contiguous
+
     def test_fresh_columns_grow_by_block_width(self):
         rng = np.random.default_rng(31)
         q, _ = np.linalg.qr(rng.standard_normal((10, 3)))
@@ -355,6 +365,25 @@ class TestCheckInterpolation:
         for state in res.states:
             for entry in check_interpolation(tf, state, mode=DOMINANT):
                 assert entry["sigma_gap"] >= -1e-10
+
+    def test_full_order_slopes_one_point_at_a_time(self, monkeypatch):
+        # a dense full-order D must not be stacked over all points at once
+        tf, interval = random_descriptor(30, 2, 2, seed=52)
+        state = SubspaceState.empty(tf.n)
+        for omega in (0.5, 1.5, 2.5, 3.5):
+            state = expand(state, *expansion_block(tf, omega), omega)
+        calls = []
+        eval_stack = StructuredTF.eval_stack
+
+        def spy(model, shifts, derivative=False):
+            calls.append((model is tf, len(shifts)))
+            return eval_stack(model, shifts, derivative)
+
+        monkeypatch.setattr(StructuredTF, "eval_stack", spy)
+        report = check_interpolation(tf, state)
+        assert len(report) == 4
+        assert [n for full, n in calls if full] == [1, 1, 1, 1]
+        assert [n for full, n in calls if not full] == [4]
 
     def test_empty_state_empty_report(self):
         tf = siso_one_pole()

@@ -59,6 +59,19 @@ class TestProject:
         hr = rm.eval(1j * omega)
         assert np.linalg.norm(h - hr, 2) <= 1e-10 * (1 + np.linalg.norm(h, 2))
 
+    def test_sparse_factors_on_fortran_bases(self):
+        # a sparse factor is multiplied one basis column at a time
+        tf = make_delay_fixture(40)
+        rng = np.random.default_rng(7)
+        v, _ = np.linalg.qr(rng.standard_normal((40, 3))
+                            + 1j * rng.standard_normal((40, 3)))
+        v = np.asfortranarray(v)
+        rm = project(tf, v, v)
+        for (_, m), (_, mr) in zip(tf.d_factor.terms, rm.d_factor.terms):
+            np.testing.assert_allclose(mr, v.conj().T @ (m.toarray() @ v),
+                                       rtol=0, atol=1e-12)
+        assert project(tf, v[:, :0], v[:, :0]).d_factor.shape == (0, 0)
+
     def test_unequal_columns_rejected(self):
         tf, _ = random_descriptor(6, 1, 1, seed=4)
         with pytest.raises(DimensionMismatch):
