@@ -178,7 +178,8 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return _cmd_oracle(args)
         return _cmd_bench(args)
-    except LinfNormError as err:
+    except (LinfNormError, ValueError) as err:
+        # ValueError: an option out of range for the problem or settings
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

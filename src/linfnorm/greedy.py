@@ -64,6 +64,16 @@ class RunConfig:
             raise ValueError(f"unknown subspace_policy {self.subspace_policy!r}")
 
 
+class _Blocks:
+    """The (n, capacity) Fortran blocks behind the V and W of the states
+    that expand returns.  Each such state views their first ``dim``
+    columns; ``used`` is the dim of the newest one, and expand writes only
+    from column ``used`` on, so no state that views the blocks changes."""
+
+    def __init__(self, V: np.ndarray, W: np.ndarray, used: int):
+        self.V, self.W, self.used = V, W, used
+
+
 @dataclass(frozen=True)
 class SubspaceState:
     """Orthonormal bases of equal column count and the frequencies at which
@@ -72,6 +82,7 @@ class SubspaceState:
     V: np.ndarray
     W: np.ndarray
     points: tuple = ()
+    _blocks: _Blocks | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -143,26 +154,48 @@ def expansion_block(tf: StructuredTF, omega: float, mode: str = FULL):
     return x @ h.conj().T, y
 
 
-def _append_orthonormal(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
+def _append_orthonormal(q: np.ndarray, k: int, block: np.ndarray) -> int:
     """Classical Gram-Schmidt, twice (CGS2): each block column is projected
-    out of the current basis in two passes and appended unless it fails the
-    dependency check.  The columns of ``basis`` are never written.
+    out of the first k columns of q in two passes and, unless it fails the
+    dependency check, written into q as column k, which k then counts.
+    Returns the final k; columns before the first k are never written.
 
-    The basis is kept Fortran-ordered, so each basis column is contiguous
-    and a pass is two numpy calls, ``vecdot`` (every column with the vector)
-    and ``vecmat`` (the combination of the columns).  A BLAS matrix-vector
+    q is Fortran-ordered, so each basis column is contiguous and a pass is
+    two numpy calls, ``vecdot`` (every column with the vector) and
+    ``vecmat`` (the combination of the columns).  A BLAS matrix-vector
     product hands half of its work to a second thread from about 4000
     basis entries and, when the other core is busy, waits milliseconds for
     it; these two calls stay on one thread well beyond that."""
-    q = np.asfortranarray(basis)
     for v in block.T:
         pre = np.linalg.norm(v)
+        basis = q[:, :k].T
         for _ in range(2):
-            v = v - np.vecmat(np.vecdot(q.T, v).conj(), q.T)
+            v = v - np.vecmat(np.vecdot(basis, v).conj(), basis)
         nrm = np.linalg.norm(v)
         if nrm >= DEFLATION_TOL * (pre + 1.0):
-            q = np.concatenate((q, (v / nrm)[:, None]), axis=1)
-    return q
+            q[:, k] = v / nrm
+            k += 1
+    return k
+
+
+def _blocks_for(state: SubspaceState, Vb: np.ndarray,
+                Wb: np.ndarray) -> _Blocks:
+    """The blocks that expand writes state's new columns into: state's own
+    when it is their newest holder and they have the room and dtype, else
+    new blocks of twice the needed capacity holding a copy of its bases."""
+    dim = state.dim
+    needed = dim + max(Vb.shape[1], Wb.shape[1])
+    dtype = np.result_type(state.V, state.W, Vb, Wb)
+    blocks = state._blocks
+    if (blocks is not None and blocks.used == dim
+            and state.V.base is blocks.V and state.W.base is blocks.W
+            and blocks.V.shape[1] >= needed and blocks.V.dtype == dtype):
+        return blocks
+    shape = (state.V.shape[0], 2 * needed)
+    blocks = _Blocks(np.empty(shape, dtype=dtype, order="F"),
+                     np.empty(shape, dtype=dtype, order="F"), used=dim)
+    blocks.V[:, :dim], blocks.W[:, :dim] = state.V, state.W
+    return blocks
 
 
 def expand(state: SubspaceState, Vb: np.ndarray, Wb: np.ndarray,
@@ -170,11 +203,14 @@ def expand(state: SubspaceState, Vb: np.ndarray, Wb: np.ndarray,
     """A new state with the snapshot blocks taken at omega appended and
     omega recorded; the input state is left as it is.
 
-    Nearly dependent directions are dropped; if the drops leave the two
-    bases with unequal column counts, the newest surviving columns of the
-    larger basis are removed until the counts match.  A fully degenerate
-    expansion leaves the dimension unchanged.  Each block must be 2-D with
-    one row per basis row.
+    The new columns go in place into the blocks behind the input state
+    when it is the newest state expanded from them; any other state (a
+    second expansion of one state, a state built by hand) is copied into
+    new blocks first.  Nearly dependent directions are dropped; if the
+    drops leave the two bases with unequal column counts, the newest
+    surviving columns of the larger basis are removed until the counts
+    match.  A fully degenerate expansion leaves the dimension unchanged.
+    Each block must be 2-D with one row per basis row.
     """
     n = state.V.shape[0]
     for block in (Vb, Wb):
@@ -182,11 +218,12 @@ def expand(state: SubspaceState, Vb: np.ndarray, Wb: np.ndarray,
             raise DimensionMismatch(
                 f"expansion blocks must be 2-D with {n} rows, "
                 f"got shape {block.shape}")
-    v_new = _append_orthonormal(state.V, Vb)
-    w_new = _append_orthonormal(state.W, Wb)
-    common = min(v_new.shape[1], w_new.shape[1])
-    return SubspaceState(V=v_new[:, :common], W=w_new[:, :common],
-                         points=state.points + (omega,))
+    blocks = _blocks_for(state, Vb, Wb)
+    blocks.used = min(_append_orthonormal(blocks.V, state.dim, Vb),
+                      _append_orthonormal(blocks.W, state.dim, Wb))
+    return SubspaceState(V=blocks.V[:, :blocks.used],
+                         W=blocks.W[:, :blocks.used],
+                         points=state.points + (omega,), _blocks=blocks)
 
 
 def check_interpolation(tf: StructuredTF, state: SubspaceState,
@@ -306,9 +343,10 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     stop_reason = MAX_ITERATIONS
     w_new, sigma_red = state.points[0], 0.0
     repaired = False
+    prior = None    # the model of the state that expand grew into this one
 
     for _ in range(cfg.r_max):
-        rm = project(tf, state.V, state.W)
+        rm = project(tf, state.V, state.W, prior)
         try:
             res = maximize(rm, search_cfg, state.points)
         except UnboundedOnAxis:
@@ -322,7 +360,7 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
             repaired = True
             mid = 0.5 * sum(inner_cfg.interval)
             vb, wb = expansion_block(tf, mid, cfg.expansion_mode)
-            state = expand(state, vb, wb, mid)
+            state, prior = expand(state, vb, wb, mid), rm
             continue
         w_new, sigma_red = res.omega_opt, res.value
         if prev_omega is not None:
@@ -364,11 +402,11 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
         grown = expand(state, vb, wb, w_expand)
         if grown.dim == state.dim:
             history[-1]["stagnated"] = True
-        state = grown
+        state, prior = grown, rm
         if cfg.subspace_policy == LAST_TWO:
             recent_blocks = recent_blocks[-1:] + [(vb, wb, w_expand)]
             if len(recent_blocks) == 2:
-                state = SubspaceState.empty(tf.n)
+                state, prior = SubspaceState.empty(tf.n), None
                 for block in recent_blocks:
                     state = expand(state, *block)
         prev_omega = w_new

@@ -42,25 +42,61 @@ def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.vecdot(X.T[:, None, :], Y.T)
 
 
-def _project_factor(factor, V=None, W=None) -> MatrixFactor:
+def _times(mat, X: np.ndarray) -> np.ndarray:
+    """mat @ X as a dense array."""
+    return _sparse_times(mat, X) if sp.issparse(mat) else _as_dense(mat) @ X
+
+
+def _adjoint_times(mat, X: np.ndarray) -> np.ndarray:
+    """mat^* @ X as a dense array; a sparse mat is transposed without a
+    copy, and conjugated only when complex."""
+    if sp.issparse(mat):
+        return _sparse_times(mat.conj(copy=False).T, X)
+    return _inner(_as_dense(mat), X)
+
+
+def _project_factor(factor, prior, k: int, V=None, W=None) -> MatrixFactor:
+    """The coefficients of factor projected: C_j V without W, W^* B_j
+    without V, W^* D_j V with both.  ``prior`` is the projected factor of
+    the first k columns of V and W, or None with k = 0; only the rows and
+    columns past k are computed."""
     projected = []
-    for term, mat in factor.terms:
+    for j, (term, mat) in enumerate(factor.terms):
+        old = None if prior is None else prior.terms[j][1]
         if W is None:    # C_j V, p rows
-            out = (_sparse_times(mat, V) if sp.issparse(mat)
-                   else _inner(_as_dense(mat).conj().T, V))
+            new = (_sparse_times(mat, V[:, k:]) if sp.issparse(mat)
+                   else _inner(_as_dense(mat).conj().T, V[:, k:]))
+            out = new if old is None else np.concatenate((old, new), axis=1)
         elif V is None:  # W^* B_j, m columns
-            out = _inner(W, _as_dense(mat))
+            new = _inner(W[:, k:], _as_dense(mat))
+            out = new if old is None else np.concatenate((old, new), axis=0)
         else:
-            # D V before W^*: the other order raised delay_sparse's peak
-            # RSS by 8 MB, through the allocator's reuse of freed blocks
-            out = _sparse_times(mat, V) if sp.issparse(mat) else mat @ V
-            out = W.conj().T @ _as_dense(out)
+            # D_j V before W^*, and not kept past this product: the other
+            # order raised delay_sparse's peak RSS by 8 MB, through the
+            # allocator's reuse of freed blocks, and keeping D_j V until the
+            # next term's product raised it by 20 MB
+            new = out = _inner(W, _times(mat, V[:, k:]))
+            if old is not None:
+                out = np.empty((W.shape[1], V.shape[1]),
+                               dtype=np.result_type(old, new))
+                out[:k, :k] = old
+                out[:, k:] = new
+                # W_new^* D_j V_old = (V_old^* (D_j^* W_new))^*
+                out[k:, :k] = _inner(
+                    V[:, :k], _adjoint_times(mat, W[:, k:])).conj().T
         projected.append((term, out))
     return MatrixFactor(projected)
 
 
-def project(tf: StructuredTF, V: np.ndarray, W: np.ndarray) -> StructuredTF:
-    """Coefficient-wise Petrov-Galerkin projection onto Col(V), Col(W)."""
+def project(tf: StructuredTF, V: np.ndarray, W: np.ndarray,
+            prior: StructuredTF | None = None) -> StructuredTF:
+    """Coefficient-wise Petrov-Galerkin projection onto Col(V), Col(W).
+
+    ``prior`` is the projection of tf onto the first k columns of V and W,
+    such as the model of a state that expand has grown into this one.  With
+    it only the new rows and columns are computed: per new column and term
+    of the D factor, one product with D_j and one with D_j^*, instead of
+    one per column."""
     V = np.atleast_2d(np.asarray(V))
     W = np.atleast_2d(np.asarray(W))
     if V.shape[1] != W.shape[1]:
@@ -68,10 +104,16 @@ def project(tf: StructuredTF, V: np.ndarray, W: np.ndarray) -> StructuredTF:
             f"V and W must have equal column counts, got {V.shape[1]} and {W.shape[1]}")
     if V.shape[0] != tf.n or W.shape[0] != tf.n:
         raise DimensionMismatch("projection bases must have n rows")
+    k = 0 if prior is None else prior.n
+    if k > V.shape[1]:
+        raise DimensionMismatch(
+            f"the prior model has {k} columns, more than the {V.shape[1]} of V")
+    old = (None,) * 3 if prior is None else (
+        prior.c_factor, prior.d_factor, prior.b_factor)
     return StructuredTF(
-        _project_factor(tf.c_factor, V=V),
-        _project_factor(tf.d_factor, V=V, W=W),
-        _project_factor(tf.b_factor, W=W),
+        _project_factor(tf.c_factor, old[0], k, V=V),
+        _project_factor(tf.d_factor, old[1], k, V=V, W=W),
+        _project_factor(tf.b_factor, old[2], k, W=W),
     )
 
 

@@ -73,6 +73,7 @@ class MatrixFactor:
         self.terms = terms
         self.shape = shape
         self._tridiagonal = _UNSET
+        self._bands = None
 
     @property
     def tridiagonal(self) -> tuple | None:
@@ -129,12 +130,27 @@ class MatrixFactor:
 
     def eval_tridiagonal(self, s: complex) -> np.ndarray:
         """eval at the shift s in the (3, n) storage of tridiagonal, which
-        must not be None: each term's stored values times its scalar, added
-        in term order."""
-        n = self.ncols
-        ab = np.zeros(3 * n, dtype=np.complex128)
-        for (t, m), pos in zip(self.terms, self.tridiagonal):
-            np.add.at(ab, pos, _stored_values(m) * t.value(s))
+        must not be None: each term's band, its stored values scattered
+        into that storage on the first call, times its scalar, added in
+        term order.  Real bands are summed with real multiplies, once with
+        the real and once with the imaginary parts of the scalars: the
+        same values that complex arithmetic gives, with half the work."""
+        if self._bands is None:
+            self._bands = _tridiagonal_bands(self.terms, self.tridiagonal,
+                                             self.ncols)
+        bands, n = self._bands, self.ncols
+        coeffs = [t.value(s) for t, _ in self.terms]
+        if np.iscomplexobj(bands):
+            ab = bands[0] * coeffs[0]
+            for band, c in zip(bands[1:], coeffs[1:]):
+                ab += band * c
+            return ab.reshape(3, n)
+        parts = np.array([(c.real, c.imag) for c in coeffs])[:, :, None]
+        halves = bands[0] * parts[0]    # (2, 3n): real and imaginary part
+        for band, part in zip(bands[1:], parts[1:]):
+            halves += band * part
+        ab = np.empty(3 * n, dtype=np.complex128)
+        ab.real, ab.imag = halves
         return ab.reshape(3, n)
 
     def scalar_signature(self):
@@ -146,6 +162,17 @@ def _stored_values(m) -> np.ndarray:
     """The values of a sparse m in the order of m.tocoo(), uncopied for
     CSC, CSR and COO."""
     return m.data if m.format in ("csc", "csr", "coo") else m.tocoo().data
+
+
+def _tridiagonal_bands(terms, positions, n: int) -> np.ndarray:
+    """Per term, its stored values scattered into the flat (3, n) storage
+    at its tridiagonal positions, duplicates summed: a (terms, 3n) array,
+    real unless a term is complex."""
+    dtype = np.result_type(*(m.dtype for _, m in terms), np.float64)
+    bands = np.zeros((len(terms), 3 * n), dtype=dtype)
+    for band, (_, m), pos in zip(bands, terms, positions):
+        np.add.at(band, pos, _stored_values(m))
+    return bands
 
 
 def _tridiagonal_positions(terms, n: int) -> tuple | None:
@@ -250,11 +277,11 @@ class StructuredTF:
     """The triple (C-factor, D-factor, B-factor) with dimensions (p, n, m).
 
     Holds no factorization between calls, so concurrent evaluation is safe.
-    The only thing kept is the D factor's tridiagonal positions, which do
-    not depend on the shift; a concurrent first call computes them twice,
-    harmlessly.  A sparse D(s) goes to the tridiagonal LU when the factor
-    has tridiagonal positions and to SuperLU otherwise; a dense D(s) gets
-    a LAPACK LU.
+    The only things kept are the D factor's tridiagonal positions and its
+    per-term bands, which do not depend on the shift; a concurrent first
+    call computes them twice, harmlessly.  A sparse D(s) goes to the
+    tridiagonal LU when the factor has tridiagonal positions and to SuperLU
+    otherwise; a dense D(s) gets a LAPACK LU.
     """
 
     def __init__(self, c_factor: MatrixFactor, d_factor: MatrixFactor,

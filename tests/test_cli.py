@@ -158,6 +158,23 @@ class TestUsageErrors:
         assert main([]) == EXIT_ERROR
         capsys.readouterr()
 
+    @pytest.mark.parametrize("args", [
+        ["bench", "delay", "--n", "1"],
+        ["bench", "delay", "--n", "50", "--r0", "0"],
+        ["bench", "delay", "--n", "50", "--gamma", "5"],
+        ["norm", "MANIFEST", "--omega-max", "5", "--eps", "0"],
+        ["norm", "MANIFEST", "--omega-max", "5", "--interval", "5", "1"],
+        ["oracle", "MANIFEST", "--interval", "0", "5", "--npoints", "0"],
+    ])
+    def test_invalid_numeric_option(self, args, tmp_path, capsys):
+        manifest = str(one_pole_manifest(tmp_path))
+        code = main([manifest if a == "MANIFEST" else a for a in args])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestReportRoundTrip:
     def test_to_from_dict(self, tmp_path):

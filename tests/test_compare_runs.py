@@ -1,0 +1,77 @@
+"""Tests for tools/compare_runs.py on small synthetic benchmark outputs."""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_runs.py"
+
+
+@pytest.fixture(scope="module")
+def compare_runs():
+    spec = importlib.util.spec_from_file_location("compare_runs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(norms, omegas, iterations, failed):
+    """A trace0 file's fields that the tool reads, one job per entry."""
+    return {
+        "counts": {"jobs": [{"iterations": k, "basis_dim": 10 + k}
+                            for k in iterations]},
+        "jobs": [{"label": f"job {i}", "norm": x, "omega": w, "failed": f}
+                 for i, (x, w, f) in enumerate(zip(norms, omegas, failed))],
+    }
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_equal_runs(compare_runs, tmp_path, capsys):
+    doc = _run([0.5, float("nan")], [1.0, 0.0], [3, 4], [False, True])
+    a = _write(tmp_path, "a.json", doc)
+    b = _write(tmp_path, "b.json", doc)
+    assert compare_runs.main([a, b]) == 0
+    out = capsys.readouterr().out
+    assert "max relative norm difference: 0" in out
+    assert "0 job(s) differ" in out
+
+
+def test_differences_are_reported(compare_runs, tmp_path, capsys):
+    a = _write(tmp_path, "a.json",
+               _run([0.5, 2.0, 1.0], [1.0, 2.0, 3.0], [3, 4, 5],
+                    [False, False, False]))
+    b = _write(tmp_path, "b.json",
+               _run([0.5 * (1 + 1e-13), 2.0, 0.9], [1.0, 2.0 + 2e-9, 3.0],
+                    [3, 6, 5], [False, False, True]))
+    assert compare_runs.main([a, b]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "max relative norm difference: 0.1"
+    assert lines[1] == "max relative omega difference: 1e-09"
+    assert lines[2:] == [
+        "DIFFERS job 1: basis_dim 14 -> 16, iterations 4 -> 6",
+        "DIFFERS job 2: failed False -> True",
+        "2 job(s) differ in counts or failed flag"]
+
+
+def test_relative_difference(compare_runs):
+    rel = compare_runs.relative_difference
+    assert rel(0.0, 0.0) == 0.0
+    assert rel(float("nan"), float("nan")) == 0.0
+    assert math.isinf(rel(1.0, float("nan")))
+    assert rel(2.0, 1.0) == 0.5
+
+
+def test_different_job_lists(compare_runs, tmp_path, capsys):
+    a = _write(tmp_path, "a.json", _run([0.5], [1.0], [3], [False]))
+    b = _write(tmp_path, "b.json", _run([0.5, 0.6], [1.0, 1.0], [3, 3],
+                                        [False, False]))
+    assert compare_runs.main([a, b]) == 1
+    assert "different jobs" in capsys.readouterr().out

@@ -1,11 +1,13 @@
 """Tests for subspace expansion and the outer greedy iteration."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 import linfnorm.greedy as greedy
+import linfnorm.reduced as reduced
 from linfnorm.errors import (AllShiftsSingular, DimensionMismatch,
                              UnboundedOnAxis)
 from linfnorm.greedy import (CONVERGED, DOMINANT, LAST_TWO, MAX_ITERATIONS,
@@ -153,6 +155,62 @@ class TestExpand:
         assert new.dim == 5
         np.testing.assert_array_equal(new.V[:, :3], v0)
 
+    def test_two_expansions_of_one_state_are_independent(self):
+        # the second expansion of a state finds its blocks taken by the
+        # first child, so it copies them; the first child stays as it was
+        rng = np.random.default_rng(36)
+        state = SubspaceState.empty(20)
+        for k in range(3):
+            block = rng.standard_normal((20, 1)) + 1j * rng.standard_normal((20, 1))
+            state = expand(state, block, block.conj(), float(k))
+        first = expand(state, rng.standard_normal((20, 2)),
+                       rng.standard_normal((20, 2)), 3.0)
+        v1, w1 = first.V.copy(), first.W.copy()
+        second = expand(state, rng.standard_normal((20, 2)),
+                        rng.standard_normal((20, 2)), 4.0)
+        assert first.dim == second.dim == 5
+        np.testing.assert_array_equal(first.V, v1)
+        np.testing.assert_array_equal(first.W, w1)
+        np.testing.assert_array_equal(second.V[:, :3], state.V)
+        np.testing.assert_array_equal(second.W[:, :3], state.W)
+        assert not np.shares_memory(first.V, second.V)
+        assert np.linalg.norm(second.V[:, 3:] - v1[:, 3:]) > 0.1
+        # both children keep growing without touching the other
+        v2 = second.V.copy()
+        grand = expand(first, rng.standard_normal((20, 1)),
+                       rng.standard_normal((20, 1)), 5.0)
+        assert grand.dim == 6
+        np.testing.assert_array_equal(second.V, v2)
+        np.testing.assert_array_equal(first.V, v1)
+
+    def test_user_built_c_ordered_float_state(self):
+        rng = np.random.default_rng(37)
+        q = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((12, 3)))[0])
+        assert q.flags.c_contiguous and not q.flags.f_contiguous
+        state = SubspaceState(V=q, W=q.copy())
+        block = rng.standard_normal((12, 1)) + 1j * rng.standard_normal((12, 1))
+        new = expand(state, block, block, 1.0)
+        assert new.dim == 4
+        assert new.V.flags.f_contiguous and new.W.flags.f_contiguous
+        np.testing.assert_array_equal(new.V[:, :3], q)
+        np.testing.assert_array_equal(state.V, q)
+        assert orthonormality_defect(new.V) <= 1e-12
+
+    def test_replaced_bases_are_expanded(self):
+        # a state made by dataclasses.replace from an expanded one carries
+        # its blocks along, but not its bases: it is expanded from its own
+        rng = np.random.default_rng(38)
+        state = expand(SubspaceState.empty(12), rng.standard_normal((12, 3)),
+                       rng.standard_normal((12, 3)), 0.0)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 3))
+                            + 1j * rng.standard_normal((12, 3)))
+        block = rng.standard_normal((12, 1))
+        new = expand(dataclasses.replace(state, V=q, W=q.copy()),
+                     block, block, 1.0)
+        np.testing.assert_array_equal(new.V[:, :3], q)
+        np.testing.assert_array_equal(new.W[:, :3], q)
+        assert orthonormality_defect(new.V) <= 1e-12
+
 
 class TestRun:
     def test_trivial_converges_immediately(self):
@@ -216,6 +274,77 @@ class TestRun:
         omegas = [h["omega"] for h in res.history]
         for k in range(2, len(res.states)):
             assert res.states[k].points == tuple(omegas[k - 2:k])
+
+    def test_kept_states_never_change(self, monkeypatch):
+        # the states run() keeps view the blocks that later expansions
+        # write into; each must still hold what it held when it was kept
+        taken = []
+        inner_project = greedy.project
+
+        def copying(tf, V, W, *args):
+            taken.append((V.copy(), W.copy()))
+            return inner_project(tf, V, W, *args)
+
+        monkeypatch.setattr(greedy, "project", copying)
+        monkeypatch.setattr(greedy, "dominant_frequencies", lambda tf: ())
+        tf, interval = random_descriptor(50, 2, 2, seed=46)
+        cfg = RunConfig(omega_max=interval[1], r0=4, keep_states=True,
+                        eps=1e-12, inner=InnerConfig(interval=interval))
+        res = run(tf, cfg)
+        assert len(res.states) == len(taken) == 5
+        for state, (v, w) in zip(res.states, taken):
+            np.testing.assert_array_equal(state.V, v)
+            np.testing.assert_array_equal(state.W, w)
+
+    def test_projection_is_bordered(self, monkeypatch):
+        # one projection from scratch; after it, each sparse product of
+        # the projection is with a new column: one with D_j, one with D_j^*
+        calls = []
+        inner_project = greedy.project
+        sparse_times = reduced._sparse_times
+
+        def spy_project(tf, V, W, prior=None):
+            calls.append({"dim": V.shape[1],
+                          "prior": None if prior is None else prior.n,
+                          "cols": 0})
+            return inner_project(tf, V, W, prior)
+
+        def spy_times(mat, X):
+            calls[-1]["cols"] += X.shape[1]
+            return sparse_times(mat, X)
+
+        monkeypatch.setattr(greedy, "project", spy_project)
+        monkeypatch.setattr(reduced, "_sparse_times", spy_times)
+        tf = make_delay_fixture(2000)
+        res = run(tf, RunConfig(omega_max=50.0, inner=InnerConfig(
+            interval=(0.0, 50.0), curvature_bound=-100.0)))
+        assert res.converged and len(calls) >= 2
+        terms = len(tf.d_factor.terms)
+        assert calls[0]["prior"] is None
+        assert calls[0]["cols"] == terms * calls[0]["dim"]
+        for before, call in zip(calls, calls[1:]):
+            assert call["prior"] == before["dim"]
+            assert call["cols"] == 2 * terms * (call["dim"] - before["dim"])
+
+    def test_last_two_rebuilds_project_from_scratch(self, monkeypatch):
+        monkeypatch.setattr(greedy, "dominant_frequencies", lambda tf: ())
+        priors = []
+        inner_project = greedy.project
+
+        def spy_project(tf, V, W, prior=None):
+            priors.append(prior)
+            return inner_project(tf, V, W, prior)
+
+        monkeypatch.setattr(greedy, "project", spy_project)
+        tf, interval = random_descriptor(60, 1, 1, seed=43)
+        res = run(tf, RunConfig(omega_max=interval[1], r0=15,
+                                subspace_policy=LAST_TWO, keep_states=True,
+                                inner=InnerConfig(interval=interval)))
+        # the first expansion grows the initial state; every later one is
+        # followed by a rebuild from the last two blocks
+        assert [len(st.points) for st in res.states] == [15, 16, 2, 2]
+        assert priors[0] is None and priors[1] is not None
+        assert priors[2:] == [None] * (len(priors) - 2)
 
     def test_monotone_span_with_keepall(self):
         tf, interval = random_descriptor(50, 1, 1, seed=44)

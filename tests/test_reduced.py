@@ -78,6 +78,100 @@ class TestProject:
             project(tf, np.eye(6)[:, :3], np.eye(6)[:, :2])
 
 
+def _coefficient(rng, shape, fmt, cplx):
+    """A random coefficient matrix: dense, or sparse in format fmt."""
+    if fmt == "dense":
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if cplx else x
+    m = sp.random(*shape, density=0.3, random_state=rng, format=fmt)
+    if cplx:
+        m = m.astype(complex)
+        m.data += 1j * rng.standard_normal(m.data.shape)
+    return m
+
+
+def _two_term_tf(n, width, fmt, cplx, seed):
+    """H(s) = C(s) D(s)^{-1} B(s) with two terms in every factor, every
+    coefficient in format fmt, m = p = width."""
+    rng = np.random.default_rng(seed)
+
+    def factor(shape, terms):
+        return MatrixFactor([(t, _coefficient(rng, shape, fmt, cplx))
+                             for t in terms])
+    return StructuredTF(
+        c_factor=factor((width, n), (ScalarTerm(), ScalarTerm(delay=0.5))),
+        d_factor=factor((n, n), (ScalarTerm(degree=1),
+                                 ScalarTerm(delay=1.0))),
+        b_factor=factor((n, width), (ScalarTerm(), ScalarTerm(degree=1))))
+
+
+def _assert_same_model(bordered, scratch):
+    """Every projected coefficient agrees to 1e-13 relative."""
+    for fb, fs in ((bordered.c_factor, scratch.c_factor),
+                   (bordered.d_factor, scratch.d_factor),
+                   (bordered.b_factor, scratch.b_factor)):
+        assert len(fb.terms) == len(fs.terms)
+        for (tb, mb), (ts, ms) in zip(fb.terms, fs.terms):
+            assert tb == ts
+            assert mb.shape == ms.shape
+            assert np.linalg.norm(mb - ms) <= 1e-13 * np.linalg.norm(ms)
+
+
+def _random_block(rng, n, width):
+    return rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+
+
+class TestBorderedProject:
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("fmt", ["dense", "csc", "csr", "coo"])
+    def test_matches_from_scratch(self, fmt, cplx, width):
+        n = 30
+        tf = _two_term_tf(n, width, fmt, cplx, seed=60)
+        rng = np.random.default_rng(61)
+        state = SubspaceState.empty(n)
+        models = []
+        for k in range(4):
+            prior = models[-1] if models else None
+            models.append(project(tf, state.V, state.W, prior))
+            _assert_same_model(models[-1], project(tf, state.V, state.W))
+            state = expand(state, _random_block(rng, n, width),
+                           _random_block(rng, n, width), float(k))
+        assert state.dim == 4 * width
+
+    def test_delay_factor(self):
+        n = 200
+        tf = make_delay_fixture(n)
+        state = SubspaceState.empty(n)
+        rm = None
+        for omega in (0.0, 1.5, 3.0, 4.5, 6.0):
+            state = expand(state, *expansion_block(tf, omega), omega)
+            rm = project(tf, state.V, state.W, rm)
+            _assert_same_model(rm, project(tf, state.V, state.W))
+        assert rm.n == 5
+
+    def test_rebalanced_expansion(self):
+        # the V block has one column in the span, the W block none: the
+        # newest W column is removed and the state grows by one column
+        n = 30
+        tf = _two_term_tf(n, 2, "csc", True, seed=62)
+        rng = np.random.default_rng(63)
+        state = expand(SubspaceState.empty(n), _random_block(rng, n, 3),
+                       _random_block(rng, n, 3), 0.0)
+        prior = project(tf, state.V, state.W)
+        vb = np.column_stack((state.V[:, 0] * 2.0, _random_block(rng, n, 1)))
+        grown = expand(state, vb, _random_block(rng, n, 2), 1.0)
+        assert grown.dim == state.dim + 1
+        _assert_same_model(project(tf, grown.V, grown.W, prior),
+                           project(tf, grown.V, grown.W))
+
+    def test_prior_wider_than_bases_rejected(self):
+        tf, _ = random_descriptor(6, 1, 1, seed=64)
+        prior = project(tf, np.eye(6)[:, :3], np.eye(6)[:, :3])
+        with pytest.raises(DimensionMismatch):
+            project(tf, np.eye(6)[:, :2], np.eye(6)[:, :2], prior)
+
+
 class TestSigmaMax:
     def test_one_pole_at_zero(self):
         assert sigma_max(siso_one_pole(), 0.0) == pytest.approx(1.0)

@@ -446,6 +446,48 @@ class TestTridiagonalPositions:
             np.testing.assert_array_equal(f.eval_tridiagonal(s), ab)
 
 
+    def test_complex_bands_match_csc_scatter(self):
+        # complex coefficients take the complex band path; terms on
+        # different diagonals, one real among them
+        n = 120
+        rng = np.random.default_rng(17)
+
+        def draw(k):
+            return rng.standard_normal(k) + 1j * rng.standard_normal(k)
+
+        off = [draw(n - 1), draw(n), draw(n - 1)]
+        f = MatrixFactor([
+            (ScalarTerm(degree=1), sp.diags(off, [-1, 0, 1], format="csc")),
+            (ScalarTerm(), sp.diags(rng.uniform(-1.0, 1.0, n), 0,
+                                    format="csc")),
+            (ScalarTerm(delay=0.5), sp.diags(draw(n - 1), 1, format="csc")),
+        ])
+        assert not f.is_real
+        for s in (0.0, 1j, 2.71j, 0.3 + 7j, 1 / 3):
+            d = f.eval(s)
+            cols = np.repeat(np.arange(n), np.diff(d.indptr))
+            ab = np.zeros((3, n), dtype=np.complex128)
+            ab[1 + d.indices - cols, cols] = d.data
+            np.testing.assert_array_equal(f.eval_tridiagonal(s), ab)
+
+    def test_bands_built_once_on_first_factorization(self, monkeypatch):
+        built = []
+        bands_of = structured._tridiagonal_bands
+
+        def counting(*args):
+            built.append(args)
+            return bands_of(*args)
+
+        monkeypatch.setattr(structured, "_tridiagonal_bands", counting)
+        tf = make_delay_fixture(50)
+        assert built == []
+        for s in (0.0, 1j, 2j):
+            tf.eval(s)
+        assert len(built) == 1
+        assert tf.d_factor._bands.shape == (3, 150)
+        assert tf.d_factor._bands.dtype == np.float64
+
+
 class TestEvalH:
     def test_scalar(self, one_pole):
         assert one_pole.eval(2.0)[0, 0] == pytest.approx(1 / 3)

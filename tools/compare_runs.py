@@ -1,0 +1,74 @@
+"""Compare the outputs of two benchmark runs of one workload and seed.
+
+Usage: python tools/compare_runs.py A.json B.json
+
+A and B are ``.bench_out/<workload>-seed<seed>-trace0.json`` files written
+by ``bench/run.py``, for instance by two versions of the code.  Prints the
+largest relative difference of the jobs' norms and of their omegas, then
+every job whose deterministic counts (iterations, basis dimension, inner
+evaluations, ...) or failed flag differ.  Exits with 1 when a job differs
+in those, or when the two runs do not hold the same jobs, else 0.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+
+
+def relative_difference(a: float, b: float) -> float:
+    """|a - b| over the larger magnitude; 0 for two equal values (NaNs
+    included) and inf for one NaN."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if math.isnan(a) or math.isnan(b):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare(a: dict, b: dict) -> tuple[dict, list]:
+    """({"norm": ..., "omega": ...} largest relative differences, lines
+    naming each job that differs in its counts or failed flag)."""
+    jobs_a, jobs_b = a["jobs"], b["jobs"]
+    labels_a = [j["label"] for j in jobs_a]
+    labels_b = [j["label"] for j in jobs_b]
+    if labels_a != labels_b:
+        return {}, [f"different jobs: {labels_a} vs {labels_b}"]
+    counts_a, counts_b = a["counts"]["jobs"], b["counts"]["jobs"]
+    worst = {"norm": 0.0, "omega": 0.0}
+    differ = []
+    for ja, jb, ca, cb in zip(jobs_a, jobs_b, counts_a, counts_b):
+        for key in worst:
+            worst[key] = max(worst[key], relative_difference(ja[key], jb[key]))
+        changed = sorted(k for k in ca.keys() | cb.keys()
+                         if ca.get(k) != cb.get(k))
+        if ja["failed"] != jb["failed"]:
+            changed.append("failed")
+        if changed:
+            differ.append(f"{ja['label']}: " + ", ".join(
+                f"{k} {ja[k] if k == 'failed' else ca.get(k)} -> "
+                f"{jb[k] if k == 'failed' else cb.get(k)}" for k in changed))
+    return worst, differ
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    runs = []
+    for path in argv:
+        with open(path) as fh:
+            runs.append(json.load(fh))
+    worst, differ = compare(*runs)
+    for key, value in worst.items():
+        print(f"max relative {key} difference: {value:.3g}")
+    for line in differ:
+        print(f"DIFFERS {line}")
+    print(f"{len(differ)} job(s) differ in counts or failed flag")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
