@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (AllShiftsSingular, DimensionMismatch, SingularShift,
                      UnboundedOnAxis)
 from .inner import InnerConfig, maximize
-from .reduced import dominant_frequencies, project, sigma_and_slope
+from .reduced import _svd_and_slope, dominant_frequencies, project
 from .structured import StructuredTF, _as_dense
 
 #: post-projection norm threshold for dropping dependent expansion directions
@@ -233,34 +233,33 @@ def check_interpolation(tf: StructuredTF, state: SubspaceState,
     In full mode the matrix mismatch ||H - H_reduced|| at each point is
     reported; in dominant mode only the one-sided sigma gap is meaningful.
     The slope mismatch is reported whenever sigma is simple on both sides.
-    The full function's slopes are taken one point at a time, so a dense
-    full-order D is held at one shift only; the reduced model's in one call.
+    Each point factors the full D once, for H and H' together, so a dense
+    full-order D is held at one shift only; the reduced model is evaluated
+    at every point in one call.
     """
     report = []
     if not state.points:
         return report
     rm = project(tf, state.V, state.W)
-    if mode == FULL:
-        slopes_full = [sigma_and_slope(tf, [omega], slope=True)[1][0]
-                       for omega in state.points]
-        _, slopes_red = sigma_and_slope(rm, state.points, slope=True)
+    full = mode == FULL
+    hr, hr_prime = rm.eval_stack([1j * w for w in state.points],
+                                 derivative=full)
+    svr, slopes_red = _svd_and_slope(hr, hr_prime)
     for k, omega in enumerate(state.points):
-        h = tf.eval(1j * omega)
-        hr = rm.eval(1j * omega)
-        sv = np.linalg.svd(h, compute_uv=False)
-        svr = np.linalg.svd(hr, compute_uv=False)
+        h, h_prime = tf.eval_stack([1j * omega], derivative=full)
+        sv, slope_full = _svd_and_slope(h, h_prime)
         entry = {
             "omega": omega,
-            "h_norm": float(sv[0]),
-            "matrix_mismatch": float(np.linalg.norm(h - hr, 2)),
-            "sigma_gap": float(svr[0] - sv[0]),
+            "h_norm": float(sv[0, 0]),
+            "matrix_mismatch": float(np.linalg.norm(h[0] - hr[k], 2)),
+            "sigma_gap": float(svr[k, 0] - sv[0, 0]),
         }
-        if mode == FULL:
-            entry["slope_full"] = float(slopes_full[k])
+        if full:
+            entry["slope_full"] = float(slope_full[0])
             entry["slope_reduced"] = float(slopes_red[k])
             entry["slope_mismatch"] = abs(entry["slope_full"]
                                           - entry["slope_reduced"])
-            entry["simple"] = _simple(sv) and _simple(svr)
+            entry["simple"] = _simple(sv[0]) and _simple(svr[k])
         report.append(entry)
     return report
 

@@ -39,11 +39,16 @@ def _load_factor(entries, base: Path, name: str, expected_shape):
     terms = []
     for entry in entries:
         try:
-            term = ScalarTerm(degree=int(entry.get("k", 0)),
-                              delay=float(entry.get("tau", 0.0)))
+            if not isinstance(entry, dict):
+                raise TypeError("a term must be a JSON object")
+            k = entry.get("k", 0)
+            if int(k) != k:
+                raise ValueError(f"k must be an integer, got {k}")
+            term = ScalarTerm(degree=int(k), delay=float(entry.get("tau", 0.0)))
             rel = entry["matrix"]
-        except (KeyError, TypeError, ValueError) as err:
-            raise ParseError(f"bad term in factor {name!r}: {entry}") from err
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
+            raise ParseError(
+                f"bad term in factor {name!r}: {entry} ({err})") from err
         mat = _load_matrix(base / rel)
         if mat.shape != expected_shape:
             raise DimensionMismatch(

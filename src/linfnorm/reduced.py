@@ -139,13 +139,20 @@ def sigma_and_slope(tf: StructuredTF, omegas, slope: bool = False):
     shifts = [1j * float(w) for w in omegas]
     if not shifts:
         return np.empty(0), (np.empty(0) if slope else None)
-    h, hprime = tf.eval_stack(shifts, derivative=slope)
+    svals, slopes = _svd_and_slope(*tf.eval_stack(shifts, derivative=slope))
+    return svals[:, 0], slopes
+
+
+def _svd_and_slope(h: np.ndarray, hprime: np.ndarray | None):
+    """Every singular value of each layer of the stack h, largest first, and
+    with hprime (H' at the same shifts) the slopes of sigma_and_slope; None
+    without."""
     u, svals, vh = np.linalg.svd(h)
-    if not slope:
-        return svals[:, 0], None
+    if hprime is None:
+        return svals, None
     w = u[:, :, :1].conj().swapaxes(1, 2)   # (k, 1, p)
     v = vh[:, :1, :].conj().swapaxes(1, 2)  # (k, m, 1)
-    return svals[:, 0], (w @ (1j * hprime) @ v)[:, 0, 0].real
+    return svals, (w @ (1j * hprime) @ v)[:, 0, 0].real
 
 
 def rational_realization(tf: StructuredTF):

@@ -9,6 +9,7 @@ adjoint solve it needs at the shift.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,9 @@ class ScalarTerm:
     def __post_init__(self):
         if self.degree < 0 or int(self.degree) != self.degree:
             raise ValueError(f"degree must be a nonnegative integer, got {self.degree}")
-        if self.delay < 0:
-            raise ValueError(f"delay must be nonnegative, got {self.delay}")
+        if not 0 <= self.delay < math.inf:
+            raise ValueError(
+                f"delay must be finite and nonnegative, got {self.delay}")
 
     def value(self, s: complex) -> complex:
         return s**self.degree * cmath.exp(-self.delay * s)
@@ -72,20 +74,20 @@ class MatrixFactor:
                 )
         self.terms = terms
         self.shape = shape
-        self._tridiagonal = _UNSET
-        self._bands = None
+        self._bands = _UNSET
 
     @property
-    def tridiagonal(self) -> tuple | None:
-        """Per term, the flat index of each stored value in the C-ordered
-        (3, n) storage of a tridiagonal factor: super-, main and subdiagonal,
-        each entry in its column.  Terms with one pattern share one array.
-        None unless every term is sparse with |i - j| <= 1 for every stored
-        entry and n >= 3 (scipy's zgttrf wrapper rejects n = 2).  Computed
-        on first use, then kept: it depends on the patterns only."""
-        if self._tridiagonal is _UNSET:
-            self._tridiagonal = _tridiagonal_positions(self.terms, self.ncols)
-        return self._tridiagonal
+    def bands(self) -> np.ndarray | None:
+        """Per term, its stored values scattered into the C-ordered (3, n)
+        storage of a tridiagonal factor (super-, main and subdiagonal, each
+        entry in its column), duplicates summed: a (terms, 3n) array, real
+        unless a term is complex.  None unless every term is sparse with
+        |i - j| <= 1 for every stored entry and n >= 3 (scipy's zgttrf
+        wrapper rejects n = 2).  Built on first use, then kept: it does not
+        depend on the shift."""
+        if self._bands is _UNSET:
+            self._bands = _tridiagonal_bands(self.terms, self.ncols)
+        return self._bands
 
     @property
     def nrows(self) -> int:
@@ -129,16 +131,12 @@ class MatrixFactor:
              for t, _ in self.terms], dense=True)
 
     def eval_tridiagonal(self, s: complex) -> np.ndarray:
-        """eval at the shift s in the (3, n) storage of tridiagonal, which
-        must not be None: each term's band, its stored values scattered
-        into that storage on the first call, times its scalar, added in
-        term order.  Real bands are summed with real multiplies, once with
-        the real and once with the imaginary parts of the scalars: the
-        same values that complex arithmetic gives, with half the work."""
-        if self._bands is None:
-            self._bands = _tridiagonal_bands(self.terms, self.tridiagonal,
-                                             self.ncols)
-        bands, n = self._bands, self.ncols
+        """eval at the shift s in the (3, n) storage of bands, which must
+        not be None: each term's band times its scalar, added in term order.
+        Real bands are summed with real multiplies, once with the real and
+        once with the imaginary parts of the scalars: the same values that
+        complex arithmetic gives, with half the work."""
+        bands, n = self.bands, self.ncols
         coeffs = [t.value(s) for t, _ in self.terms]
         if np.iscomplexobj(bands):
             ab = bands[0] * coeffs[0]
@@ -158,37 +156,20 @@ class MatrixFactor:
         return sorted((t.degree, t.delay) for t, _ in self.terms)
 
 
-def _stored_values(m) -> np.ndarray:
-    """The values of a sparse m in the order of m.tocoo(), uncopied for
-    CSC, CSR and COO."""
-    return m.data if m.format in ("csc", "csr", "coo") else m.tocoo().data
-
-
-def _tridiagonal_bands(terms, positions, n: int) -> np.ndarray:
-    """Per term, its stored values scattered into the flat (3, n) storage
-    at its tridiagonal positions, duplicates summed: a (terms, 3n) array,
-    real unless a term is complex."""
-    dtype = np.result_type(*(m.dtype for _, m in terms), np.float64)
-    bands = np.zeros((len(terms), 3 * n), dtype=dtype)
-    for band, (_, m), pos in zip(bands, terms, positions):
-        np.add.at(band, pos, _stored_values(m))
-    return bands
-
-
-def _tridiagonal_positions(terms, n: int) -> tuple | None:
-    """MatrixFactor.tridiagonal of a sum of terms with n columns."""
+def _tridiagonal_bands(terms, n: int) -> np.ndarray | None:
+    """MatrixFactor.bands of a sum of terms with n columns.  Every term's
+    pattern is checked before the bands are allocated."""
     if n < 3 or not all(sp.issparse(m) for _, m in terms):
         return None
-    dtype = np.int32 if 3 * n <= np.iinfo(np.int32).max else np.int64
-    positions = []
-    for coo in (m.tocoo() for _, m in terms):
-        r, c = coo.row.astype(np.int64), coo.col.astype(np.int64)
-        if np.any(np.abs(r - c) > 1):
-            return None
-        pos = ((1 + r - c) * n + c).astype(dtype)
-        pos = next((p for p in positions if np.array_equal(p, pos)), pos)
-        positions.append(pos)
-    return tuple(positions)
+    coos = [m.tocoo() for _, m in terms]
+    if any(np.any(np.abs(coo.row - coo.col) > 1) for coo in coos):
+        return None
+    dtype = np.result_type(*(coo.dtype for coo in coos), np.float64)
+    bands = np.zeros((len(coos), 3 * n), dtype=dtype)
+    for band, coo in zip(bands, coos):
+        row = coo.row.astype(np.int64)  # flat positions reach 3n
+        np.add.at(band, (1 + row - coo.col) * n + coo.col, coo.data)
+    return bands
 
 
 def _as_dense(m) -> np.ndarray:
@@ -277,10 +258,9 @@ class StructuredTF:
     """The triple (C-factor, D-factor, B-factor) with dimensions (p, n, m).
 
     Holds no factorization between calls, so concurrent evaluation is safe.
-    The only things kept are the D factor's tridiagonal positions and its
-    per-term bands, which do not depend on the shift; a concurrent first
-    call computes them twice, harmlessly.  A sparse D(s) goes to the
-    tridiagonal LU when the factor has tridiagonal positions and to SuperLU
+    The only thing kept is the D factor's bands, which do not depend on the
+    shift; a concurrent first call builds them twice, harmlessly.  A sparse
+    D(s) goes to the tridiagonal LU when the factor has bands and to SuperLU
     otherwise; a dense D(s) gets a LAPACK LU.
     """
 
@@ -315,7 +295,7 @@ class StructuredTF:
     def _factorization(self, s: complex):
         """A fresh LU of D(s); raises SingularShift if D(s) is singular."""
         s = complex(s)
-        if self.d_factor.tridiagonal is not None:
+        if self.d_factor.bands is not None:
             return _TridiagonalFactorization(
                 self.d_factor.eval_tridiagonal(s), s)
         d = self.d_factor.eval(s)
@@ -358,13 +338,15 @@ class StructuredTF:
         A dense D is assembled for all shifts at once, len(shifts) n-by-n
         layers (D' too with ``derivative``), and factored shift by shift,
         with the singularity check of a single evaluation; a sparse D
-        (a full-order function) goes shift by shift through
-        eval_with_derivative.  Raises SingularShift with the first singular
-        shift.  ``shifts`` must not be empty.
+        (a full-order function) goes shift by shift through eval, or through
+        eval_with_derivative with ``derivative``.  Raises SingularShift with
+        the first singular shift.  ``shifts`` must not be empty.
         """
         if all(sp.issparse(m) for _, m in self.d_factor.terms):
+            if not derivative:
+                return np.array([self.eval(s) for s in shifts]), None
             h, hprime = zip(*(self.eval_with_derivative(s) for s in shifts))
-            return np.array(h), np.array(hprime) if derivative else None
+            return np.array(h), np.array(hprime)
         d = self.d_factor.stack(shifts)
         b = self.b_factor.stack(shifts)
         c = self.c_factor.stack(shifts)

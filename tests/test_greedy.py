@@ -496,7 +496,9 @@ class TestCheckInterpolation:
                 assert entry["sigma_gap"] >= -1e-10
 
     def test_full_order_slopes_one_point_at_a_time(self, monkeypatch):
-        # a dense full-order D must not be stacked over all points at once
+        # a dense full-order D must not be stacked over all points at once,
+        # and H comes with its slope from one factorization per point: no
+        # separate StructuredTF.eval
         tf, interval = random_descriptor(30, 2, 2, seed=52)
         state = SubspaceState.empty(tf.n)
         for omega in (0.5, 1.5, 2.5, 3.5):
@@ -508,7 +510,11 @@ class TestCheckInterpolation:
             calls.append((model is tf, len(shifts)))
             return eval_stack(model, shifts, derivative)
 
+        def no_eval(model, s):
+            raise AssertionError("StructuredTF.eval called")
+
         monkeypatch.setattr(StructuredTF, "eval_stack", spy)
+        monkeypatch.setattr(StructuredTF, "eval", no_eval)
         report = check_interpolation(tf, state)
         assert len(report) == 4
         assert [n for full, n in calls if full] == [1, 1, 1, 1]

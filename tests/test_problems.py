@@ -73,6 +73,22 @@ class TestLoadProblem:
         with pytest.raises(ParseError, match="C_factor"):
             load_problem(path)
 
+    @pytest.mark.parametrize("term", [
+        {"k": 1.5, "matrix": "E.mtx"},
+        {"k": 1, "tau": float("nan"), "matrix": "E.mtx"},
+        {"k": 1, "tau": float("inf"), "matrix": "E.mtx"},
+        5,
+    ])
+    def test_bad_term_names_factor(self, tmp_path, term):
+        # not rounded to degree 1, nor loaded with a delay that makes every
+        # shift singular
+        path = one_pole_manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["D"][0] = term
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="D_factor"):
+            load_problem(path)
+
     def test_bad_mtx_reports_file(self, tmp_path):
         path = one_pole_manifest(tmp_path)
         (tmp_path / "B.mtx").write_text("not a matrix\n")

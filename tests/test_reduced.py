@@ -251,6 +251,22 @@ class TestSigmaAndSlope:
             assert sigma == pytest.approx(ref_sigma, rel=2e-15)
             assert abs(slope - ref_slope) <= 1e-14 * (1 + abs(ref_slope))
 
+    def test_sparse_full_order_without_slope(self, monkeypatch):
+        # a sparse D goes shift by shift; without slopes no derivative of
+        # any factor is assembled, and sigma is the same to the last bit
+        tf = make_delay_fixture(40)
+        omegas = [0.3, 3.07547, 7.0]
+        sigmas, _ = sigma_and_slope(tf, omegas, slope=True)
+
+        def no_derivative(factor, s):
+            raise AssertionError("eval_derivative called")
+
+        monkeypatch.setattr(MatrixFactor, "eval_derivative", no_derivative)
+        only_sigmas, none = sigma_and_slope(tf, omegas)
+        assert none is None
+        np.testing.assert_array_equal(only_sigmas, sigmas)
+        assert list(only_sigmas) == [sigma_max(tf, w) for w in omegas]
+
     def test_empty(self):
         rm, _ = projected_model(1)
         sigmas, slopes = sigma_and_slope(rm, [], slope=True)

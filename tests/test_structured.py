@@ -42,6 +42,11 @@ class TestScalarTerm:
         with pytest.raises(ValueError):
             ScalarTerm(delay=-0.5)
 
+    @pytest.mark.parametrize("delay", [np.inf, np.nan])
+    def test_rejects_nonfinite_delay(self, delay):
+        with pytest.raises(ValueError, match="finite"):
+            ScalarTerm(delay=delay)
+
     @given(k=st.integers(0, 4), tau=st.floats(0.0, 3.0),
            re=st.floats(-2.0, 2.0), im=st.floats(-5.0, 5.0))
     @settings(max_examples=200, deadline=None)
@@ -369,6 +374,20 @@ def _mixed_pattern_factor(n, seed, reach=1):
                          (ScalarTerm(delay=1.0), p), (ScalarTerm(), q)])
 
 
+@pytest.fixture
+def built_bands(monkeypatch):
+    """What each call of structured._tridiagonal_bands returned, in order."""
+    built = []
+    bands_of = structured._tridiagonal_bands
+
+    def counting(*args):
+        built.append(bands_of(*args))
+        return built[-1]
+
+    monkeypatch.setattr(structured, "_tridiagonal_bands", counting)
+    return built
+
+
 def _dense_eval(factor, s):
     return sum(t.value(s) * m.toarray() for t, m in factor.terms)
 
@@ -393,26 +412,6 @@ class TestTridiagonalPositions:
         for (_, m), arrays in zip(f.terms, before):
             for k, v in arrays.items():
                 np.testing.assert_array_equal(getattr(m, k), v)
-
-    def test_computed_once_and_shared(self, monkeypatch):
-        computed = []
-        layout_of = structured._tridiagonal_positions
-
-        def counting(*args):
-            computed.append(args)
-            return layout_of(*args)
-
-        monkeypatch.setattr(structured, "_tridiagonal_positions", counting)
-        tf = make_delay_fixture(50)
-        positions = tf.d_factor.tridiagonal
-        for s in (0.0, 1j, 2j):
-            tf.eval(s)
-        assert tf.d_factor.tridiagonal is positions
-        assert len(computed) == 1
-        # the delay family's three terms share one pattern
-        assert len(positions) == 3
-        assert len({id(p) for p in positions}) == 1
-        assert positions[0].dtype == np.int32
 
     def test_route_independent_of_shift(self, routes):
         # A has no diagonal, so at s = 0, where the degree-1 term vanishes,
@@ -470,22 +469,30 @@ class TestTridiagonalPositions:
             ab[1 + d.indices - cols, cols] = d.data
             np.testing.assert_array_equal(f.eval_tridiagonal(s), ab)
 
-    def test_bands_built_once_on_first_factorization(self, monkeypatch):
-        built = []
-        bands_of = structured._tridiagonal_bands
-
-        def counting(*args):
-            built.append(args)
-            return bands_of(*args)
-
-        monkeypatch.setattr(structured, "_tridiagonal_bands", counting)
+    def test_bands_built_once_on_first_factorization(self, built_bands):
         tf = make_delay_fixture(50)
-        assert built == []
+        assert built_bands == []
         for s in (0.0, 1j, 2j):
             tf.eval(s)
-        assert len(built) == 1
-        assert tf.d_factor._bands.shape == (3, 150)
-        assert tf.d_factor._bands.dtype == np.float64
+        assert len(built_bands) == 1
+        bands = tf.d_factor.bands
+        assert bands is built_bands[0]
+        assert bands.shape == (3, 150)
+        assert bands.dtype == np.float64
+
+    def test_non_tridiagonal_last_term_keeps_no_bands(self, routes,
+                                                      built_bands):
+        # only the last term reaches two off the diagonal, so the first
+        # three pass the pattern check; the builder runs once, and the
+        # factor keeps None, not a band array
+        e, a, p, q = _mixed_pattern_factor(30, seed=14, reach=2).terms
+        f = MatrixFactor([e, a, q, p])
+        tf = _random_io(f, np.random.default_rng(15))
+        for s in (0.0, 2j, 0.5 + 3j):
+            tf.eval(s)
+        assert routes == ["_SparseFactorization"] * 3
+        assert built_bands == [None]
+        assert f.bands is None
 
 
 class TestEvalH:

@@ -1,5 +1,5 @@
-"""Static checks on the library and test sources: every imported name is
-used, and every file parses as Python 3.10, the declared floor."""
+"""Static checks on the library, test and tools sources: every imported
+name is used, and every file parses as Python 3.10, the declared floor."""
 
 import ast
 from pathlib import Path
@@ -26,8 +26,9 @@ def unused_imports(path):
 
 
 def sources():
-    return (sorted((ROOT / "src" / "linfnorm").glob("*.py"))
-            + sorted((ROOT / "tests").glob("*.py")))
+    return [path for folder in (ROOT / "src" / "linfnorm", ROOT / "tests",
+                                ROOT / "tools")
+            for path in sorted(folder.glob("*.py"))]
 
 
 def test_no_unused_imports():
