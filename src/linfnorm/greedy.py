@@ -70,8 +70,15 @@ class _Blocks:
     columns; ``used`` is the dim of the newest one, and expand writes only
     from column ``used`` on, so no state that views the blocks changes."""
 
-    def __init__(self, V: np.ndarray, W: np.ndarray, used: int):
-        self.V, self.W, self.used = V, W, used
+    def __init__(self, n: int, capacity: int, dtype):
+        self.V = np.empty((n, capacity), dtype=dtype, order="F")
+        self.W = np.empty((n, capacity), dtype=dtype, order="F")
+        self.used = 0
+
+    def state(self, points: tuple = ()) -> "SubspaceState":
+        """The state that views the first ``used`` columns."""
+        return SubspaceState(V=self.V[:, :self.used], W=self.W[:, :self.used],
+                             points=points, _blocks=self)
 
 
 @dataclass(frozen=True)
@@ -154,28 +161,44 @@ def expansion_block(tf: StructuredTF, omega: float, mode: str = FULL):
     return x @ h.conj().T, y
 
 
-def _append_orthonormal(q: np.ndarray, k: int, block: np.ndarray) -> int:
+def _append_orthonormal(q: np.ndarray, k: int, block: np.ndarray,
+                        rows: int) -> int:
     """Classical Gram-Schmidt, twice (CGS2): each block column is projected
     out of the first k columns of q in two passes and, unless it fails the
     dependency check, written into q as column k, which k then counts.
     Returns the final k; columns before the first k are never written.
+    The passes run over the first ``rows`` rows; the first k columns of q
+    and the block must be zero below them.  The block is first written
+    into q from column k on, which numpy skips when it is already there, as
+    run() writes the initial resolvent blocks.
 
     q is Fortran-ordered, so each basis column is contiguous and a pass is
     two numpy calls, ``vecdot`` (every column with the vector) and
     ``vecmat`` (the combination of the columns).  A BLAS matrix-vector
     product hands half of its work to a second thread from about 4000
     basis entries and, when the other core is busy, waits milliseconds for
-    it; these two calls stay on one thread well beyond that."""
-    for v in block.T:
+    it; these two calls stay on one thread up to 1e4 rows.  LAPACK's
+    Householder QR does not: its matrix-vector products went to a second
+    thread from 1000 rows, where a QR of the initial delay block took 8-15
+    ms instead of 0.4 ms."""
+    q[:, k:k + block.shape[1]] = block
+    for j in range(k, k + block.shape[1]):
+        v = q[:rows, j]
         pre = np.linalg.norm(v)
-        basis = q[:, :k].T
+        basis = q[:rows, :k].T
         for _ in range(2):
             v = v - np.vecmat(np.vecdot(basis, v).conj(), basis)
         nrm = np.linalg.norm(v)
         if nrm >= DEFLATION_TOL * (pre + 1.0):
-            q[:, k] = v / nrm
+            q[:rows, k] = v / nrm
             k += 1
     return k
+
+
+def _row_extent(block: np.ndarray) -> int:
+    """One past the last row of block with a nonzero entry."""
+    nonzero = np.flatnonzero(block.any(axis=1))
+    return nonzero[-1] + 1 if nonzero.size else 0
 
 
 def _blocks_for(state: SubspaceState, Vb: np.ndarray,
@@ -191,39 +214,76 @@ def _blocks_for(state: SubspaceState, Vb: np.ndarray,
             and state.V.base is blocks.V and state.W.base is blocks.W
             and blocks.V.shape[1] >= needed and blocks.V.dtype == dtype):
         return blocks
-    shape = (state.V.shape[0], 2 * needed)
-    blocks = _Blocks(np.empty(shape, dtype=dtype, order="F"),
-                     np.empty(shape, dtype=dtype, order="F"), used=dim)
+    blocks = _Blocks(state.V.shape[0], 2 * needed, dtype)
     blocks.V[:, :dim], blocks.W[:, :dim] = state.V, state.W
+    blocks.used = dim
     return blocks
 
 
 def expand(state: SubspaceState, Vb: np.ndarray, Wb: np.ndarray,
-           omega: float) -> SubspaceState:
+           omega: float | tuple) -> SubspaceState:
     """A new state with the snapshot blocks taken at omega appended and
-    omega recorded; the input state is left as it is.
+    omega recorded; the input state is left as it is.  ``omega`` may be a
+    tuple of frequencies, for blocks of equal width taken at each of them,
+    side by side; they are appended point by point, as one expand per point
+    would append them.
 
     The new columns go in place into the blocks behind the input state
     when it is the newest state expanded from them; any other state (a
     second expansion of one state, a state built by hand) is copied into
     new blocks first.  Nearly dependent directions are dropped; if the
-    drops leave the two bases with unequal column counts, the newest
-    surviving columns of the larger basis are removed until the counts
-    match.  A fully degenerate expansion leaves the dimension unchanged.
-    Each block must be 2-D with one row per basis row.
+    drops at a point leave the two bases with unequal column counts, the
+    newest surviving columns of the larger basis are removed until the
+    counts match.  A fully degenerate expansion leaves the dimension
+    unchanged.  Each block must be 2-D with one row per basis row.
+
+    An empty state grows from the blocks alone, so its passes stop at the
+    blocks' last nonzero row: the delay family's resolvents underflow to
+    exact zeros past row 1742 or so at every order.
     """
+    points = omega if isinstance(omega, tuple) else (omega,)
     n = state.V.shape[0]
     for block in (Vb, Wb):
-        if block.ndim != 2 or block.shape[0] != n:
+        if (block.ndim != 2 or block.shape[0] != n or not points
+                or block.shape[1] % len(points)):
             raise DimensionMismatch(
-                f"expansion blocks must be 2-D with {n} rows, "
+                f"expansion blocks must be 2-D with {n} rows and equal "
+                f"columns for each of {len(points)} points, "
                 f"got shape {block.shape}")
     blocks = _blocks_for(state, Vb, Wb)
-    blocks.used = min(_append_orthonormal(blocks.V, state.dim, Vb),
-                      _append_orthonormal(blocks.W, state.dim, Wb))
-    return SubspaceState(V=blocks.V[:, :blocks.used],
-                         W=blocks.W[:, :blocks.used],
-                         points=state.points + (omega,), _blocks=blocks)
+    rows_v, rows_w = ((n, n) if state.dim
+                      else (_row_extent(Vb), _row_extent(Wb)))
+    k = state.dim
+    for vb, wb in zip(np.hsplit(Vb, len(points)), np.hsplit(Wb, len(points))):
+        k = min(_append_orthonormal(blocks.V, k, vb, rows_v),
+                _append_orthonormal(blocks.W, k, wb, rows_w))
+    blocks.used = k
+    return blocks.state(state.points + points)
+
+
+def _initial_state(tf: StructuredTF, points, mode: str):
+    """The state interpolating at every point whose shift is not singular,
+    and the list of the points skipped.  Each point's resolvent blocks are
+    written straight into new blocks, side by side, with room for twice
+    their columns, and one expand orthonormalizes them all in place."""
+    blocks, used, skipped, kept = None, 0, [], []
+    for w0 in points:
+        try:
+            vb, wb = expansion_block(tf, w0, mode)
+        except SingularShift:
+            skipped.append(w0)
+            continue
+        if blocks is None:
+            blocks = _Blocks(tf.n, 2 * len(points) * vb.shape[1],
+                             np.complex128)
+        end = used + vb.shape[1]
+        blocks.V[:, used:end], blocks.W[:, used:end] = vb, wb
+        used = end
+        kept.append(w0)
+    if blocks is None:
+        raise AllShiftsSingular("every initial interpolation point was singular")
+    return expand(blocks.state(), blocks.V[:, :used], blocks.W[:, :used],
+                  tuple(kept)), skipped
 
 
 def check_interpolation(tf: StructuredTF, state: SubspaceState,
@@ -321,19 +381,10 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     seeds = tuple(w for w in dominant_frequencies(tf)
                   if lo <= w <= hi and w not in init_points)
 
-    state = SubspaceState.empty(tf.n)
-    skipped = []
-    warns = []
-    for w0 in init_points + list(seeds):
-        try:
-            vb, wb = expansion_block(tf, w0, cfg.expansion_mode)
-        except SingularShift:
-            skipped.append(w0)
-            warns.append(f"initial point omega={w0} hit a singular shift; skipped")
-            continue
-        state = expand(state, vb, wb, w0)
-    if not state.points:
-        raise AllShiftsSingular("every initial interpolation point was singular")
+    state, skipped = _initial_state(tf, init_points + list(seeds),
+                                    cfg.expansion_mode)
+    warns = [f"initial point omega={w0} hit a singular shift; skipped"
+             for w0 in skipped]
 
     recent_blocks = []  # (Vb, Wb, omega) of the last two expansions (LAST_TWO)
     history = []

@@ -82,8 +82,12 @@ def load_problem(manifest_path):
     b = _load_factor(doc.get("B"), base, "B_factor", (n, m))
     c = _load_factor(doc.get("C"), base, "C_factor", (p, n))
     d = _load_factor(doc.get("D"), base, "D_factor", (n, n))
+    config = doc.get("config", {})
+    if not isinstance(config, dict):
+        raise ParseError(
+            f"{manifest_path}: 'config' must be a JSON object, got {config!r}")
     tf = StructuredTF(c_factor=c, d_factor=d, b_factor=b)
-    return tf, dict(doc.get("config", {}))
+    return tf, config
 
 
 def delay_coupling_matrix(n: int):

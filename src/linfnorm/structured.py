@@ -35,7 +35,8 @@ class ScalarTerm:
     delay: float = 0.0
 
     def __post_init__(self):
-        if self.degree < 0 or int(self.degree) != self.degree:
+        if not (0 <= self.degree < math.inf
+                and int(self.degree) == self.degree):
             raise ValueError(f"degree must be a nonnegative integer, got {self.degree}")
         if not 0 <= self.delay < math.inf:
             raise ValueError(

@@ -58,6 +58,24 @@ def pointwise_sigma_and_slope(tf, omega):
     return float(svals[0]), float(slope)
 
 
+def cgs2_reference(block, tol):
+    """Column-wise classical Gram-Schmidt, twice, with the sequential
+    deflation rule: column j is kept iff its residual against the kept
+    earlier columns is at least tol * (||x_j|| + 1).  The reference for
+    expand's orthonormalization of a whole initial block; returns (Q, kept
+    column indices)."""
+    q, kept = np.zeros((block.shape[0], 0), dtype=complex), []
+    for j, x in enumerate(block.T):
+        v = x
+        for _ in range(2):
+            v = v - q @ (q.conj().T @ v)
+        nrm = np.linalg.norm(v)
+        if nrm >= tol * (np.linalg.norm(x) + 1.0):
+            q = np.column_stack((q, v / nrm))
+            kept.append(j)
+    return q, kept
+
+
 def constant_factor(mat):
     return MatrixFactor([(ScalarTerm(), np.atleast_2d(np.asarray(mat, dtype=float)))])
 

@@ -20,7 +20,7 @@ from linfnorm.problems import descriptor_tf, make_delay_fixture
 from linfnorm.reduced import DOMINANT_SEEDS, dominant_frequencies, sigma_max
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
-from conftest import random_descriptor, siso_one_pole
+from conftest import cgs2_reference, random_descriptor, siso_one_pole
 
 
 def orthonormality_defect(q):
@@ -210,6 +210,108 @@ class TestExpand:
         np.testing.assert_array_equal(new.V[:, :3], q)
         np.testing.assert_array_equal(new.W[:, :3], q)
         assert orthonormality_defect(new.V) <= 1e-12
+
+
+class TestBlockOrthonormalization:
+    def test_delay_initial_block_matches_cgs2(self):
+        # omega = 44.44 fails the deflation test at 0.94 of the threshold;
+        # omega = 50 passes at 1.03, but only once omega = 44.44 is gone
+        tf = make_delay_fixture(2000)
+        points = tuple(np.linspace(0.0, 50.0, 10).tolist())
+        blocks = [expansion_block(tf, w) for w in points]
+        state = expand(SubspaceState.empty(2000),
+                       np.hstack([vb for vb, _ in blocks]),
+                       np.hstack([wb for _, wb in blocks]), points)
+        assert state.points == points
+        for basis, side in ((state.V, 0), (state.W, 1)):
+            block = np.hstack([b[side] for b in blocks])
+            ref, kept = cgs2_reference(block, greedy.DEFLATION_TOL)
+            assert kept == [0, 1, 2, 3, 4, 5, 6, 7, 9]
+            assert basis.shape[1] == 9
+            assert orthonormality_defect(basis) <= 1e-12
+            # the span and the reference's agree on every block column
+            norms = np.linalg.norm(block, axis=0)
+            diff = (basis @ (basis.conj().T @ block)
+                    - ref @ (ref.conj().T @ block))
+            assert np.all(np.linalg.norm(diff, axis=0) <= 1e-12 * norms)
+            resid = np.linalg.norm(
+                block - basis @ (basis.conj().T @ block), axis=0) / norms
+            assert resid[9] <= 1e-12 < resid[8]
+
+    def test_later_column_along_a_dropped_direction_is_kept(self):
+        # x1 = u0 + 1e-12 u1 adds u1 to x0 = u0, below DEFLATION_TOL, and
+        # x2 = u1 lies along that direction.  Orthonormalizing the block and
+        # then dropping x1's column (as an unpivoted QR that drops the
+        # failed Q column would) loses x2; the sequential rule keeps x2's
+        # residual against u0
+        rng = np.random.default_rng(39)
+        u, _ = np.linalg.qr(rng.standard_normal((12, 3))
+                            + 1j * rng.standard_normal((12, 3)))
+        block = np.column_stack((u[:, 0], u[:, 0] + 1e-12 * u[:, 1], u[:, 1]))
+        new = expand(SubspaceState.empty(12), block, block, (1.0, 2.0, 3.0))
+        assert new.dim == 2 and new.points == (1.0, 2.0, 3.0)
+        assert orthonormality_defect(new.V) <= 1e-12
+        assert np.linalg.norm(block - new.V @ (new.V.conj().T @ block)) <= 1e-12
+
+    def test_ill_conditioned_columns_after_a_drop(self):
+        # 2x is dropped, then y and y + 1e-8 z are both kept: a
+        # factorization of the block would multiply the rounding of the
+        # last column along x by their condition number, about 1e8
+        rng = np.random.default_rng(42)
+        x, y, z = rng.standard_normal((3, 30)) + 1j * rng.standard_normal((3, 30))
+        block = np.column_stack((x, 2 * x, y, y + 1e-8 * z))
+        new = expand(SubspaceState.empty(30), block, block, 1.0)
+        assert new.dim == 3
+        assert orthonormality_defect(new.V) <= 1e-14
+        assert np.linalg.norm(block - new.V @ (new.V.conj().T @ block)) <= 1e-12
+
+    def test_points_of_one_expand_are_rebalanced_one_by_one(self):
+        # V drops its first column and W its second; at each point the drop
+        # removes the other basis's new column too, as two expands would
+        rng = np.random.default_rng(43)
+        q, _ = np.linalg.qr(rng.standard_normal((10, 3)))
+        state = SubspaceState(V=q, W=q.copy())
+        dependent = q @ rng.standard_normal((3, 1))
+        fresh = rng.standard_normal((10, 1))
+        vb, wb = np.hstack((dependent, fresh)), np.hstack((fresh, dependent))
+        both = expand(state, vb, wb, (1.0, 2.0))
+        one = expand(expand(state, vb[:, :1], wb[:, :1], 1.0),
+                     vb[:, 1:], wb[:, 1:], 2.0)
+        assert both.dim == one.dim == 3
+        assert both.points == one.points == (1.0, 2.0)
+        np.testing.assert_array_equal(both.V, one.V)
+        np.testing.assert_array_equal(both.W, one.W)
+
+    @pytest.mark.parametrize("points", [(1.0, 2.0), ()])
+    def test_columns_must_split_evenly_among_points(self, points):
+        state = SubspaceState.empty(10)
+        block = np.ones((10, 3))
+        with pytest.raises(DimensionMismatch):
+            expand(state, block, block, points)
+
+    def test_run_expands_the_initial_points_once(self, monkeypatch):
+        # every initial resolvent block is written into the capacity blocks
+        # and orthonormalized there by one expand, with no copy
+        calls = []
+        inner_expand = greedy.expand
+
+        def spy(state, Vb, Wb, omega):
+            new = inner_expand(state, Vb, Wb, omega)
+            calls.append((state, Vb, Wb, omega, new))
+            return new
+
+        monkeypatch.setattr(greedy, "expand", spy)
+        tf, interval = random_descriptor(60, 1, 1, seed=43)
+        res = run(tf, RunConfig(omega_max=interval[1], r0=6, keep_states=True,
+                                inner=InnerConfig(interval=interval)))
+        state, vb, wb, points, new = calls[0]
+        assert res.seeds
+        assert points == tuple(np.linspace(0.0, interval[1], 6)) + res.seeds
+        assert state.dim == 0 and vb.shape[1] == wb.shape[1] == len(points)
+        assert vb.base is new.V.base and wb.base is new.W.base
+        assert np.shares_memory(vb, new.V) and np.shares_memory(wb, new.W)
+        assert res.states[0] is new
+        assert not any(isinstance(call[3], tuple) for call in calls[1:])
 
 
 class TestRun:

@@ -54,6 +54,15 @@ class TestLoadProblem:
         _, config = load_problem(one_pole_manifest(tmp_path, config=cfg))
         assert config == cfg
 
+    @pytest.mark.parametrize("config", [[1, 2], None, "r0=3"])
+    def test_config_that_is_not_an_object(self, tmp_path, config):
+        path = one_pole_manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["config"] = config
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="problem.json.*'config'"):
+            load_problem(path)
+
     def test_wrong_b_shape_names_factor(self, tmp_path):
         path = one_pole_manifest(tmp_path, b_shape=(2, 1))
         with pytest.raises(DimensionMismatch, match="B_factor"):

@@ -47,6 +47,12 @@ class TestScalarTerm:
         with pytest.raises(ValueError, match="finite"):
             ScalarTerm(delay=delay)
 
+    @pytest.mark.parametrize("degree", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_degree(self, degree):
+        # a ValueError, not the OverflowError of int(inf)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            ScalarTerm(degree=degree)
+
     @given(k=st.integers(0, 4), tau=st.floats(0.0, 3.0),
            re=st.floats(-2.0, 2.0), im=st.floats(-5.0, 5.0))
     @settings(max_examples=200, deadline=None)
