@@ -7,13 +7,20 @@ for everything else (delay terms, higher-degree terms).
 
 The level-set route factors E once per maximization.  When its reciprocal
 condition estimate is at least IMAG_TOL, the realization is brought to
-E = I and each level takes a standard eigensolve of the Hamiltonian
-matrix; a singular or ill-conditioned E (descriptor systems with infinite
-poles) keeps the generalized eigensolve (QZ) of the pencil.
+E = I (standard_form) and reduced to complex Schur form; a singular or
+ill-conditioned E (descriptor systems with infinite poles) is kept and the
+pencil is reduced to complex QZ form instead.  The triangular realization
+serves every level's eigensolve, a standard one of the Hamiltonian matrix
+or a generalized one of the pencil, and every sigma, which takes one
+triangular solve per shift.  Its diagonal holds the poles, so a pole on
+the axis is found once per maximization.  Before each level the incumbent
+is polished to its local peak, so that the level above it usually has no
+crossings and the maximization ends after one eigensolve.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +28,10 @@ import scipy.linalg as sla
 
 from .errors import (InvalidBound, NoConvergence, PencilSingular,
                      SingularShift, UnboundedOnAxis)
-from .reduced import rational_realization, sigma_and_slope
+from .reduced import (IMAG_TOL, _svd_and_slope, rational_realization,
+                      sigma_and_slope, standard_form)
+from .structured import RCOND_THRESHOLD
 
-#: tolerance for accepting a pencil eigenvalue as purely imaginary
-IMAG_TOL = 1e-8
 #: relative level increment of the level-set iteration
 BB_REL_TOL = 1e-9
 
@@ -99,20 +106,73 @@ def imaginary_crossings(realization, gamma: float) -> np.ndarray:
     return np.asarray(merged)
 
 
-def standard_form(realization):
-    """(None, E^{-1}A, E^{-1}B, C) from one LU of E, or ``realization`` as it
-    is when E is singular or its 1-norm reciprocal condition estimate is
-    below IMAG_TOL."""
+def triangular_form(realization):
+    """``realization`` = (E, A, B, C) reduced to upper triangular E and A by a
+    unitary equivalence: complex Schur, (None, Z^* A Z, Z^* B, C Z), when
+    E is None (the identity), and complex QZ, (Q^* E Z, Q^* A Z, Q^* B, C Z),
+    otherwise (Laub, IEEE TAC 26(2), 1981).  H and the eigenvalues of the
+    Hamiltonian pencil of imaginary_crossings do not change."""
     e, a, b, c = realization
-    n = e.shape[0]
-    lu, piv, info = sla.lapack.zgetrf(e)
-    if info != 0:
-        return realization
-    rcond, info = sla.lapack.zgecon(lu, np.linalg.norm(e, 1), norm="1")
-    if info != 0 or not rcond >= IMAG_TOL:
-        return realization
-    x = sla.lu_solve((lu, piv), np.hstack((a, b)), check_finite=False)
-    return None, x[:, :n], x[:, n:], c
+    try:
+        if e is None:
+            t, z = sla.schur(a, output="complex", check_finite=False)
+            q, s = z, None
+        else:
+            t, s, q, z = sla.qz(a, e, output="complex", check_finite=False)
+    except (sla.LinAlgError, ValueError) as err:
+        raise PencilSingular(str(err)) from err
+    return s, t, q.conj().T @ b, c @ z
+
+
+def _axis_poles(realization, lo: float, hi: float) -> None:
+    """Raises UnboundedOnAxis for a pole lambda = a_jj / e_jj of a
+    triangular_form realization whose frequency Im lambda lies in [lo, hi]
+    and whose diagonal entry of i*omega*E - A at that frequency,
+    |Re lambda| |e_jj|, is at most RCOND_THRESHOLD ||A||_1.  The shift there
+    is as singular as a single evaluation's condition estimate allows, and
+    the diagonal is read once for all shifts, where a per-shift ztrcon
+    would cost several triangular solves."""
+    e, a, _, _ = realization
+    t = np.diagonal(a)
+    s = np.ones_like(t) if e is None else np.diagonal(e)
+    finite = np.flatnonzero(s != 0)
+    lam = t[finite] / s[finite]
+    near = (np.abs(lam.real) * np.abs(s[finite])
+            <= RCOND_THRESHOLD * np.linalg.norm(a, 1))
+    hits = lam.imag[near & (lam.imag >= lo) & (lam.imag <= hi)]
+    if hits.size:
+        raise UnboundedOnAxis(f"pole on the axis near omega={float(hits[0])}")
+
+
+def triangular_sigma_and_slope(realization, omegas, slope: bool = False):
+    """sigma_and_slope for H(s) = C (sE - A)^{-1} B from a triangular_form
+    realization: one triangular solve (ztrtrs) per shift, and a second one
+    for the slope, H'(s) = -C (sE - A)^{-1} E (sE - A)^{-1} B.  A shift that
+    makes the matrix exactly singular raises UnboundedOnAxis with its omega;
+    poles near the axis are left to _axis_poles."""
+    e, a, b, c = realization
+    if not len(omegas):
+        return np.empty(0), (np.empty(0) if slope else None)
+    r = a.shape[0]
+    x = np.empty((len(omegas), r, b.shape[1]), dtype=np.complex128)
+    y = np.empty_like(x) if slope else None
+    shifted = np.empty((r, r), dtype=np.complex128, order="F")
+    diagonal = np.einsum("ii->i", shifted)  # a view, unlike reshape on F order
+    trtrs = sla.lapack.ztrtrs
+    for k, w in enumerate(omegas):
+        if e is None:
+            np.negative(a, out=shifted)
+            diagonal += 1j * w
+        else:
+            np.multiply(e, 1j * w, out=shifted)
+            shifted -= a
+        x[k], info = trtrs(shifted, b)
+        if info > 0:
+            raise UnboundedOnAxis(f"pole on the axis near omega={float(w)}")
+        if slope:
+            y[k] = trtrs(shifted, x[k] if e is None else e @ x[k])[0]
+    svals, slopes = _svd_and_slope(c @ x, None if y is None else -(c @ y))
+    return svals[:, 0], slopes
 
 
 def _on_axis(model, omegas, slope: bool = False):
@@ -125,38 +185,141 @@ def _on_axis(model, omegas, slope: bool = False):
             f"pole on the axis near omega={err.s.imag}") from err
 
 
+def _g(sigma: float, slope: float) -> float:
+    """sigma'/sigma^3 = -(1/sigma^2)'/2, the function whose zero _polish
+    seeks; 0 where sigma is."""
+    return slope / sigma ** 3 if sigma > 0 else 0.0
+
+
+class _Samples:
+    """The points a level-set maximization has evaluated, sorted by omega,
+    with _g at each."""
+
+    def __init__(self):
+        self.omegas, self.g = [], []
+
+    def add(self, omegas, sigmas, slopes) -> None:
+        for w, s, d in zip(omegas, sigmas, slopes):
+            i = bisect.bisect_left(self.omegas, w)
+            if i == len(self.omegas) or self.omegas[i] != w:
+                self.omegas.insert(i, w)
+                self.g.insert(i, _g(float(s), float(d)))
+
+    def bracket(self, w: float):
+        """(g at omega w, omega and g of the evaluated point next to w on
+        the side its slope points to); None at a zero slope or when w is
+        the last point on that side."""
+        i = bisect.bisect_left(self.omegas, w)
+        j = i + (self.g[i] > 0) - (self.g[i] < 0)
+        if j == i or not 0 <= j < len(self.omegas):
+            return None
+        return self.g[i], self.omegas[j], self.g[j]
+
+
+def _polish(realization, samples: _Samples, best_w: float, best: float):
+    """The incumbent (best_w, best) raised toward its local peak, one point
+    per step, inside the bracket of the incumbent and its nearest evaluated
+    neighbour on the side its slope points to.
+
+    The zero sought is that of g = _g(sigma, sigma'), which has the zeros
+    and signs of the slope and, since 1/sigma^2 is quadratic in omega
+    across the peak of one pole, is linear there.  While g changes sign
+    across the bracket, the step is regula falsi on g with the Illinois
+    modification.  Until it does, the bracket is bisected toward the
+    incumbent, or cut at the secant of g through the last two points of a
+    climb.  Stops at a zero slope, at a bracket of width 1e-13 (1 + |omega|),
+    at a step that rounds onto the bracket, after 30 steps, or at once when
+    the incumbent is an interval end whose slope points outward.  Returns
+    (best_w, best, evaluations)."""
+    bracket = samples.bracket(best_w)
+    if bracket is None:
+        return best_w, best, 0
+    x, sx = best_w, best            # the incumbent's end of the bracket
+    gx, y, gy = bracket             # y: the other end
+    prev = None   # (omega, g) of the point x replaced while climbing
+    side = evals = 0
+    for _ in range(30):
+        if not abs(y - x) > 1e-13 * (1.0 + abs(best_w)):
+            break
+        bracketed = min(gx, gy) < 0 < max(gx, gy)
+        if bracketed:
+            w = (x * gy - y * gx) / (gy - gx)
+        else:
+            w = 0.5 * (x + y)
+            if prev is not None and prev[1] != gx:
+                secant = (x * prev[1] - prev[0] * gx) / (prev[1] - gx)
+                if min(x, y) < secant < max(x, y):
+                    w = secant
+        if not min(x, y) < w < max(x, y):
+            break
+        sig, slope = triangular_sigma_and_slope(realization, [w], slope=True)
+        samples.add([w], sig, slope)
+        evals += 1
+        s = float(sig[0])
+        g = _g(s, float(slope[0]))
+        if s > best:
+            best_w, best = w, s
+        if g == 0:
+            break
+        if bracketed:
+            # Illinois: halve g at the end that stays for a second step
+            if (g > 0) == (gx > 0):
+                x, sx, gx = w, s, g
+                gy = 0.5 * gy if side > 0 else gy
+                side = 1
+            else:
+                y, gy = w, g
+                gx = 0.5 * gx if side < 0 else gx
+                side = -1
+        elif (g > 0) == (gx > 0) and s > sx:
+            prev = (x, gx)              # still climbing
+            x, sx, gx = w, s, g
+        else:
+            y, gy = w, g                # past the peak, or below it
+    return best_w, best, evals
+
+
 def bb_norm(model, cfg: InnerConfig, points=(),
             realization=None) -> InnerResult:
     """Boyd-Balakrishnan level-set maximization for rational models.
 
     Starting from the best sigma over the interval endpoints, its midpoint
     and the given ``points`` inside it (the interpolation points of a
-    reduced model), the level is repeatedly raised slightly above the
-    incumbent and the crossing frequencies of that level are located via
-    imaginary_crossings; sigma at the midpoints of consecutive crossings
-    yields the next incumbent.  Terminates when no crossings remain.  The
-    starting candidates are evaluated in one call, and so are the
-    midpoints of each level.
+    reduced model), the incumbent is polished toward its local peak
+    (_polish), and then the level is raised slightly above it and the
+    crossing frequencies of that level are located via imaginary_crossings;
+    sigma at the midpoints of consecutive crossings yields the next
+    incumbent, which is polished before the next level.  Terminates when no
+    crossings remain.  The starting candidates are evaluated in one call,
+    and so are the midpoints of each level and then the two crossings
+    around the best midpoint, all with their slopes.
 
     ``realization`` is the model's rational_realization when the caller
     has it already; it is built here otherwise.  It goes through
-    standard_form once, before the first level.
+    standard_form and triangular_form once, before the first level; the
+    triangular realization serves both the eigensolves and
+    triangular_sigma_and_slope, and _axis_poles checks its poles once.
     """
     if realization is None:
         realization = rational_realization(model)
     if realization is None:
         raise ValueError("bb_norm requires a rational model")
-    realization = standard_form(realization)
     lo, hi = cfg.interval
+    realization = triangular_form(standard_form(realization))
+    _axis_poles(realization, lo, hi)
     cands = [lo, hi, 0.5 * (lo + hi)]
     cands.extend(w for w in points if lo <= w <= hi)
-    sig, _ = _on_axis(model, cands)
+    samples = _Samples()
+    sig, slopes = triangular_sigma_and_slope(realization, cands, slope=True)
+    samples.add(cands, sig, slopes)
     evals = len(cands)
     k = int(np.argmax(sig))
     best_w, best = cands[k], float(sig[k])
     if best <= 0:
         return InnerResult(best_w, best, 0.0, evals)
     for _ in range(cfg.max_inner_iters):
+        best_w, best, steps = _polish(realization, samples, best_w, best)
+        evals += steps
         gamma = (1.0 + 2.0 * BB_REL_TOL) * best
         crossings = imaginary_crossings(realization, gamma)
         crossings = [w for w in crossings if lo < w < hi]
@@ -164,13 +327,19 @@ def bb_norm(model, cfg: InnerConfig, points=(),
             return InnerResult(best_w, best, 2.0 * BB_REL_TOL * best, evals)
         knots = sorted({lo, hi, *crossings})
         mids = [0.5 * (wa + wb) for wa, wb in zip(knots[:-1], knots[1:])]
-        sig, _ = _on_axis(model, mids)
+        sig, slopes = triangular_sigma_and_slope(realization, mids, slope=True)
+        samples.add(mids, sig, slopes)
         evals += len(mids)
         k = int(np.argmax(sig))
         if not sig[k] > best:
             # crossings at a level indistinguishable from the incumbent
             return InnerResult(best_w, best, 2.0 * BB_REL_TOL * best, evals)
         best_w, best = mids[k], float(sig[k])
+        # the crossings around the new incumbent, the polish's bracket
+        ends = [w for w in knots[k:k + 2] if lo < w < hi]
+        sig, slopes = triangular_sigma_and_slope(realization, ends, slope=True)
+        samples.add(ends, sig, slopes)
+        evals += len(ends)
     raise NoConvergence(
         f"level-set iteration did not settle in {cfg.max_inner_iters} rounds")
 

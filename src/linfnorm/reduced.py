@@ -16,6 +16,9 @@ from .structured import MatrixFactor, StructuredTF, _as_dense
 
 #: dominant-pole frequencies that run() adds to its initial points
 DOMINANT_SEEDS = 8
+#: tolerance for accepting a pencil eigenvalue as purely imaginary, and the
+#: least reciprocal condition estimate of E that standard_form inverts
+IMAG_TOL = 1e-8
 #: largest order whose poles dominant_frequencies computes.  Its dense
 #: eigensolve grows as n^3: with one BLAS thread on a 2-vCPU x86 host it
 #: takes 0.2 s at n = 250 (about one unseeded run()), 1.4 s at n = 500
@@ -193,13 +196,31 @@ def rational_realization(tf: StructuredTF):
     return e, a, np.asarray(b, dtype=np.complex128), np.asarray(c, dtype=np.complex128)
 
 
+def standard_form(realization):
+    """(None, E^{-1}A, E^{-1}B, C) from one LU of E, or ``realization`` as it
+    is when E is singular or its 1-norm reciprocal condition estimate is
+    below IMAG_TOL.  Real arrays stay real."""
+    e, a, b, c = realization
+    n = e.shape[0]
+    getrf, gecon = sla.get_lapack_funcs(("getrf", "gecon"), (e,))
+    lu, piv, info = getrf(e)
+    if info != 0:
+        return realization
+    rcond, info = gecon(lu, np.linalg.norm(e, 1), norm="1")
+    if info != 0 or not rcond >= IMAG_TOL:
+        return realization
+    x = sla.lu_solve((lu, piv), np.hstack((a, b)), check_finite=False)
+    return None, x[:, :n], x[:, n:], c
+
+
 def dominant_frequencies(tf: StructuredTF, k: int = DOMINANT_SEEDS) -> tuple:
     """Imaginary parts of the k most dominant poles of a rational H, most
     dominant first, without repeats; () for any other H or above
     DOMINANT_MAX_N.
 
-    One dense eigensolve of (A, E) with left and right eigenvectors, real
-    when H is.  The dominance of the pole lambda with eigenvectors x, y is
+    One dense eigensolve with left and right eigenvectors, real when H is:
+    of E^{-1}A when standard_form inverts E, of the pencil (A, E) (QZ)
+    otherwise.  The dominance of the pole lambda with eigenvectors x, y is
     ||C x|| ||y^* B|| / (|y^* E x| |Re lambda|), the size of its residue
     over its distance to the axis (Rommes & Martins, IEEE TPWRS 21(4),
     2006).  Infinite eigenvalues, poles on the axis and poles with
@@ -214,6 +235,9 @@ def dominant_frequencies(tf: StructuredTF, k: int = DOMINANT_SEEDS) -> tuple:
     e, a, b, c = realization
     if tf.is_real:
         e, a, b, c = e.real, a.real, b.real, c.real
+    # in standard form the left eigenvectors are E^* y and B is E^{-1} B,
+    # so the dominance of each pole is unchanged
+    e, a, b, c = standard_form((e, a, b, c))
     lam, y, x = sla.eig(a, e, left=True, right=True)
     keep = np.isfinite(lam)
     if tf.is_real:
@@ -223,7 +247,8 @@ def dominant_frequencies(tf: StructuredTF, k: int = DOMINANT_SEEDS) -> tuple:
         keep &= lam.imag >= 0.0
     keep = np.flatnonzero(keep)
     lam, y, x = lam[keep], y[:, keep], x[:, keep]
-    denom = np.abs(np.einsum("ij,ij->j", y.conj(), e @ x)) * np.abs(lam.real)
+    ex = x if e is None else e @ x
+    denom = np.abs(np.einsum("ij,ij->j", y.conj(), ex)) * np.abs(lam.real)
     keep = np.flatnonzero(denom > 0.0)
     residue = (np.linalg.norm(c @ x[:, keep], axis=0)
                * np.linalg.norm(y[:, keep].conj().T @ b, axis=1))

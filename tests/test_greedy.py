@@ -369,10 +369,11 @@ class TestRun:
                         inner=InnerConfig(interval=interval))
         res = run(tf, cfg)
         assert res.seeds == ()
-        sw = grid_norm(tf, interval, 4001)
+        sw = grid_norm(tf, interval, 4001, refine_tol=1e-12)
         assert res.norm <= sw.best_sigma * (1 + 1e-9)
+        assert res.norm == pytest.approx(sw.best_sigma, rel=1e-12)
         # after two expansions the bases hold only the last two blocks
-        assert [len(st.points) for st in res.states] == [15, 16, 2, 2]
+        assert [len(st.points) for st in res.states] == [15, 16, 2, 2, 2]
         omegas = [h["omega"] for h in res.history]
         for k in range(2, len(res.states)):
             assert res.states[k].points == tuple(omegas[k - 2:k])
@@ -393,10 +394,12 @@ class TestRun:
         cfg = RunConfig(omega_max=interval[1], r0=4, keep_states=True,
                         eps=1e-12, inner=InnerConfig(interval=interval))
         res = run(tf, cfg)
-        assert len(res.states) == len(taken) == 5
+        assert len(res.states) == len(taken) == 6
         for state, (v, w) in zip(res.states, taken):
             np.testing.assert_array_equal(state.V, v)
             np.testing.assert_array_equal(state.W, w)
+        sw = grid_norm(tf, interval, 4001, refine_tol=1e-12)
+        assert res.norm == pytest.approx(sw.best_sigma, rel=1e-12)
 
     def test_projection_is_bordered(self, monkeypatch):
         # one projection from scratch; after it, each sparse product of
@@ -444,7 +447,9 @@ class TestRun:
                                 inner=InnerConfig(interval=interval)))
         # the first expansion grows the initial state; every later one is
         # followed by a rebuild from the last two blocks
-        assert [len(st.points) for st in res.states] == [15, 16, 2, 2]
+        assert [len(st.points) for st in res.states] == [15, 16, 2, 2, 2]
+        sw = grid_norm(tf, interval, 4001, refine_tol=1e-12)
+        assert res.norm == pytest.approx(sw.best_sigma, rel=1e-12)
         assert priors[0] is None and priors[1] is not None
         assert priors[2:] == [None] * (len(priors) - 2)
 

@@ -4,13 +4,15 @@ import bisect
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import linfnorm.inner as inner
 from linfnorm.errors import InvalidBound, UnboundedOnAxis
 from linfnorm.greedy import (RunConfig, SubspaceState, expand,
                              expansion_block, run)
 from linfnorm.inner import (InnerConfig, bb_norm, imaginary_crossings,
-                            maximize, qsupport_maximize, standard_form)
+                            maximize, qsupport_maximize, standard_form,
+                            triangular_form, triangular_sigma_and_slope)
 from linfnorm.oracle import grid_norm
 from linfnorm.problems import descriptor_tf, make_delay_fixture
 from linfnorm.reduced import (project, rational_realization, sigma_and_slope,
@@ -233,6 +235,89 @@ class TestBBNorm:
         assert routes and not any(routes)
 
 
+def two_peak_model():
+    """H(s) = 1/(s^2 + 0.1 s + 1) + 0.5/(s^2 + 0.3 s + 9): a peak of about
+    10 near omega = 1 and one of about 0.6 near omega = 3."""
+    a = sla.block_diag([[0.0, 1.0], [-1.0, -0.1]], [[0.0, 1.0], [-9.0, -0.3]])
+    b = np.array([[0.0], [1.0], [0.0], [0.5]])
+    c = np.array([[1.0, 0.0, 1.0, 0.0]])
+    return descriptor_tf(np.eye(4), a, b, c)
+
+
+class TestTriangular:
+    @pytest.mark.parametrize("route", ["schur", "qz"])
+    def test_matches_sigma_and_slope(self, route):
+        if route == "schur":
+            rm, interval = projected_descriptor(2)
+        else:
+            rm, interval = singular_e_descriptor()
+        realization = standard_form(rational_realization(rm))
+        assert (realization[0] is None) == (route == "schur")
+        tri = triangular_form(realization)
+        assert np.allclose(tri[1], np.triu(tri[1]), rtol=0, atol=0)
+        ws = np.linspace(*interval, 41)
+        sig, slope = triangular_sigma_and_slope(tri, ws, slope=True)
+        ref_sig, ref_slope = sigma_and_slope(rm, ws, slope=True)
+        np.testing.assert_allclose(sig, ref_sig, rtol=1e-11)
+        np.testing.assert_allclose(slope, ref_slope, rtol=1e-8,
+                                   atol=1e-8 * np.abs(ref_slope).max())
+        alone, none = triangular_sigma_and_slope(tri, ws)
+        np.testing.assert_array_equal(alone, sig)
+        assert none is None
+
+    def test_polished_incumbent_ends_after_one_level(self, monkeypatch):
+        # the best candidate, 1.1, sits on the flank of the global peak
+        model = two_peak_model()
+        solves = []
+        crossings = inner.imaginary_crossings
+
+        def spy(realization, gamma):
+            solves.append(gamma)
+            return crossings(realization, gamma)
+
+        monkeypatch.setattr(inner, "imaginary_crossings", spy)
+        cfg = InnerConfig(interval=(0.0, 4.0))
+        cands = [0.0, 4.0, 2.0, 1.1]
+        assert int(np.argmax(sigma_and_slope(model, cands)[0])) == 3
+        res = bb_norm(model, cfg, points=(1.1,))
+        assert len(solves) == 1
+        sw = grid_norm(model, cfg.interval, 4001, refine_tol=1e-12)
+        assert res.value == pytest.approx(sw.best_sigma, rel=1e-12)
+        assert res.omega_opt == pytest.approx(sw.best_omega, rel=1e-6)
+
+    def test_polish_lands_on_a_pole_peak_in_one_step(self):
+        # 1/sigma^2 = (omega - 2)^2 + 1e-6 for H(s) = 1/(s + 1e-3 - 2i), so
+        # g = sigma'/sigma^3 is linear: from the bracket [1.9, 2.5] of the
+        # best candidate, one regula falsi step lands on the peak
+        model = descriptor_tf(np.eye(1), np.array([[-1e-3 + 2j]]),
+                              np.ones((1, 1)), np.ones((1, 1)))
+        res = bb_norm(model, InnerConfig(interval=(0.0, 5.0)), points=(1.9,))
+        assert res.evaluations == 4 + 1
+        assert res.omega_opt == pytest.approx(2.0, abs=1e-12)
+        assert res.value == pytest.approx(1e3, rel=1e-12)
+
+    @pytest.mark.parametrize("route", ["schur", "qz"])
+    def test_axis_pole_between_candidates(self, route):
+        # a pole at 2.5i, which no candidate (0, 4 and 2) hits
+        if route == "schur":
+            model = descriptor_tf(np.eye(1), np.array([[2.5j]]), np.ones(1),
+                                  np.ones(1))
+        else:
+            model = descriptor_tf(np.diag([1.0, 0.0]),
+                                  np.diag([2.5j, 1.0]), np.ones((2, 1)),
+                                  np.ones((1, 2)))
+        with pytest.raises(UnboundedOnAxis, match=r"omega=2\.5$"):
+            maximize(model, InnerConfig(interval=(0.0, 4.0)))
+
+    def test_axis_pole_outside_the_interval_is_left(self):
+        # 1/(s - 5i) + 1/(s + 1) on [0, 4]: the pole at 5i is not searched
+        model = descriptor_tf(np.eye(2), np.diag([5j, -1.0]), np.ones((2, 1)),
+                              np.ones((1, 2)))
+        res = maximize(model, InnerConfig(interval=(0.0, 4.0)))
+        sw = grid_norm(model, (0.0, 4.0), 4001, refine_tol=1e-12)
+        assert res.value == pytest.approx(sw.best_sigma, rel=1e-12)
+
+
 class TestQSupport:
     def test_concave_quadratic(self):
         res = qsupport_maximize(
@@ -336,20 +421,51 @@ class TestBatching:
         rm, interval = projected_descriptor(1)
         lo, hi = interval
         points = (0.25 * hi, 0.5 * hi, 2.0 * hi)  # the last is outside
-        sizes = spy_on_evaluator(monkeypatch)
-        levels = []
+        calls = []  # ("eval", omegas, sigmas) and ("level", crossings)
+        evaluate = inner.triangular_sigma_and_slope
         crossings = inner.imaginary_crossings
 
-        def spy(realization, gamma):
-            out = crossings(realization, gamma)
-            levels.append(any(lo < w < hi for w in out))
+        def spy_eval(realization, omegas, slope=False):
+            out = evaluate(realization, omegas, slope)
+            calls.append(("eval", list(omegas), out[0]))
             return out
 
-        monkeypatch.setattr(inner, "imaginary_crossings", spy)
+        def spy_level(realization, gamma):
+            out = crossings(realization, gamma)
+            calls.append(("level", [w for w in out if lo < w < hi]))
+            return out
+
+        monkeypatch.setattr(inner, "triangular_sigma_and_slope", spy_eval)
+        monkeypatch.setattr(inner, "imaginary_crossings", spy_level)
         res = bb_norm(rm, InnerConfig(interval=interval), points)
-        # the candidates, then one call per level with crossings
-        assert sizes[0] == 5 and sum(levels) >= 1
-        assert len(sizes) == 1 + sum(levels)
+        sizes = [len(c[1]) for c in calls if c[0] == "eval"]
+        # the candidates in one call
+        assert calls[0][0] == "eval" and sizes[0] == 5
+        batched = {0}
+        levels = [i for i, c in enumerate(calls) if c[0] == "level"]
+        assert sum(bool(calls[i][1]) for i in levels) >= 1
+        for i in levels:
+            if not calls[i][1]:
+                assert i == len(calls) - 1
+                continue
+            # a level with crossings: its midpoints in one call, then the
+            # crossings around the best midpoint in one call
+            knots = sorted({lo, hi, *calls[i][1]})
+            kind, omegas, sig = calls[i + 1]
+            assert kind == "eval"
+            assert omegas == [0.5 * (a + b) for a, b in zip(knots[:-1],
+                                                            knots[1:])]
+            batched.add(i + 1)
+            if i + 2 < len(calls):
+                k = int(np.argmax(sig))
+                assert calls[i + 2][1] == [w for w in knots[k:k + 2]
+                                           if lo < w < hi]
+                batched.add(i + 2)
+        # every other call is one polish step, at one point, before a level
+        polish = [i for i, c in enumerate(calls)
+                  if c[0] == "eval" and i not in batched]
+        assert polish and all(len(calls[i][1]) == 1 for i in polish)
+        assert all(i < levels[-1] for i in polish)
         assert sum(sizes) == res.evaluations
         sw = grid_norm(rm, interval, 2001, refine_tol=1e-10)
         assert res.value == pytest.approx(sw.best_sigma, rel=1e-7)

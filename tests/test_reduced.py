@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+import linfnorm.reduced as reduced
 from linfnorm.errors import DimensionMismatch, SingularShift
 from linfnorm.greedy import SubspaceState, expand, expansion_block
 from linfnorm.problems import descriptor_tf, make_delay_fixture
@@ -372,6 +373,45 @@ class TestDominantFrequencies:
 
     def test_delay_function_has_none(self):
         assert dominant_frequencies(make_delay_fixture(50)) == ()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_standard_eigensolve_matches_qz(self, monkeypatch, seed):
+        # a well-conditioned E != I is inverted: eig(E^{-1} A), real, in
+        # place of QZ on (A, E), with the same dominance order
+        _, a, b, c = rational_realization(random_descriptor(30, 2, 2, seed)[0])
+        rng = np.random.default_rng(seed)
+        e = np.eye(30) + 0.3 * rng.standard_normal((30, 30))
+        tf = descriptor_tf(e, e @ a.real, b.real, c.real)
+        assert np.linalg.cond(e) < 1e3
+        calls = []
+        eig = sla.eig
+
+        def spy(a, b=None, **kwargs):
+            calls.append((a.dtype, b is None))
+            return eig(a, b, **kwargs)
+
+        monkeypatch.setattr(sla, "eig", spy)
+        standard = dominant_frequencies(tf)
+        monkeypatch.setattr(reduced, "standard_form", lambda r: r)
+        qz = dominant_frequencies(tf)
+        assert calls == [(np.float64, True), (np.float64, False)]
+        assert len(standard) == len(qz) == 8
+        assert standard == pytest.approx(qz, rel=1e-10)
+
+    def test_singular_e_keeps_qz(self, monkeypatch):
+        calls = []
+        eig = sla.eig
+
+        def spy(a, b=None, **kwargs):
+            calls.append(b is None)
+            return eig(a, b, **kwargs)
+
+        monkeypatch.setattr(sla, "eig", spy)
+        e = np.diag([1.0, 1.0, 0.0])
+        a = sla.block_diag([[-0.1, 2.0], [-2.0, -0.1]], [[-1.0]])
+        tf = descriptor_tf(e, a, np.ones((3, 1)), np.ones((1, 3)))
+        assert dominant_frequencies(tf) == pytest.approx((2.0,), rel=1e-12)
+        assert calls == [False]
 
     def test_no_eigensolve_above_the_cutoff(self, monkeypatch):
         calls = []
