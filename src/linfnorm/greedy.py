@@ -4,7 +4,8 @@ Initialization interpolates at equidistant frequencies and, for a rational
 H, at the frequencies of its dominant poles; then each iteration
 maximizes sigma of the current reduced model, expands the projection bases
 at the maximizer so that Hermite interpolation holds there, and stops when
-consecutive maximizers agree to a relative tolerance.
+consecutive maximizers agree to a relative tolerance or the expansion adds
+no column.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 from .errors import (AllShiftsSingular, DimensionMismatch, SingularShift,
                      UnboundedOnAxis)
 from .inner import InnerConfig, maximize
-from .reduced import _svd_and_slope, dominant_frequencies, project
+from .reduced import (_svd_and_slope, dominant_frequencies, project,
+                      sigma_max)
 from .structured import StructuredTF, _as_dense
 
 #: post-projection norm threshold for dropping dependent expansion directions
@@ -359,13 +361,16 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     frequencies of up to DOMINANT_SEEDS dominant poles of a rational H
     (``seeds``) that lie in the search interval and are not equidistant
     points already.  Initial points that hit a singular shift are skipped
-    and listed in ``warnings``; at least one must survive.  Terminates when
-    two consecutive maximizers agree to relative tolerance eps, after r_max
-    iterations, at a singular expansion shift, or when a reduced model
-    still has a pole on the axis after one repair expansion at the interval
-    midpoint; ``stop_reason`` says which.  For a real-coefficient H, sigma
-    is even in omega, so the reduced models are maximized over the part of
-    the interval with omega >= 0.
+    and listed in ``warnings``; at least one must survive.  Converges when
+    two consecutive maximizers agree to relative tolerance eps (the first
+    is compared with its nearest interpolation point) or when the expansion
+    at the maximizer adds no column: the model, unchanged, would return the
+    same point.  Otherwise stops after r_max iterations, at a singular
+    expansion shift, or when a reduced model still has a pole on the axis
+    after one repair expansion at the interval midpoint; ``stop_reason``
+    says which.  For a real-coefficient H, sigma is even in omega, so the
+    reduced models are maximized over the part of the interval with
+    omega >= 0.
     """
     t0 = time.perf_counter()
     inner_cfg = cfg.inner or InnerConfig(interval=(0.0, cfg.omega_max))
@@ -407,42 +412,27 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
                              "its repair expansion")
                 stop_reason = REPAIR_FAILED
                 break
-            repaired = True
-            mid = 0.5 * sum(inner_cfg.interval)
-            vb, wb = expansion_block(tf, mid, cfg.expansion_mode)
-            state, prior = expand(state, vb, wb, mid), rm
-            continue
-        w_new, sigma_red = res.omega_opt, res.value
-        if prev_omega is not None:
-            w_ref = prev_omega
+            repaired, res = True, None
+            w_expand = 0.5 * sum(inner_cfg.interval)
         else:
-            w_ref = min(state.points, key=lambda w: abs(w - w_new))
-        history.append({
-            "omega": w_new,
-            "sigma": sigma_red,
-            "dim": state.dim,
-            "inner_evaluations": res.evaluations,
-            "inner_gap": res.certified_gap,
-            "stagnated": False,
-        })
-        if cfg.keep_states:
-            states.append(state)
-        if _converged(w_new, w_ref, cfg.eps):
-            stop_reason = CONVERGED
-            break
-        w_expand = w_new
-        if any(w_expand == w for w in state.points):
-            # exact revisit of an earlier point before the tolerance is met:
-            # bisect toward the best distinct maximizer seen so far
-            others = [h["omega"] for h in history[:-1]
-                      if h["omega"] != w_expand]
-            if others:
-                partner = max(others, key=lambda w: next(
-                    h["sigma"] for h in history if h["omega"] == w))
+            w_new = w_expand = res.omega_opt
+            sigma_red = res.value
+            if prev_omega is not None:
+                w_ref = prev_omega
             else:
-                partner = 0.5 * sum(inner_cfg.interval)
-            w_expand = 0.5 * (w_expand + partner)
-            history[-1]["stagnated"] = True
+                w_ref = min(state.points, key=lambda w: abs(w - w_new))
+            history.append({
+                "omega": w_new,
+                "sigma": sigma_red,
+                "dim": state.dim,
+                "inner_evaluations": res.evaluations,
+                "inner_gap": res.certified_gap,
+            })
+            if cfg.keep_states:
+                states.append(state)
+            if _converged(w_new, w_ref, cfg.eps):
+                stop_reason = CONVERGED
+                break
         try:
             vb, wb = expansion_block(tf, w_expand, cfg.expansion_mode)
         except SingularShift:
@@ -450,11 +440,16 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
             stop_reason = SINGULAR_EXPANSION
             break
         grown = expand(state, vb, wb, w_expand)
-        if grown.dim == state.dim:
-            history[-1]["stagnated"] = True
+        if res is not None and grown.dim == state.dim:
+            # V and W are unchanged, so the model, which interpolates H at
+            # w_new already, would return w_new again
+            stop_reason = CONVERGED
+            break
         state, prior = grown, rm
+        if res is None:
+            continue    # maximize the repaired model
         if cfg.subspace_policy == LAST_TWO:
-            recent_blocks = recent_blocks[-1:] + [(vb, wb, w_expand)]
+            recent_blocks = recent_blocks[-1:] + [(vb, wb, w_new)]
             if len(recent_blocks) == 2:
                 state, prior = SubspaceState.empty(tf.n), None
                 for block in recent_blocks:
@@ -465,7 +460,7 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
 
     # certify the final value on the full function (one large solve)
     try:
-        norm = float(np.linalg.svd(tf.eval(1j * w_new), compute_uv=False)[0])
+        norm = sigma_max(tf, w_new)
     except SingularShift:
         norm = sigma_red
         warns.append("final certification solve was singular; reduced value kept")

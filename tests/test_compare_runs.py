@@ -56,9 +56,27 @@ def test_differences_are_reported(compare_runs, tmp_path, capsys):
     assert lines[0] == "max relative norm difference: 0.1"
     assert lines[1] == "max relative omega difference: 1e-09"
     assert lines[2:] == [
+        "total basis_dim 42 -> 44",
+        "total iterations 12 -> 14",
         "DIFFERS job 1: basis_dim 14 -> 16, iterations 4 -> 6",
         "DIFFERS job 2: failed False -> True",
         "2 job(s) differ in counts or failed flag"]
+
+
+def test_count_totals(compare_runs, tmp_path, capsys):
+    # a count that only one side's jobs hold totals 0 on the other side
+    doc_a = _run([0.5, 0.6], [1.0, 1.0], [141, 93], [False, False])
+    doc_b = _run([0.5, 0.6], [1.0, 1.0], [93, 93], [False, False])
+    doc_b["counts"]["jobs"][1]["refine_iters"] = 7
+    assert compare_runs.count_totals(doc_a) == {"iterations": 234,
+                                                "basis_dim": 254}
+    a = _write(tmp_path, "a.json", doc_a)
+    b = _write(tmp_path, "b.json", doc_b)
+    assert compare_runs.main([a, b]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:5] == ["total basis_dim 254 -> 206",
+                          "total iterations 234 -> 186",
+                          "total refine_iters 0 -> 7"]
 
 
 def test_relative_difference(compare_runs):

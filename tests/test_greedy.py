@@ -394,12 +394,96 @@ class TestRun:
         cfg = RunConfig(omega_max=interval[1], r0=4, keep_states=True,
                         eps=1e-12, inner=InnerConfig(interval=interval))
         res = run(tf, cfg)
-        assert len(res.states) == len(taken) == 6
+        assert len(res.states) == len(taken) == 5
         for state, (v, w) in zip(res.states, taken):
             np.testing.assert_array_equal(state.V, v)
             np.testing.assert_array_equal(state.W, w)
         sw = grid_norm(tf, interval, 4001, refine_tol=1e-12)
         assert res.norm == pytest.approx(sw.best_sigma, rel=1e-12)
+
+    @pytest.mark.parametrize("n, m, r0, seed, eps, decay", [
+        (50, 2, 4, 46, 1e-12, (0.1, 2.0)),   # test_kept_states_never_change's
+        (60, 1, 6, 103, 1e-6, (1e-3, 2e-3)),  # lightly damped
+        (60, 1, 12, 105, 1e-6, (1e-3, 2e-3)),
+        (60, 2, 6, 109, 1e-6, (1e-3, 2e-3)),
+        (60, 2, 6, 117, 1e-6, (1e-3, 2e-3)),
+    ])
+    def test_every_maximization_sees_a_larger_basis(self, monkeypatch, n, m,
+                                                    r0, seed, eps, decay):
+        # an expansion that adds no column ends the run: the unchanged model
+        # is never maximized again
+        dims = []
+        inner_project = greedy.project
+
+        def spy_project(tf, V, W, prior=None):
+            dims.append(V.shape[1])
+            return inner_project(tf, V, W, prior)
+
+        monkeypatch.setattr(greedy, "project", spy_project)
+        tf, interval = random_descriptor(n, m, m, seed, min_decay=decay[0],
+                                         max_decay=decay[1])
+        res = run(tf, RunConfig(omega_max=interval[1], r0=r0, eps=eps,
+                                inner=InnerConfig(interval=interval)))
+        assert res.stop_reason == CONVERGED
+        assert len(dims) == len(res.history) >= 2
+        assert all(b > a for a, b in zip(dims, dims[1:]))
+
+    def test_revisit_of_an_initial_point_converges(self, monkeypatch):
+        # the model interpolates H at each initial point, so an expansion
+        # there adds no column and the run stops at that point
+        tf, interval = random_descriptor(40, 1, 1, seed=47)
+        monkeypatch.setattr(greedy, "dominant_frequencies", lambda tf: ())
+        revisit = np.linspace(0.0, interval[1], 6).tolist()[2]
+        inner_maximize = greedy.maximize
+        inner_block = greedy.expansion_block
+        calls, expanded = [], []
+
+        def fake_maximize(rm, cfg, points=()):
+            calls.append(points)
+            res = inner_maximize(rm, cfg, points)
+            if len(calls) == 2:
+                res = dataclasses.replace(res, omega_opt=revisit)
+            return res
+
+        def spy_block(tf, omega, mode):
+            if calls:    # after the initial points
+                expanded.append(omega)
+            return inner_block(tf, omega, mode)
+
+        monkeypatch.setattr(greedy, "maximize", fake_maximize)
+        monkeypatch.setattr(greedy, "expansion_block", spy_block)
+        res = run(tf, RunConfig(omega_max=interval[1], r0=6,
+                                inner=InnerConfig(interval=interval)))
+        first = res.history[0]["omega"]
+        assert revisit in calls[0] and abs(first - revisit) > 1e-3
+        assert len(calls) == 2
+        assert expanded == [first, revisit]
+        assert res.stop_reason == CONVERGED
+        assert res.omega_opt == revisit
+        assert res.norm == sigma_max(tf, revisit)
+
+    def test_repair_at_a_pole_stops_singular_expansion(self):
+        # poles at +-2i and -1: the reduced model of the initial points
+        # 0, 4/3, 8/3, 4 has a pole on the axis, and its repair expansion at
+        # the interval midpoint 2 is the pole itself
+        a = np.array([[0.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        tf = descriptor_tf(np.eye(3), a, np.array([[1.0], [0.0], [1.0]]),
+                           np.array([[1.0, 0.0, 1.0]]))
+        res = run(tf, RunConfig(omega_max=4.0, r0=4,
+                                inner=InnerConfig(interval=(0.0, 4.0))))
+        assert res.stop_reason == SINGULAR_EXPANSION
+        assert not res.converged
+        assert res.history == []
+        assert "expansion at omega=2.0 hit a singular shift" in res.warnings
+
+    def test_norm_is_sigma_max_at_omega_opt(self):
+        # the certified norm is sigma_max's value, to the last bit: an SVD
+        # without vectors rounds differently once min(m, p) >= 2
+        for seed in range(40, 60):
+            tf, interval = random_descriptor(30, 2, 2, seed=seed)
+            res = run(tf, RunConfig(omega_max=interval[1], r0=6,
+                                    inner=InnerConfig(interval=interval)))
+            assert res.norm == sigma_max(tf, res.omega_opt), seed
 
     def test_projection_is_bordered(self, monkeypatch):
         # one projection from scratch; after it, each sparse product of

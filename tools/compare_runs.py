@@ -4,10 +4,11 @@ Usage: python tools/compare_runs.py A.json B.json
 
 A and B are ``.bench_out/<workload>-seed<seed>-trace0.json`` files written
 by ``bench/run.py``, for instance by two versions of the code.  Prints the
-largest relative difference of the jobs' norms and of their omegas, then
-every job whose deterministic counts (iterations, basis dimension, inner
-evaluations, ...) or failed flag differ.  Exits with 1 when a job differs
-in those, or when the two runs do not hold the same jobs, else 0.
+largest relative difference of the jobs' norms and of their omegas, the
+total of each deterministic count (iterations, basis dimension, inner
+evaluations, ...) over the jobs on both sides, then every job whose counts
+or failed flag differ.  Exits with 1 when a job differs in those, or when
+the two runs do not hold the same jobs, else 0.
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ def compare(a: dict, b: dict) -> tuple[dict, list]:
     return worst, differ
 
 
+def count_totals(run: dict) -> dict:
+    """Each deterministic count summed over the run's jobs."""
+    totals = {}
+    for counts in run["counts"]["jobs"]:
+        for key, value in counts.items():
+            totals[key] = totals.get(key, 0) + value
+    return totals
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -64,6 +74,9 @@ def main(argv=None) -> int:
     worst, differ = compare(*runs)
     for key, value in worst.items():
         print(f"max relative {key} difference: {value:.3g}")
+    totals_a, totals_b = (count_totals(run) for run in runs)
+    for key in sorted(totals_a.keys() | totals_b.keys()):
+        print(f"total {key} {totals_a.get(key, 0)} -> {totals_b.get(key, 0)}")
     for line in differ:
         print(f"DIFFERS {line}")
     print(f"{len(differ)} job(s) differ in counts or failed flag")
