@@ -54,10 +54,12 @@ class RunConfig:
     keep_states: bool = False
 
     def __post_init__(self):
+        if not np.isfinite(self.omega_max):
+            raise ValueError(f"omega_max must be finite, got {self.omega_max}")
         if self.r0 < 1:
             raise ValueError("r0 must be at least 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if self.r_max < 1:
             raise ValueError("r_max must be at least 1")
         if self.expansion_mode not in (FULL, DOMINANT):
@@ -70,12 +72,15 @@ class _Blocks:
     """The (n, capacity) Fortran blocks behind the V and W of the states
     that expand returns.  Each such state views their first ``dim``
     columns; ``used`` is the dim of the newest one, and expand writes only
-    from column ``used`` on, so no state that views the blocks changes."""
+    from column ``used`` on, so no state that views the blocks changes.
+    ``rows_v`` and ``rows_w`` are one past the last row where any column
+    written into V or W is nonzero."""
 
-    def __init__(self, n: int, capacity: int, dtype):
+    def __init__(self, n: int, capacity: int, dtype, rows=(0, 0)):
         self.V = np.empty((n, capacity), dtype=dtype, order="F")
         self.W = np.empty((n, capacity), dtype=dtype, order="F")
         self.used = 0
+        self.rows_v, self.rows_w = rows
 
     def state(self, points: tuple = ()) -> "SubspaceState":
         """The state that views the first ``used`` columns."""
@@ -170,9 +175,7 @@ def _append_orthonormal(q: np.ndarray, k: int, block: np.ndarray,
     dependency check, written into q as column k, which k then counts.
     Returns the final k; columns before the first k are never written.
     The passes run over the first ``rows`` rows; the first k columns of q
-    and the block must be zero below them.  The block is first written
-    into q from column k on, which numpy skips when it is already there, as
-    run() writes the initial resolvent blocks.
+    and the block must be zero below them.
 
     q is Fortran-ordered, so each basis column is contiguous and a pass is
     two numpy calls, ``vecdot`` (every column with the vector) and
@@ -197,95 +200,91 @@ def _append_orthonormal(q: np.ndarray, k: int, block: np.ndarray,
     return k
 
 
-def _row_extent(block: np.ndarray) -> int:
-    """One past the last row of block with a nonzero entry."""
-    nonzero = np.flatnonzero(block.any(axis=1))
-    return nonzero[-1] + 1 if nonzero.size else 0
+def _row_extent(block: np.ndarray, rows: int) -> int:
+    """The later of rows and one past the last nonzero row of block; only
+    the rows from ``rows`` on are scanned, and none once rows is all."""
+    if rows == block.shape[0]:
+        return rows
+    nonzero = np.flatnonzero(block[rows:].any(axis=1))
+    return rows + nonzero[-1] + 1 if nonzero.size else rows
 
 
 def _blocks_for(state: SubspaceState, Vb: np.ndarray,
                 Wb: np.ndarray) -> _Blocks:
     """The blocks that expand writes state's new columns into: state's own
     when it is their newest holder and they have the room and dtype, else
-    new blocks of twice the needed capacity holding a copy of its bases."""
-    dim = state.dim
+    new blocks of twice the needed capacity holding a copy of its bases.
+    New blocks keep the row extents of the old ones when state's bases view
+    them; bases from elsewhere count as nonzero on every row."""
+    n, dim = state.V.shape
     needed = dim + max(Vb.shape[1], Wb.shape[1])
     dtype = np.result_type(state.V, state.W, Vb, Wb)
     blocks = state._blocks
-    if (blocks is not None and blocks.used == dim
-            and state.V.base is blocks.V and state.W.base is blocks.W
-            and blocks.V.shape[1] >= needed and blocks.V.dtype == dtype):
-        return blocks
-    blocks = _Blocks(state.V.shape[0], 2 * needed, dtype)
+    if (blocks is not None and state.V.base is blocks.V
+            and state.W.base is blocks.W):
+        if (blocks.used == dim and blocks.V.shape[1] >= needed
+                and blocks.V.dtype == dtype):
+            return blocks
+        rows = blocks.rows_v, blocks.rows_w
+    else:
+        rows = (n, n) if dim else (0, 0)
+    blocks = _Blocks(n, 2 * needed, dtype, rows)
     blocks.V[:, :dim], blocks.W[:, :dim] = state.V, state.W
     blocks.used = dim
     return blocks
 
 
 def expand(state: SubspaceState, Vb: np.ndarray, Wb: np.ndarray,
-           omega: float | tuple) -> SubspaceState:
+           omega: float) -> SubspaceState:
     """A new state with the snapshot blocks taken at omega appended and
-    omega recorded; the input state is left as it is.  ``omega`` may be a
-    tuple of frequencies, for blocks of equal width taken at each of them,
-    side by side; they are appended point by point, as one expand per point
-    would append them.
+    omega recorded; the input state is left as it is.
 
     The new columns go in place into the blocks behind the input state
     when it is the newest state expanded from them; any other state (a
     second expansion of one state, a state built by hand) is copied into
     new blocks first.  Nearly dependent directions are dropped; if the
-    drops at a point leave the two bases with unequal column counts, the
-    newest surviving columns of the larger basis are removed until the
-    counts match.  A fully degenerate expansion leaves the dimension
-    unchanged.  Each block must be 2-D with one row per basis row.
+    drops leave the two bases with unequal column counts, the newest
+    surviving columns of the larger basis are removed until the counts
+    match.  A fully degenerate expansion leaves the dimension unchanged.
+    Each block must be 2-D with one row per basis row.
 
-    An empty state grows from the blocks alone, so its passes stop at the
-    blocks' last nonzero row: the delay family's resolvents underflow to
-    exact zeros past row 1742 or so at every order.
+    The passes stop at the later of the basis's row extent and the block's
+    last nonzero row: the delay family's resolvents underflow to exact
+    zeros past row 1742 or so at every order.
     """
-    points = omega if isinstance(omega, tuple) else (omega,)
     n = state.V.shape[0]
     for block in (Vb, Wb):
-        if (block.ndim != 2 or block.shape[0] != n or not points
-                or block.shape[1] % len(points)):
-            raise DimensionMismatch(
-                f"expansion blocks must be 2-D with {n} rows and equal "
-                f"columns for each of {len(points)} points, "
-                f"got shape {block.shape}")
+        if block.ndim != 2 or block.shape[0] != n:
+            raise DimensionMismatch(f"expansion blocks must be 2-D with {n} "
+                                    f"rows, got shape {block.shape}")
     blocks = _blocks_for(state, Vb, Wb)
-    rows_v, rows_w = ((n, n) if state.dim
-                      else (_row_extent(Vb), _row_extent(Wb)))
-    k = state.dim
-    for vb, wb in zip(np.hsplit(Vb, len(points)), np.hsplit(Wb, len(points))):
-        k = min(_append_orthonormal(blocks.V, k, vb, rows_v),
-                _append_orthonormal(blocks.W, k, wb, rows_w))
-    blocks.used = k
-    return blocks.state(state.points + points)
+    blocks.rows_v = _row_extent(Vb, blocks.rows_v)
+    blocks.rows_w = _row_extent(Wb, blocks.rows_w)
+    blocks.used = min(
+        _append_orthonormal(blocks.V, state.dim, Vb, blocks.rows_v),
+        _append_orthonormal(blocks.W, state.dim, Wb, blocks.rows_w))
+    return blocks.state(state.points + (omega,))
 
 
 def _initial_state(tf: StructuredTF, points, mode: str):
     """The state interpolating at every point whose shift is not singular,
-    and the list of the points skipped.  Each point's resolvent blocks are
-    written straight into new blocks, side by side, with room for twice
-    their columns, and one expand orthonormalizes them all in place."""
-    blocks, used, skipped, kept = None, 0, [], []
+    and the list of the points skipped.  The blocks are made at the first
+    point that is not singular, with room for twice the columns of all the
+    points, so that every expand here writes in place."""
+    state, skipped = None, []
     for w0 in points:
         try:
             vb, wb = expansion_block(tf, w0, mode)
         except SingularShift:
             skipped.append(w0)
             continue
-        if blocks is None:
-            blocks = _Blocks(tf.n, 2 * len(points) * vb.shape[1],
-                             np.complex128)
-        end = used + vb.shape[1]
-        blocks.V[:, used:end], blocks.W[:, used:end] = vb, wb
-        used = end
-        kept.append(w0)
-    if blocks is None:
+        if state is None:
+            state = _Blocks(tf.n, 2 * len(points) * vb.shape[1],
+                            np.complex128).state()
+        state = expand(state, vb, wb, w0)
+    if state is None:
         raise AllShiftsSingular("every initial interpolation point was singular")
-    return expand(blocks.state(), blocks.V[:, :used], blocks.W[:, :used],
-                  tuple(kept)), skipped
+    return state, skipped
 
 
 def check_interpolation(tf: StructuredTF, state: SubspaceState,

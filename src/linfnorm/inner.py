@@ -47,10 +47,11 @@ class InnerConfig:
 
     def __post_init__(self):
         lo, hi = self.interval
-        if not lo < hi:
-            raise ValueError(f"interval must satisfy lo < hi, got {self.interval}")
-        if not self.curvature_bound < 0:
-            raise ValueError("curvature_bound must be negative")
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError(
+                f"interval must be finite with lo < hi, got {self.interval}")
+        if not -np.inf < self.curvature_bound < 0:
+            raise ValueError("curvature_bound must be finite and negative")
 
 
 @dataclass
@@ -226,17 +227,15 @@ def _polish(realization, samples: _Samples, best_w: float, best: float):
     across the peak of one pole, is linear there.  While g changes sign
     across the bracket, the step is regula falsi on g with the Illinois
     modification.  Until it does, the bracket is bisected toward the
-    incumbent, or cut at the secant of g through the last two points of a
-    climb.  Stops at a zero slope, at a bracket of width 1e-13 (1 + |omega|),
-    at a step that rounds onto the bracket, after 30 steps, or at once when
-    the incumbent is an interval end whose slope points outward.  Returns
-    (best_w, best, evaluations)."""
+    incumbent.  Stops at a zero slope, at a bracket of width
+    1e-13 (1 + |omega|), at a step that rounds onto the bracket, after 30
+    steps, or at once when the incumbent is an interval end whose slope
+    points outward.  Returns (best_w, best, evaluations)."""
     bracket = samples.bracket(best_w)
     if bracket is None:
         return best_w, best, 0
     x, sx = best_w, best            # the incumbent's end of the bracket
     gx, y, gy = bracket             # y: the other end
-    prev = None   # (omega, g) of the point x replaced while climbing
     side = evals = 0
     for _ in range(30):
         if not abs(y - x) > 1e-13 * (1.0 + abs(best_w)):
@@ -246,10 +245,6 @@ def _polish(realization, samples: _Samples, best_w: float, best: float):
             w = (x * gy - y * gx) / (gy - gx)
         else:
             w = 0.5 * (x + y)
-            if prev is not None and prev[1] != gx:
-                secant = (x * prev[1] - prev[0] * gx) / (prev[1] - gx)
-                if min(x, y) < secant < max(x, y):
-                    w = secant
         if not min(x, y) < w < max(x, y):
             break
         sig, slope = triangular_sigma_and_slope(realization, [w], slope=True)
@@ -272,8 +267,7 @@ def _polish(realization, samples: _Samples, best_w: float, best: float):
                 gx = 0.5 * gx if side < 0 else gx
                 side = -1
         elif (g > 0) == (gx > 0) and s > sx:
-            prev = (x, gx)              # still climbing
-            x, sx, gx = w, s, g
+            x, sx, gx = w, s, g         # still climbing
         else:
             y, gy = w, g                # past the peak, or below it
     return best_w, best, evals

@@ -135,12 +135,15 @@ def make_delay_fixture(n: int, tau: float = 1.0, beta: float = 0.01,
 
 
 def descriptor_tf(e, a, b, c) -> StructuredTF:
-    """Convenience wrapper for H(s) = C (sE - A)^{-1} B."""
+    """Convenience wrapper for H(s) = C (sE - A)^{-1} B.  Sparse matrices
+    stay sparse; any other array-like is taken as a dense 2-D array."""
+    e, a, b, c = (m if sp.issparse(m) else np.atleast_2d(np.asarray(m))
+                  for m in (e, a, b, c))
     return StructuredTF(
-        c_factor=MatrixFactor([(ScalarTerm(), np.atleast_2d(c))]),
+        c_factor=MatrixFactor([(ScalarTerm(), c)]),
         d_factor=MatrixFactor([(ScalarTerm(degree=1), e),
                                (ScalarTerm(), -a)]),
-        b_factor=MatrixFactor([(ScalarTerm(), np.atleast_2d(b))]),
+        b_factor=MatrixFactor([(ScalarTerm(), b)]),
     )
 
 

@@ -8,7 +8,6 @@ adjoint solve it needs at the shift.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -42,15 +41,17 @@ class ScalarTerm:
             raise ValueError(
                 f"delay must be finite and nonnegative, got {self.delay}")
 
-    def value(self, s: complex) -> complex:
-        return s**self.degree * cmath.exp(-self.delay * s)
+    def value(self, s):
+        """The complex value at a shift, or at each of an array of shifts."""
+        return s**self.degree * np.exp(-self.delay * s, dtype=complex)
 
-    def derivative(self, s: complex) -> complex:
+    def derivative(self, s):
+        """d/ds of value, at a shift or at each of an array of shifts."""
         k, tau = self.degree, self.delay
         poly = -tau * s**k
         if k > 0:
             poly += k * s ** (k - 1)
-        return poly * cmath.exp(-tau * s)
+        return poly * np.exp(-tau * s, dtype=complex)
 
 
 _UNSET = object()
@@ -126,9 +127,9 @@ class MatrixFactor:
         """eval (or eval_derivative) at every shift, as a dense
         (len(shifts), nrows, ncols) stack; each layer is summed in eval's
         term order."""
+        shifts = np.asarray(shifts)
         return self._combine(
-            [np.array([(t.derivative if derivative else t.value)(s)
-                       for s in shifts])[:, None, None]
+            [(t.derivative if derivative else t.value)(shifts)[:, None, None]
              for t, _ in self.terms], dense=True)
 
     def eval_tridiagonal(self, s: complex) -> np.ndarray:

@@ -164,6 +164,8 @@ class TestUsageErrors:
         ["bench", "delay", "--n", "50", "--gamma", "5"],
         ["norm", "MANIFEST", "--omega-max", "5", "--eps", "0"],
         ["norm", "MANIFEST", "--omega-max", "5", "--interval", "5", "1"],
+        ["norm", "MANIFEST", "--omega-max", "inf"],
+        ["norm", "MANIFEST", "--omega-max", "5", "--interval", "0", "inf"],
         ["oracle", "MANIFEST", "--interval", "0", "5", "--npoints", "0"],
     ])
     def test_invalid_numeric_option(self, args, tmp_path, capsys):

@@ -79,6 +79,37 @@ def test_count_totals(compare_runs, tmp_path, capsys):
                           "total refine_iters 0 -> 7"]
 
 
+def test_layer_counts_of_traced_runs(compare_runs, tmp_path, capsys):
+    doc_a = _run([0.5], [1.0], [3], [False])
+    doc_b = _run([0.5], [1.0], [3], [False])
+    doc_a["counts"]["layers"] = {"greedy.kept_cols": 80,
+                                 "greedy.offered_cols": 88}
+    doc_b["counts"]["layers"] = {"greedy.kept_cols": 80,
+                                 "greedy.offered_cols": 88}
+    a = _write(tmp_path, "a.json", doc_a)
+    b = _write(tmp_path, "b.json", doc_b)
+    assert compare_runs.main([a, b]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == ["layer greedy.kept_cols 80 -> 80",
+                          "layer greedy.offered_cols 88 -> 88",
+                          "0 layer count(s) differ"]
+    # a layer count that moved, or that one side lacks, fails the comparison
+    doc_b["counts"]["layers"] = {"greedy.kept_cols": 79,
+                                 "inner.evaluations": 5}
+    b = _write(tmp_path, "b.json", doc_b)
+    assert compare_runs.main([a, b]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "0 job(s) differ in counts or failed flag" in lines
+    assert lines[-4:] == ["DIFFERS layer greedy.kept_cols 80 -> 79",
+                          "DIFFERS layer greedy.offered_cols 88 -> None",
+                          "DIFFERS layer inner.evaluations None -> 5",
+                          "3 layer count(s) differ"]
+    # an untraced side: no layer lines
+    b = _write(tmp_path, "b.json", _run([0.5], [1.0], [3], [False]))
+    assert compare_runs.main([a, b]) == 0
+    assert "layer" not in capsys.readouterr().out
+
+
 def test_relative_difference(compare_runs):
     rel = compare_runs.relative_difference
     assert rel(0.0, 0.0) == 0.0

@@ -27,6 +27,19 @@ def orthonormality_defect(q):
     return np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]), 2)
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize("field, kwargs", [
+        ("omega_max", {"omega_max": np.inf}),
+        ("omega_max", {"omega_max": np.nan,
+                       "inner": InnerConfig(interval=(0.0, 10.0))}),
+        ("eps", {"omega_max": 1.0, "eps": np.nan}),
+        ("eps", {"omega_max": 1.0, "eps": np.inf}),
+    ])
+    def test_non_finite_settings_name_their_field(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**kwargs)
+
+
 class TestExpansionBlock:
     def test_scalar_blocks(self):
         tf = siso_one_pole()
@@ -219,9 +232,9 @@ class TestBlockOrthonormalization:
         tf = make_delay_fixture(2000)
         points = tuple(np.linspace(0.0, 50.0, 10).tolist())
         blocks = [expansion_block(tf, w) for w in points]
-        state = expand(SubspaceState.empty(2000),
-                       np.hstack([vb for vb, _ in blocks]),
-                       np.hstack([wb for _, wb in blocks]), points)
+        state = SubspaceState.empty(2000)
+        for omega, block in zip(points, blocks):
+            state = expand(state, *block, omega)
         assert state.points == points
         for basis, side in ((state.V, 0), (state.W, 1)):
             block = np.hstack([b[side] for b in blocks])
@@ -248,8 +261,8 @@ class TestBlockOrthonormalization:
         u, _ = np.linalg.qr(rng.standard_normal((12, 3))
                             + 1j * rng.standard_normal((12, 3)))
         block = np.column_stack((u[:, 0], u[:, 0] + 1e-12 * u[:, 1], u[:, 1]))
-        new = expand(SubspaceState.empty(12), block, block, (1.0, 2.0, 3.0))
-        assert new.dim == 2 and new.points == (1.0, 2.0, 3.0)
+        new = expand(SubspaceState.empty(12), block, block, 1.0)
+        assert new.dim == 2 and new.points == (1.0,)
         assert orthonormality_defect(new.V) <= 1e-12
         assert np.linalg.norm(block - new.V @ (new.V.conj().T @ block)) <= 1e-12
 
@@ -265,53 +278,81 @@ class TestBlockOrthonormalization:
         assert orthonormality_defect(new.V) <= 1e-14
         assert np.linalg.norm(block - new.V @ (new.V.conj().T @ block)) <= 1e-12
 
-    def test_points_of_one_expand_are_rebalanced_one_by_one(self):
-        # V drops its first column and W its second; at each point the drop
-        # removes the other basis's new column too, as two expands would
-        rng = np.random.default_rng(43)
-        q, _ = np.linalg.qr(rng.standard_normal((10, 3)))
-        state = SubspaceState(V=q, W=q.copy())
-        dependent = q @ rng.standard_normal((3, 1))
-        fresh = rng.standard_normal((10, 1))
-        vb, wb = np.hstack((dependent, fresh)), np.hstack((fresh, dependent))
-        both = expand(state, vb, wb, (1.0, 2.0))
-        one = expand(expand(state, vb[:, :1], wb[:, :1], 1.0),
-                     vb[:, 1:], wb[:, 1:], 2.0)
-        assert both.dim == one.dim == 3
-        assert both.points == one.points == (1.0, 2.0)
-        np.testing.assert_array_equal(both.V, one.V)
-        np.testing.assert_array_equal(both.W, one.W)
+    def test_later_delay_expansions_skip_the_zero_rows(self, monkeypatch):
+        # the delay resolvents at omega = 0, 10, 20 end at rows 473, 386
+        # and 517 of 5000: each pass runs up to the latest end so far
+        tf = make_delay_fixture(5000)
+        rows = []
+        inner_append = greedy._append_orthonormal
 
-    @pytest.mark.parametrize("points", [(1.0, 2.0), ()])
-    def test_columns_must_split_evenly_among_points(self, points):
-        state = SubspaceState.empty(10)
-        block = np.ones((10, 3))
-        with pytest.raises(DimensionMismatch):
-            expand(state, block, block, points)
+        def spy(q, k, block, extent):
+            rows.append(extent)
+            return inner_append(q, k, block, extent)
+
+        monkeypatch.setattr(greedy, "_append_orthonormal", spy)
+        state = SubspaceState.empty(5000)
+        for omega in (0.0, 10.0, 20.0):
+            state = expand(state, *expansion_block(tf, omega), omega)
+        assert rows == [473, 473, 473, 473, 517, 517]
+        assert state.dim == 3
+        for basis in (state.V, state.W):
+            assert orthonormality_defect(basis) <= 1e-12
+            assert not basis[517:].any()
+
+    def test_replaced_dense_bases_are_passed_over_every_row(self):
+        # a state made by dataclasses.replace keeps the blocks of the state
+        # it came from, but its dense bases are nonzero past their row
+        # extent: the passes against them must cover every row
+        tf = make_delay_fixture(5000)
+        state = SubspaceState.empty(5000)
+        for omega in (0.0, 10.0):
+            state = expand(state, *expansion_block(tf, omega), omega)
+        rng = np.random.default_rng(44)
+        q, _ = np.linalg.qr(rng.standard_normal((5000, 2))
+                            + 1j * rng.standard_normal((5000, 2)))
+        new = expand(dataclasses.replace(state, V=q, W=q.copy()),
+                     *expansion_block(tf, 20.0), 20.0)
+        assert new.dim == 3
+        assert orthonormality_defect(new.V) <= 1e-12
+        assert orthonormality_defect(new.W) <= 1e-12
 
     def test_run_expands_the_initial_points_once(self, monkeypatch):
-        # every initial resolvent block is written into the capacity blocks
-        # and orthonormalized there by one expand, with no copy
+        # one expand per initial point that is not singular, each writing
+        # in place into the blocks made for the first one
         calls = []
         inner_expand = greedy.expand
 
         def spy(state, Vb, Wb, omega):
             new = inner_expand(state, Vb, Wb, omega)
-            calls.append((state, Vb, Wb, omega, new))
+            calls.append((state, omega, new))
             return new
 
         monkeypatch.setattr(greedy, "expand", spy)
         tf, interval = random_descriptor(60, 1, 1, seed=43)
-        res = run(tf, RunConfig(omega_max=interval[1], r0=6, keep_states=True,
+        seeded = (tf, RunConfig(omega_max=interval[1], r0=6, keep_states=True,
                                 inner=InnerConfig(interval=interval)))
-        state, vb, wb, points, new = calls[0]
-        assert res.seeds
-        assert points == tuple(np.linspace(0.0, interval[1], 6)) + res.seeds
-        assert state.dim == 0 and vb.shape[1] == wb.shape[1] == len(points)
-        assert vb.base is new.V.base and wb.base is new.W.base
-        assert np.shares_memory(vb, new.V) and np.shares_memory(wb, new.W)
-        assert res.states[0] is new
-        assert not any(isinstance(call[3], tuple) for call in calls[1:])
+        # singular at s = 0, the first equidistant point, and not seeded
+        tf = descriptor_tf(np.eye(2), np.diag([0.0, -1.0]),
+                           np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]]))
+        singular_first = (tf, RunConfig(omega_max=5.0, r0=10,
+                                        keep_states=True))
+        for tf, cfg in (seeded, singular_first):
+            calls.clear()
+            res = run(tf, cfg)
+            points = tuple(w for w in np.linspace(0.0, cfg.omega_max, cfg.r0)
+                           if w not in res.skipped_points) + res.seeds
+            # seeds in the first case, a skipped point in the second
+            assert bool(res.seeds) != bool(res.skipped_points)
+            initial = calls[:len(points)]
+            assert tuple(omega for _, omega, _ in initial) == points
+            blocks = initial[0][0]._blocks
+            assert initial[0][0].dim == 0
+            assert blocks.V.shape[1] == 2 * (cfg.r0 + len(res.seeds))
+            for k, (state, _, new) in enumerate(initial):
+                assert state._blocks is new._blocks is blocks
+                assert new.V.base is blocks.V and new.W.base is blocks.W
+                assert new.points == points[:k + 1]
+            assert res.states[0] is initial[-1][2]
 
 
 class TestRun:

@@ -126,6 +126,19 @@ def singular_e_descriptor(seed=0):
     return descriptor_tf(e, a, b, c), interval
 
 
+class TestInnerConfig:
+    @pytest.mark.parametrize("field, kwargs", [
+        ("interval", {"interval": (0.0, np.inf)}),
+        ("interval", {"interval": (-np.inf, 1.0)}),
+        ("interval", {"interval": (0.0, np.nan)}),
+        ("curvature_bound", {"interval": (0.0, 1.0),
+                             "curvature_bound": -np.inf}),
+    ])
+    def test_non_finite_settings_name_their_field(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            InnerConfig(**kwargs)
+
+
 class TestImaginaryCrossings:
     def test_one_pole_level(self):
         rm = siso_one_pole()

@@ -5,9 +5,17 @@ import csv
 import numpy as np
 import pytest
 
+from linfnorm.errors import SingularShift
 from linfnorm.oracle import grid_norm, grid_sweep, sweep_csv
+from linfnorm.problems import descriptor_tf
 
 from conftest import random_descriptor, siso_one_pole, siso_two_pole
+
+
+def _axis_pole():
+    """H(s) = 1/(s - 2i), singular at omega = 2."""
+    return descriptor_tf(np.eye(1), np.array([[2j]]), np.ones((1, 1)),
+                         np.ones((1, 1)))
 
 
 class TestGridSweep:
@@ -27,8 +35,18 @@ class TestGridSweep:
         with pytest.raises(ValueError):
             grid_sweep(siso_one_pole(), (0, 2), 1)
 
+    def test_singular_point_is_skipped(self):
+        ws, sig, skipped = grid_sweep(_axis_pole(), (0.0, 4.0), 5)
+        assert ws == [0.0, 1.0, 3.0, 4.0]
+        np.testing.assert_allclose(sig, [0.5, 1.0, 1.0, 0.5], rtol=1e-12)
+        assert skipped == [2.0]
+
 
 class TestGridNorm:
+    def test_every_point_singular(self):
+        with pytest.raises(SingularShift):
+            grid_norm(_axis_pole(), (2.0, 2.0), 1)
+
     def test_one_pole(self):
         res = grid_norm(siso_one_pole(), (0, 5), 101)
         assert res.best_omega == pytest.approx(0.0, abs=1e-8)

@@ -7,8 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 from linfnorm.errors import DimensionMismatch, ParseError
-from linfnorm.problems import (delay_coupling_matrix, load_benchmark,
-                               load_problem, make_delay_fixture)
+from linfnorm.problems import (delay_coupling_matrix, descriptor_tf,
+                               load_benchmark, load_problem,
+                               make_delay_fixture)
 
 
 def write_mtx_dense(path, mat):
@@ -151,6 +152,32 @@ class TestDelayFixture:
             make_delay_fixture(5, tau=0.0)
         with pytest.raises(ValueError):
             make_delay_fixture(5, beta=0.0)
+
+
+class TestDescriptor:
+    def test_nested_lists(self):
+        # H(s) = s / (s^2 + 4) + 1 / (s + 1)
+        lists = ([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                 [[0, 2, 0], [-2, 0, 0], [0, 0, -1]], [[1], [0], [1]],
+                 [[1, 0, 1]])
+        arrays = [np.array(m, dtype=float) for m in lists]
+        tf = descriptor_tf(*lists)
+        np.testing.assert_array_equal(tf.eval(1j),
+                                      descriptor_tf(*arrays).eval(1j))
+        assert tf.eval(1j)[0, 0] == pytest.approx(1j / 3 + 1 / (1j + 1))
+
+    def test_sparse_inputs_stay_sparse(self):
+        # as load_benchmark passes them above DENSE_CUTOFF
+        n = 300
+        e = sp.identity(n, format="csc")
+        a = sp.diags(-np.arange(1.0, n + 1.0), format="csc")
+        b = sp.csc_matrix(np.ones((n, 1)))
+        c = sp.csc_matrix(np.ones((1, n)))
+        tf = descriptor_tf(e, a, b, c)
+        assert all(sp.issparse(m) for f in (tf.c_factor, tf.d_factor,
+                                             tf.b_factor) for _, m in f.terms)
+        assert tf.eval(0.0)[0, 0] == pytest.approx(
+            np.sum(1.0 / np.arange(1.0, n + 1.0)), rel=1e-12)
 
 
 class TestExternalBenchmarks:

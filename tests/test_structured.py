@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import linfnorm.structured as structured
 from linfnorm.errors import DimensionMismatch, SingularShift
 from linfnorm.greedy import expansion_block
-from linfnorm.problems import delay_coupling_matrix, make_delay_fixture
+from linfnorm.problems import (delay_coupling_matrix, descriptor_tf,
+                               make_delay_fixture)
 from linfnorm.reduced import sigma_and_slope, sigma_max
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
@@ -127,6 +128,21 @@ class TestMatrixFactor:
                                    np.linalg.inv(d), rtol=1e-12)
         np.testing.assert_array_equal(e.indices, [1, 0, 1])
         np.testing.assert_array_equal(e.toarray(), [[2.0, 0.0], [1.0, 3.0]])
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_stack_equals_eval_at_each_shift(self, derivative):
+        # a dense delay-term factor with complex coefficients, as a reduced
+        # delay model has, on the imaginary axis where it is evaluated
+        rng = np.random.default_rng(24)
+        terms = [(ScalarTerm(degree=1), np.eye(4)),
+                 (ScalarTerm(), rng.standard_normal((4, 4))),
+                 (ScalarTerm(delay=1.0), rng.standard_normal((4, 4))
+                  + 1j * rng.standard_normal((4, 4)))]
+        f = MatrixFactor(terms)
+        shifts = [1j * w for w in np.linspace(-50.0, 50.0, 41)]
+        one = f.eval_derivative if derivative else f.eval
+        np.testing.assert_array_equal(f.stack(shifts, derivative=derivative),
+                                      [one(s) for s in shifts])
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ValueError):
@@ -356,6 +372,44 @@ class TestSolves:
             for omega in (0.0, 0.7, 3.1):
                 sigma, _ = sigma_and_slope(tf, [omega], slope=True)
                 assert sigma[0] == sigma_max(tf, omega)
+
+
+class TestNearSingularShifts:
+    """Each singularity check rejects a numerically singular D(s) with the
+    estimate that failed, on every factorization route."""
+
+    @staticmethod
+    def _tf(d):
+        n = d.shape[0]
+        return StructuredTF(MatrixFactor([(ScalarTerm(), np.ones((1, n)))]),
+                            MatrixFactor([(ScalarTerm(), d)]),
+                            MatrixFactor([(ScalarTerm(), np.ones((n, 1)))]))
+
+    def test_dense_rcond_estimate(self, routes):
+        # zgetrf succeeds with pivots 1 and 1e-17; zgecon rejects it
+        tf = descriptor_tf(np.eye(2), -np.diag([1.0, 1e-17]),
+                           np.ones((2, 1)), np.ones((1, 2)))
+        with pytest.raises(SingularShift) as err:
+            tf.eval(0.0)
+        assert err.value.rcond == pytest.approx(1e-17)
+        assert routes == ["_DenseFactorization"]
+
+    def test_tridiagonal_pivot_ratio(self, routes):
+        with pytest.raises(SingularShift) as err:
+            self._tf(sp.diags([1.0, 1e-16, 1.0], format="csc")).eval(1j)
+        assert err.value.rcond == pytest.approx(1e-16)
+        assert routes == ["_TridiagonalFactorization"]
+
+    def test_superlu_exactly_singular(self, routes):
+        # the (0, 3) entry keeps D off the tridiagonal route; row 2 is zero
+        d = sp.csc_matrix(np.array([[1.0, 0.0, 0.0, 1.0],
+                                    [0.0, 1.0, 0.0, 0.0],
+                                    [0.0, 0.0, 0.0, 0.0],
+                                    [0.0, 0.0, 0.0, 1.0]]))
+        with pytest.raises(SingularShift) as err:
+            self._tf(d).eval(1j)
+        assert err.value.rcond == 0.0
+        assert routes == ["_SparseFactorization"]
 
 
 def _mixed_pattern_factor(n, seed, reach=1):

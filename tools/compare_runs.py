@@ -2,13 +2,15 @@
 
 Usage: python tools/compare_runs.py A.json B.json
 
-A and B are ``.bench_out/<workload>-seed<seed>-trace0.json`` files written
-by ``bench/run.py``, for instance by two versions of the code.  Prints the
-largest relative difference of the jobs' norms and of their omegas, the
-total of each deterministic count (iterations, basis dimension, inner
-evaluations, ...) over the jobs on both sides, then every job whose counts
-or failed flag differ.  Exits with 1 when a job differs in those, or when
-the two runs do not hold the same jobs, else 0.
+A and B are ``.bench_out/<workload>-seed<seed>-trace<0|1>.json`` files
+written by ``bench/run.py``, for instance by two versions of the code.
+Prints the largest relative difference of the jobs' norms and of their
+omegas, the total of each deterministic count (iterations, basis dimension,
+inner evaluations, ...) over the jobs on both sides, then every job whose
+counts or failed flag differ.  When both runs are traced (``--trace 1``),
+it then prints each per-layer count of the traced round on both sides.
+Exits with 1 when a job differs in its counts or failed flag, when a layer
+count differs, or when the two runs do not hold the same jobs, else 0.
 """
 
 from __future__ import annotations
@@ -62,6 +64,20 @@ def count_totals(run: dict) -> dict:
     return totals
 
 
+def compare_layers(a: dict, b: dict) -> list:
+    """One line per layer count of two traced runs, both sides, led by
+    DIFFERS where they differ; empty unless both runs are traced."""
+    layers_a, layers_b = a["counts"].get("layers"), b["counts"].get("layers")
+    if layers_a is None or layers_b is None:
+        return []
+    lines = []
+    for key in sorted(layers_a.keys() | layers_b.keys()):
+        va, vb = layers_a.get(key), layers_b.get(key)
+        lines.append(("" if va == vb else "DIFFERS ")
+                     + f"layer {key} {va} -> {vb}")
+    return lines
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -80,7 +96,13 @@ def main(argv=None) -> int:
     for line in differ:
         print(f"DIFFERS {line}")
     print(f"{len(differ)} job(s) differ in counts or failed flag")
-    return 1 if differ else 0
+    layers = compare_layers(*runs)
+    layers_differ = sum(line.startswith("DIFFERS") for line in layers)
+    for line in layers:
+        print(line)
+    if layers:
+        print(f"{layers_differ} layer count(s) differ")
+    return 1 if differ or layers_differ else 0
 
 
 if __name__ == "__main__":
