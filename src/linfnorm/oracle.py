@@ -65,8 +65,13 @@ def _golden_refine(model, lo, hi, tol, best):
 
 def grid_sweep(model, interval, npoints: int):
     """(omegas, sigmas, skipped) over an equispaced grid; singular shifts
-    are skipped and recorded."""
+    are skipped and recorded.  The interval's ends must be finite with
+    lo <= hi."""
     lo, hi = interval
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"interval ends must be finite, got {(lo, hi)}")
+    if lo > hi:
+        raise ValueError(f"interval must have lo <= hi, got {(lo, hi)}")
     if npoints < 1 or (npoints < 2 and lo != hi):
         raise ValueError("npoints must be at least 2 for a nondegenerate interval")
     omegas = np.linspace(lo, hi, npoints) if lo != hi else np.array([lo])
@@ -82,7 +87,12 @@ def grid_sweep(model, interval, npoints: int):
 
 def grid_norm(model, interval, npoints: int, refine_tol: float = 1e-9) -> SweepResult:
     """Equispaced sigma sweep with golden-section refinement around every
-    local grid maximum; returns the global best found."""
+    local grid maximum; returns the global best found.  The refinement
+    stops once its bracket is no wider than refine_tol, which must be
+    positive: at 0 the bracket around an interior peak stops shrinking one
+    ulp wide, and the loop never ends."""
+    if not refine_tol > 0:
+        raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     kept_w, kept_s, skipped = grid_sweep(model, interval, npoints)
     if not kept_w:
         raise SingularShift(None)

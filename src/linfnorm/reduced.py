@@ -41,7 +41,10 @@ def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X^* Y as one dot product per pair of columns (np.vecdot), for the thin
     products of the C and B factors: a BLAS matrix product of that shape
     hands half of its work to a second thread from about 4000 entries and,
-    when the other core is busy, waits milliseconds for it."""
+    when the other core is busy, waits milliseconds for it.  vecdot itself
+    goes to a second thread above 1e4 rows; projected over the row extents
+    of the delay family's bases, these products take about 1742 rows at
+    every order."""
     return np.vecdot(X.T[:, None, :], Y.T)
 
 
@@ -68,22 +71,36 @@ def _adjoint_times(mat, X: np.ndarray) -> np.ndarray:
     return _inner(_as_dense(mat), X)
 
 
+def _leading(mat, rows: int, cols: int):
+    """The leading rows-by-cols block of mat; mat itself when that is all
+    of it.  A sparse mat in a format without slicing goes through CSC."""
+    if (rows, cols) == mat.shape:
+        return mat
+    if sp.issparse(mat) and mat.format not in ("csc", "csr"):
+        mat = mat.tocsc()
+    return mat[:rows, :cols]
+
+
 def _project_factor(factor, prior, k: int, V=None, W=None) -> MatrixFactor:
     """The coefficients of factor projected: C_j V without W, W^* B_j
     without V, W^* D_j V with both.  ``prior`` is the projected factor of
     the first k columns of V and W, or None with k = 0; only the rows and
-    columns past k are computed."""
+    columns past k are computed.  V and W hold the bases' leading rows, and
+    each coefficient is cut to its block on them, once per term."""
     projected = []
     for j, (term, mat) in enumerate(factor.terms):
         old = None if prior is None else prior.terms[j][1]
         if W is None:    # C_j V, p rows
+            mat = _leading(mat, mat.shape[0], V.shape[0])
             new = (_sparse_times(mat, V[:, k:]) if sp.issparse(mat)
                    else _inner(_as_dense(mat).conj().T, V[:, k:]))
             out = new if old is None else np.concatenate((old, new), axis=1)
         elif V is None:  # W^* B_j, m columns
+            mat = _leading(mat, W.shape[0], mat.shape[1])
             new = _inner(W[:, k:], _as_dense(mat))
             out = new if old is None else np.concatenate((old, new), axis=0)
         else:
+            mat = _leading(mat, W.shape[0], V.shape[0])
             # D_j V before W^*, and not kept past this product: the other
             # order raised delay_sparse's peak RSS by 8 MB, through the
             # allocator's reuse of freed blocks, and keeping D_j V until the
@@ -104,25 +121,40 @@ def _project_factor(factor, prior, k: int, V=None, W=None) -> MatrixFactor:
 
 
 def project(tf: StructuredTF, V: np.ndarray, W: np.ndarray,
-            prior: StructuredTF | None = None) -> StructuredTF:
+            prior: StructuredTF | None = None,
+            rows: tuple | None = None) -> StructuredTF:
     """Coefficient-wise Petrov-Galerkin projection onto Col(V), Col(W).
 
     ``prior`` is the projection of tf onto the first k columns of V and W,
     such as the model of a state that expand has grown into this one.  With
     it only the new rows and columns are computed: per new column and term
     of the D factor, one product with D_j and one with D_j^*, instead of
-    one per column."""
+    one per column.
+
+    ``rows`` is (rv, rw), such as ``SubspaceState.rows``: V is zero below
+    its first rv rows and W below its first rw.  Every product then runs
+    over those rows only, C_j V over the first rv columns of C_j, W^* B_j
+    over the first rw rows of B_j and W^* D_j V over the leading rw-by-rv
+    block of D_j, and gives the same entries.  The delay family's bases
+    are zero past row 1742 or so at every order.  With None, or with both
+    extents n, nothing is cut."""
     V = np.atleast_2d(np.asarray(V))
     W = np.atleast_2d(np.asarray(W))
     if V.shape[1] != W.shape[1]:
         raise DimensionMismatch(
             f"V and W must have equal column counts, got {V.shape[1]} and {W.shape[1]}")
-    if V.shape[0] != tf.n or W.shape[0] != tf.n:
+    n = tf.n
+    if V.shape[0] != n or W.shape[0] != n:
         raise DimensionMismatch("projection bases must have n rows")
+    rv, rw = (n, n) if rows is None else rows
+    if not (0 <= rv <= n and 0 <= rw <= n):
+        raise DimensionMismatch(
+            f"row extents must lie in [0, {n}], got {(rv, rw)}")
     k = 0 if prior is None else prior.n
     if k > V.shape[1]:
         raise DimensionMismatch(
             f"the prior model has {k} columns, more than the {V.shape[1]} of V")
+    V, W = V[:rv], W[:rw]
     old = (None,) * 3 if prior is None else (
         prior.c_factor, prior.d_factor, prior.b_factor)
     return StructuredTF(

@@ -77,6 +77,16 @@ def test_delay_scaling_vs_oracle():
     report("delay scaling vs oracle (n=100,1000,10000)", ok)
 
 
+def test_delay_published_value_at_large_order():
+    """The published single-delay value at n = 1e5, where the bases and
+    their projections stop at the resolvents' last nonzero row."""
+    tf = make_delay_fixture(100_000)
+    res = run(tf, RunConfig(omega_max=50.0, inner=InnerConfig(**DELAY_INNER)))
+    ok = (abs(res.norm - 0.2376599180) <= 1e-10
+          and res.iterations <= 3 and res.converged)
+    report("delay published value (n=1e5)", ok)
+
+
 def test_hermite_interpolation_suite():
     """Reduced models match the full function in value and slope at every
     interpolation point, after every iteration, on 25 random systems."""

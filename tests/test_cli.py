@@ -167,6 +167,13 @@ class TestUsageErrors:
         ["norm", "MANIFEST", "--omega-max", "inf"],
         ["norm", "MANIFEST", "--omega-max", "5", "--interval", "0", "inf"],
         ["oracle", "MANIFEST", "--interval", "0", "5", "--npoints", "0"],
+        ["oracle", "MANIFEST", "--interval", "0", "5", "--npoints", "5",
+         "--refine-tol", "-1"],
+        ["oracle", "MANIFEST", "--interval", "0", "5", "--npoints", "5",
+         "--refine-tol", "nan"],
+        ["oracle", "MANIFEST", "--interval", "0", "5", "--npoints", "5",
+         "--refine-tol", "0"],
+        ["oracle", "MANIFEST", "--interval", "0", "inf", "--npoints", "5"],
     ])
     def test_invalid_numeric_option(self, args, tmp_path, capsys):
         manifest = str(one_pole_manifest(tmp_path))

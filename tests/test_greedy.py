@@ -425,9 +425,9 @@ class TestRun:
         taken = []
         inner_project = greedy.project
 
-        def copying(tf, V, W, *args):
+        def copying(tf, V, W, *args, **kwargs):
             taken.append((V.copy(), W.copy()))
-            return inner_project(tf, V, W, *args)
+            return inner_project(tf, V, W, *args, **kwargs)
 
         monkeypatch.setattr(greedy, "project", copying)
         monkeypatch.setattr(greedy, "dominant_frequencies", lambda tf: ())
@@ -456,9 +456,9 @@ class TestRun:
         dims = []
         inner_project = greedy.project
 
-        def spy_project(tf, V, W, prior=None):
+        def spy_project(tf, V, W, prior=None, rows=None):
             dims.append(V.shape[1])
-            return inner_project(tf, V, W, prior)
+            return inner_project(tf, V, W, prior, rows)
 
         monkeypatch.setattr(greedy, "project", spy_project)
         tf, interval = random_descriptor(n, m, m, seed, min_decay=decay[0],
@@ -533,11 +533,11 @@ class TestRun:
         inner_project = greedy.project
         sparse_times = reduced._sparse_times
 
-        def spy_project(tf, V, W, prior=None):
+        def spy_project(tf, V, W, prior=None, rows=None):
             calls.append({"dim": V.shape[1],
                           "prior": None if prior is None else prior.n,
                           "cols": 0})
-            return inner_project(tf, V, W, prior)
+            return inner_project(tf, V, W, prior, rows)
 
         def spy_times(mat, X):
             calls[-1]["cols"] += X.shape[1]
@@ -561,9 +561,9 @@ class TestRun:
         priors = []
         inner_project = greedy.project
 
-        def spy_project(tf, V, W, prior=None):
+        def spy_project(tf, V, W, prior=None, rows=None):
             priors.append(prior)
-            return inner_project(tf, V, W, prior)
+            return inner_project(tf, V, W, prior, rows)
 
         monkeypatch.setattr(greedy, "project", spy_project)
         tf, interval = random_descriptor(60, 1, 1, seed=43)
@@ -577,6 +577,26 @@ class TestRun:
         assert res.norm == pytest.approx(sw.best_sigma, rel=1e-12)
         assert priors[0] is None and priors[1] is not None
         assert priors[2:] == [None] * (len(priors) - 2)
+
+    def test_delay_projections_take_the_row_extents(self, monkeypatch):
+        # the delay resolvents end far above row 5000, and every projection
+        # that run() and check_interpolation make is told so
+        extents = []
+        inner_project = greedy.project
+
+        def spy_project(tf, V, W, prior=None, rows=None):
+            extents.append(rows)
+            return inner_project(tf, V, W, prior, rows)
+
+        monkeypatch.setattr(greedy, "project", spy_project)
+        tf = make_delay_fixture(5000)
+        res = run(tf, RunConfig(omega_max=50.0, keep_states=True,
+                                inner=InnerConfig(interval=(0.0, 50.0),
+                                                  curvature_bound=-100.0)))
+        assert res.converged and len(extents) >= 2
+        check_interpolation(tf, res.states[-1])
+        assert len(extents) == len(res.states) + 1
+        assert all(rows is not None and max(rows) < tf.n for rows in extents)
 
     def test_monotone_span_with_keepall(self):
         tf, interval = random_descriptor(50, 1, 1, seed=44)

@@ -74,6 +74,29 @@ class TestGridNorm:
             assert res.best_sigma >= grid_best - 1e-12
 
 
+class TestArgumentChecks:
+    @pytest.mark.parametrize("interval", [
+        (float("nan"), 1.0), (0.0, float("inf")), (-float("inf"), 0.0)])
+    def test_non_finite_interval_end(self, interval):
+        with pytest.raises(ValueError, match="interval"):
+            grid_sweep(siso_one_pole(), interval, 5)
+        with pytest.raises(ValueError, match="interval"):
+            grid_norm(siso_one_pole(), interval, 5)
+
+    def test_reversed_interval(self):
+        with pytest.raises(ValueError, match="interval"):
+            grid_sweep(siso_one_pole(), (5.0, 0.0), 5)
+        with pytest.raises(ValueError, match="interval"):
+            grid_norm(siso_one_pole(), (5.0, 0.0), 5)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan")])
+    def test_refine_tol_must_be_positive(self, tol):
+        # -1, and 0 at an interior peak, never ended the refinement loop;
+        # nan skipped it silently
+        with pytest.raises(ValueError, match="refine_tol"):
+            grid_norm(siso_one_pole(), (0.0, 2.0), 5, refine_tol=tol)
+
+
 class TestSweepCsv:
     def test_rows_and_values(self, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -1,5 +1,6 @@
 """Tests for projection, reduced evaluation, and singular-value helpers."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -171,6 +172,104 @@ class TestBorderedProject:
         prior = project(tf, np.eye(6)[:, :3], np.eye(6)[:, :3])
         with pytest.raises(DimensionMismatch):
             project(tf, np.eye(6)[:, :2], np.eye(6)[:, :2], prior)
+
+
+def _assert_equal_models(a, b):
+    """Every projected coefficient agrees bit for bit."""
+    for fa, fb in ((a.c_factor, b.c_factor), (a.d_factor, b.d_factor),
+                   (a.b_factor, b.b_factor)):
+        for (ta, ma), (tb, mb) in zip(fa.terms, fb.terms, strict=True):
+            assert ta == tb
+            np.testing.assert_array_equal(ma, mb)
+
+
+def _padded_block(rng, n, width, rows):
+    """A random complex block that is zero below its first rows rows."""
+    block = _random_block(rng, n, width)
+    block[rows:] = 0.0
+    return block
+
+
+class TestRowExtents:
+    def test_delay_bases_after_three_expansions(self):
+        # the delay resolvents at omega = 0, 10, 20 end at row 517 of 5000
+        n = 5000
+        tf = make_delay_fixture(n)
+        state = SubspaceState.empty(n)
+        for omega in (0.0, 10.0):
+            state = expand(state, *expansion_block(tf, omega), omega)
+        prior = project(tf, state.V, state.W, rows=state.rows)
+        state = expand(state, *expansion_block(tf, 20.0), 20.0)
+        assert state.rows == (517, 517) and state.dim == 3
+        _assert_equal_models(project(tf, state.V, state.W, rows=state.rows),
+                             project(tf, state.V, state.W))
+        _assert_equal_models(
+            project(tf, state.V, state.W, prior, rows=state.rows),
+            project(tf, state.V, state.W, prior))
+
+    @pytest.mark.parametrize("fmt", ["dense", "csc", "csr", "coo"])
+    def test_padded_bases_on_a_general_sparse_d(self, fmt):
+        # a random sparse D goes to SuperLU, not the tridiagonal route; V
+        # and W end at different rows, so the border must take each its own
+        n = 40
+        tf = _two_term_tf(n, 2, fmt, True, seed=65)
+        rng = np.random.default_rng(66)
+        state = SubspaceState.empty(n)
+        models = []
+        for k, (rv, rw) in enumerate(((12, 20), (9, 17), (15, 23))):
+            state = expand(state, _padded_block(rng, n, 2, rv),
+                           _padded_block(rng, n, 2, rw), float(k))
+            prior = models[-1] if models else None
+            models.append(project(tf, state.V, state.W, prior,
+                                  rows=state.rows))
+            _assert_same_model(models[-1],
+                               project(tf, state.V, state.W, prior))
+        assert state.rows == (15, 23) and state.dim == 6
+
+    def test_full_extents_are_bit_for_bit(self):
+        tf, _ = random_descriptor(30, 2, 2, seed=67)
+        state = SubspaceState.empty(tf.n)
+        for omega in (0.5, 1.5, 2.5):
+            state = expand(state, *expansion_block(tf, omega), omega)
+        assert state.rows == (30, 30)
+        _assert_equal_models(project(tf, state.V, state.W, rows=state.rows),
+                             project(tf, state.V, state.W))
+
+    def test_full_extents_leave_the_coefficients_uncut(self, monkeypatch):
+        # at n = 200 the delay resolvents are nonzero on every row, so the
+        # products take the function's own sparse matrices
+        tf = make_delay_fixture(200)
+        state = SubspaceState.empty(tf.n)
+        for omega in (0.0, 10.0):
+            state = expand(state, *expansion_block(tf, omega), omega)
+        assert state.rows == (200, 200)
+        mats = []
+        sparse_times = reduced._sparse_times
+
+        def spy(mat, V):
+            mats.append(mat)
+            return sparse_times(mat, V)
+
+        monkeypatch.setattr(reduced, "_sparse_times", spy)
+        project(tf, state.V, state.W, rows=state.rows)
+        terms = [m for _, m in tf.d_factor.terms]
+        assert len(mats) == len(terms)
+        assert all(a is b for a, b in zip(mats, terms))
+
+    @pytest.mark.parametrize("rows", [(7, 6), (6, 7), (-1, 6), (6, -1)])
+    def test_extents_out_of_range_rejected(self, rows):
+        tf, _ = random_descriptor(6, 1, 1, seed=68)
+        with pytest.raises(DimensionMismatch):
+            project(tf, np.eye(6)[:, :2], np.eye(6)[:, :2], rows=rows)
+
+    def test_state_rows(self):
+        n = 5000
+        tf = make_delay_fixture(n)
+        state = expand(SubspaceState.empty(n), *expansion_block(tf, 0.0), 0.0)
+        assert state.rows == (473, 473)
+        assert SubspaceState(V=state.V.copy(), W=state.W.copy()).rows == (n, n)
+        assert dataclasses.replace(state, V=state.V.copy()).rows == (n, n)
+        assert SubspaceState.empty(n).rows == (0, 0)
 
 
 class TestSigmaMax:
