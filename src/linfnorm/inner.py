@@ -21,6 +21,7 @@ crossings and the maximization ends after one eigensolve.
 from __future__ import annotations
 
 import bisect
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,16 @@ class InnerConfig:
                 f"interval must be finite with lo < hi, got {self.interval}")
         if not -np.inf < self.curvature_bound < 0:
             raise ValueError("curvature_bound must be finite and negative")
+        # zero is valid: the support search then ends on its spacing guard
+        if not 0 <= self.support_tol < np.inf:
+            raise ValueError(
+                f"support_tol must be finite and nonnegative, "
+                f"got {self.support_tol}")
+        if not (isinstance(self.max_inner_iters, numbers.Integral)
+                and self.max_inner_iters >= 1):
+            raise ValueError(
+                f"max_inner_iters must be an integer >= 1, "
+                f"got {self.max_inner_iters}")
 
 
 @dataclass

@@ -77,6 +77,7 @@ class MatrixFactor:
         self.terms = terms
         self.shape = shape
         self._bands = _UNSET
+        self._symmetric = _UNSET
 
     @property
     def bands(self) -> np.ndarray | None:
@@ -90,6 +91,23 @@ class MatrixFactor:
         if self._bands is _UNSET:
             self._bands = _tridiagonal_bands(self.terms, self.ncols)
         return self._bands
+
+    @property
+    def symmetric(self) -> bool:
+        """Whether every coefficient equals its transpose exactly.  Read
+        from the bands when the factor has them, where each band's
+        superdiagonal must equal its subdiagonal, since comparing sparse
+        coefficients with their transposes took ten times as long on the
+        delay family.  Built on first use, then kept, as bands is."""
+        if self._symmetric is _UNSET:
+            if self.nrows != self.ncols:
+                self._symmetric = False
+            elif self.bands is not None:
+                v = self.bands.reshape(len(self.terms), 3, self.ncols)
+                self._symmetric = np.array_equal(v[:, 0, 1:], v[:, 2, :-1])
+            else:
+                self._symmetric = all(_equal(m, m.T) for _, m in self.terms)
+        return self._symmetric
 
     @property
     def nrows(self) -> int:
@@ -172,6 +190,16 @@ def _tridiagonal_bands(terms, n: int) -> np.ndarray | None:
         row = coo.row.astype(np.int64)  # flat positions reach 3n
         np.add.at(band, (1 + row - coo.col) * n + coo.col, coo.data)
     return bands
+
+
+def _equal(a, b) -> bool:
+    """Whether a and b are both sparse or both dense, with one shape and
+    equal entries."""
+    if a.shape != b.shape or sp.issparse(a) != sp.issparse(b):
+        return False
+    if sp.issparse(a):
+        return (a != b).nnz == 0
+    return np.array_equal(a, b)
 
 
 def _as_dense(m) -> np.ndarray:
@@ -260,10 +288,10 @@ class StructuredTF:
     """The triple (C-factor, D-factor, B-factor) with dimensions (p, n, m).
 
     Holds no factorization between calls, so concurrent evaluation is safe.
-    The only thing kept is the D factor's bands, which do not depend on the
-    shift; a concurrent first call builds them twice, harmlessly.  A sparse
-    D(s) goes to the tridiagonal LU when the factor has bands and to SuperLU
-    otherwise; a dense D(s) gets a LAPACK LU.
+    The only things kept are the D factor's bands and symmetric flag, which
+    do not depend on the shift; a concurrent first call builds them twice,
+    harmlessly.  A sparse D(s) goes to the tridiagonal LU when the factor
+    has bands and to SuperLU otherwise; a dense D(s) gets a LAPACK LU.
     """
 
     def __init__(self, c_factor: MatrixFactor, d_factor: MatrixFactor,
@@ -281,6 +309,12 @@ class StructuredTF:
         self.d_factor = d_factor
         self.b_factor = b_factor
         self.is_real = c_factor.is_real and d_factor.is_real and b_factor.is_real
+        # C(s) = B(s)^T at every shift, bit for bit: the same scalar terms in
+        # the same order, each C_j equal to B_j^T
+        self._c_is_b_transpose = (
+            len(c_factor.terms) == len(b_factor.terms)
+            and all(tc == tb and _equal(mc, mb.T) for (tc, mc), (tb, mb)
+                    in zip(c_factor.terms, b_factor.terms)))
 
     @property
     def n(self) -> int:
@@ -306,10 +340,18 @@ class StructuredTF:
         return _SparseFactorization(d, s)
 
     def _resolvents(self, s: complex):
-        """(C(s), D(s)^{-1} B(s), D(s)^{-*} C(s)^*) from one factorization."""
+        """(C(s), D(s)^{-1} B(s), D(s)^{-*} C(s)^*) from one factorization.
+
+        A complex-symmetric function, one with C(s) = B(s)^T and every D_j
+        equal to its transpose, has D(s)^* = conj(D(s)) and so
+        D(s)^{-*} C(s)^* = conj(D(s)^{-1} B(s)): it takes one solve, and
+        C(s) is B(s)^T."""
         fact = self._factorization(s)
+        bs = self.b_factor.eval(s)
+        x = fact.solve(bs)
+        if self._c_is_b_transpose and self.d_factor.symmetric:
+            return bs.T, x, x.conj()
         cs = self.c_factor.eval(s)
-        x = fact.solve(self.b_factor.eval(s))
         y = fact.solve(_as_dense(cs).conj().T, adjoint=True)
         return cs, x, y
 

@@ -148,6 +148,14 @@ class TestBenchCommand:
         assert float(rows[1]["norm"]) == pytest.approx(0.23766, rel=1e-4)
         assert float(rows[1]["omega"]) == pytest.approx(3.07547, abs=1e-3)
 
+    def test_zero_inner_rounds_is_named(self, capsys):
+        code = main(["bench", "delay", "--n", "50", "--max-inner-iters", "0"])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "max_inner_iters" in captured.err
+        assert captured.out == ""
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):

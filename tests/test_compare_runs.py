@@ -39,9 +39,11 @@ def test_equal_runs(compare_runs, tmp_path, capsys):
     a = _write(tmp_path, "a.json", doc)
     b = _write(tmp_path, "b.json", doc)
     assert compare_runs.main([a, b]) == 0
-    out = capsys.readouterr().out
-    assert "max relative norm difference: 0" in out
-    assert "0 job(s) differ" in out
+    lines = capsys.readouterr().out.splitlines()
+    # no job to name when none differs
+    assert lines[:2] == ["max relative norm difference: 0",
+                         "max relative omega difference: 0"]
+    assert "0 job(s) differ in counts or failed flag" in lines
 
 
 def test_differences_are_reported(compare_runs, tmp_path, capsys):
@@ -53,14 +55,29 @@ def test_differences_are_reported(compare_runs, tmp_path, capsys):
                     [3, 6, 5], [False, False, True]))
     assert compare_runs.main([a, b]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "max relative norm difference: 0.1"
-    assert lines[1] == "max relative omega difference: 1e-09"
+    assert lines[0] == "max relative norm difference: 0.1 (job 2)"
+    assert lines[1] == "max relative omega difference: 1e-09 (job 1)"
     assert lines[2:] == [
         "total basis_dim 42 -> 44",
         "total iterations 12 -> 14",
         "DIFFERS job 1: basis_dim 14 -> 16, iterations 4 -> 6",
         "DIFFERS job 2: failed False -> True",
         "2 job(s) differ in counts or failed flag"]
+
+
+def test_largest_difference_names_its_first_job(compare_runs, tmp_path,
+                                                capsys):
+    # job 1 and job 2 tie on the norm; job 0's omega differs most
+    a = _write(tmp_path, "a.json",
+               _run([1.0, 1.0, 2.0], [4.0, 2.0, 2.0], [3, 3, 3],
+                    [False, False, False]))
+    b = _write(tmp_path, "b.json",
+               _run([1.0, 1.5, 3.0], [2.0, 1.5, 2.0], [3, 3, 3],
+                    [False, False, False]))
+    assert compare_runs.main([a, b]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["max relative norm difference: 0.333 (job 1)",
+                         "max relative omega difference: 0.5 (job 0)"]
 
 
 def test_count_totals(compare_runs, tmp_path, capsys):

@@ -578,6 +578,19 @@ class TestRun:
         assert priors[0] is None and priors[1] is not None
         assert priors[2:] == [None] * (len(priors) - 2)
 
+    def test_delay_bases_are_conjugates(self):
+        # the delay function is complex symmetric: each adjoint resolvent is
+        # the conjugate of its direct one, and CGS2 keeps W = conj(V)
+        tf = make_delay_fixture(5000)
+        res = run(tf, RunConfig(omega_max=50.0, keep_states=True,
+                                inner=InnerConfig(interval=(0.0, 50.0),
+                                                  curvature_bound=-100.0)))
+        assert res.converged and res.states
+        for state in res.states:
+            np.testing.assert_array_equal(state.W, state.V.conj())
+            rows_v, rows_w = state.rows
+            assert rows_v == rows_w < tf.n
+
     def test_delay_projections_take_the_row_extents(self, monkeypatch):
         # the delay resolvents end far above row 5000, and every projection
         # that run() and check_interpolation make is told so

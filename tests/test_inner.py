@@ -133,10 +133,22 @@ class TestInnerConfig:
         ("interval", {"interval": (0.0, np.nan)}),
         ("curvature_bound", {"interval": (0.0, 1.0),
                              "curvature_bound": -np.inf}),
+        ("support_tol", {"interval": (0.0, 1.0), "support_tol": np.nan}),
+        ("support_tol", {"interval": (0.0, 1.0), "support_tol": np.inf}),
+        ("support_tol", {"interval": (0.0, 1.0), "support_tol": -1.0}),
+        ("max_inner_iters", {"interval": (0.0, 1.0), "max_inner_iters": 0}),
+        ("max_inner_iters", {"interval": (0.0, 1.0), "max_inner_iters": -3}),
+        ("max_inner_iters", {"interval": (0.0, 1.0),
+                             "max_inner_iters": 2.5}),
     ])
     def test_non_finite_settings_name_their_field(self, field, kwargs):
         with pytest.raises(ValueError, match=field):
             InnerConfig(**kwargs)
+
+    def test_zero_support_tol_and_one_round_are_valid(self):
+        cfg = InnerConfig(interval=(0.0, 1.0), support_tol=0.0,
+                          max_inner_iters=1)
+        assert (cfg.support_tol, cfg.max_inner_iters) == (0.0, 1)
 
 
 class TestImaginaryCrossings:

@@ -555,6 +555,129 @@ class TestTridiagonalPositions:
         assert f.bands is None
 
 
+@pytest.fixture
+def adjoint_flags(monkeypatch):
+    """The adjoint flag of every solve on a factorization, in call order."""
+    flags = []
+    for name in ("_DenseFactorization", "_SparseFactorization",
+                 "_TridiagonalFactorization"):
+        cls = getattr(structured, name)
+
+        def solve(self, rhs, adjoint=False, _solve=cls.solve):
+            flags.append(adjoint)
+            return _solve(self, rhs, adjoint)
+
+        monkeypatch.setattr(cls, "solve", solve)
+    return flags
+
+
+def _with_terms(tf, c_terms=None, d_terms=None):
+    """tf with its C or D factor's terms replaced."""
+    return StructuredTF(
+        MatrixFactor(c_terms or tf.c_factor.terms),
+        MatrixFactor(d_terms or tf.d_factor.terms), tf.b_factor)
+
+
+def _asymmetric_entry(tf):
+    """tf with the (3, 4) entry of its D factor's second coefficient
+    changed, so that that coefficient differs from its transpose there."""
+    terms = list(tf.d_factor.terms)
+    term, m = terms[1]
+    m = m.tolil()
+    m[3, 4] *= 1.5
+    terms[1] = (term, m.tocsc())
+    return _with_terms(tf, d_terms=terms)
+
+
+def _complex_symmetric_dense(n, seed):
+    """D(s) = s*I - A with A complex symmetric, not Hermitian; C = B^T."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = rng.standard_normal((n, 2))
+    return descriptor_tf(np.eye(n), x + x.T - 3 * n * np.eye(n), b, b.T)
+
+
+def _symmetric_pentadiagonal(n, seed):
+    """D(s) = s*I - A with A real symmetric and pentadiagonal, which takes
+    the SuperLU route; C = B^T."""
+    rng = np.random.default_rng(seed)
+    off1, off2 = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 2)
+    a = sp.diags([off2, off1, rng.uniform(-1.0, 1.0, n) - 6.0, off1, off2],
+                 [-2, -1, 0, 1, 2], format="csc")
+    b = rng.standard_normal((n, 2))
+    return descriptor_tf(sp.identity(n, format="csc"), a, b, b.T)
+
+
+class TestComplexSymmetric:
+    """A function with C(s) = B(s)^T and every D_j equal to its transpose
+    takes one solve per shift in _resolvents: the adjoint resolvent is
+    conj(D(s)^{-1} B(s))."""
+
+    @staticmethod
+    def _reference(tf, s):
+        """D(s)^{-*} C(s)^* by the adjoint solve."""
+        cs = structured._as_dense(tf.c_factor.eval(s))
+        return tf.solve_d_adjoint(s, cs.conj().T)
+
+    def test_delay_adjoint_resolvent_is_conj(self, adjoint_flags):
+        tf = make_delay_fixture(5000)
+        for s in (1.5j, 0.3 + 7j, 15.3849j):
+            adjoint_flags.clear()
+            cs, x, y = tf._resolvents(s)
+            assert adjoint_flags == [False]
+            np.testing.assert_array_equal(
+                structured._as_dense(cs),
+                structured._as_dense(tf.c_factor.eval(s)))
+            np.testing.assert_array_equal(x, tf.solve_d(s, tf.b_factor.eval(s)))
+            ref = self._reference(tf, s)
+            assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("qualifying, route", [
+        (lambda: _complex_symmetric_dense(12, seed=50), "_DenseFactorization"),
+        (lambda: _symmetric_pentadiagonal(40, seed=51),
+         "_SparseFactorization"),
+    ], ids=["dense", "superlu"])
+    def test_other_routes_qualify(self, qualifying, route, adjoint_flags,
+                                  routes):
+        tf = qualifying()
+        for s in (0.7j, 0.4 + 2j):
+            adjoint_flags.clear()
+            cs, x, y = tf._resolvents(s)
+            assert adjoint_flags == [False]
+            ref = self._reference(tf, s)
+            assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert routes == [route] * 4
+
+    @pytest.mark.parametrize("broken", [
+        _asymmetric_entry,
+        lambda tf: _with_terms(tf, c_terms=[
+            (t, 2 * m) for t, m in tf.c_factor.terms]),
+        lambda tf: _with_terms(tf, c_terms=[
+            (ScalarTerm(delay=0.5), m) for _, m in tf.c_factor.terms]),
+        lambda tf: random_descriptor(8, 1, 1, seed=52)[0],
+    ], ids=["asymmetric-entry", "c-is-2bt", "other-scalar-term",
+            "random-descriptor"])
+    def test_others_keep_the_adjoint_solve(self, broken, adjoint_flags):
+        tf = broken(make_delay_fixture(50))
+        cs, x, y = tf._resolvents(1.5j)
+        assert adjoint_flags == [False, True]
+        np.testing.assert_array_equal(y, self._reference(tf, 1.5j))
+
+    @pytest.mark.parametrize("tf, symmetric", [
+        (make_delay_fixture(50), True),
+        (_asymmetric_entry(make_delay_fixture(50)), False),
+        (_complex_symmetric_dense(12, seed=50), True),
+        (random_descriptor(12, 1, 1, seed=53)[0], False),
+        (_symmetric_pentadiagonal(40, seed=51), True),
+        (_asymmetric_entry(_symmetric_pentadiagonal(40, seed=51)), False),
+    ], ids=["delay", "delay-asymmetric", "dense", "dense-asymmetric",
+            "superlu", "superlu-asymmetric"])
+    def test_symmetric_flag(self, tf, symmetric):
+        # from the bands on the delay factors, by transposes otherwise
+        assert (tf.d_factor.bands is not None) == (tf.n == 50)
+        assert tf.d_factor.symmetric is symmetric
+
+
 class TestEvalH:
     def test_scalar(self, one_pole):
         assert one_pole.eval(2.0)[0, 0] == pytest.approx(1 / 3)

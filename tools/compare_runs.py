@@ -5,9 +5,10 @@ Usage: python tools/compare_runs.py A.json B.json
 A and B are ``.bench_out/<workload>-seed<seed>-trace<0|1>.json`` files
 written by ``bench/run.py``, for instance by two versions of the code.
 Prints the largest relative difference of the jobs' norms and of their
-omegas, the total of each deterministic count (iterations, basis dimension,
-inner evaluations, ...) over the jobs on both sides, then every job whose
-counts or failed flag differ.  When both runs are traced (``--trace 1``),
+omegas, each with the first job that has it, the total of each
+deterministic count (iterations, basis dimension, inner evaluations, ...)
+over the jobs on both sides, then every job whose counts or failed flag
+differ.  When both runs are traced (``--trace 1``),
 it then prints each per-layer count of the traced round on both sides.
 Exits with 1 when a job differs in its counts or failed flag, when a layer
 count differs, or when the two runs do not hold the same jobs, else 0.
@@ -31,19 +32,23 @@ def relative_difference(a: float, b: float) -> float:
 
 
 def compare(a: dict, b: dict) -> tuple[dict, list]:
-    """({"norm": ..., "omega": ...} largest relative differences, lines
-    naming each job that differs in its counts or failed flag)."""
+    """({"norm": ..., "omega": ...} largest relative differences, each a
+    (difference, label) pair with the label of the first job that has it,
+    None when no job differs; lines naming each job that differs in its
+    counts or failed flag)."""
     jobs_a, jobs_b = a["jobs"], b["jobs"]
     labels_a = [j["label"] for j in jobs_a]
     labels_b = [j["label"] for j in jobs_b]
     if labels_a != labels_b:
         return {}, [f"different jobs: {labels_a} vs {labels_b}"]
     counts_a, counts_b = a["counts"]["jobs"], b["counts"]["jobs"]
-    worst = {"norm": 0.0, "omega": 0.0}
+    worst = {"norm": (0.0, None), "omega": (0.0, None)}
     differ = []
     for ja, jb, ca, cb in zip(jobs_a, jobs_b, counts_a, counts_b):
         for key in worst:
-            worst[key] = max(worst[key], relative_difference(ja[key], jb[key]))
+            diff = relative_difference(ja[key], jb[key])
+            if diff > worst[key][0]:
+                worst[key] = (diff, ja["label"])
         changed = sorted(k for k in ca.keys() | cb.keys()
                          if ca.get(k) != cb.get(k))
         if ja["failed"] != jb["failed"]:
@@ -88,8 +93,9 @@ def main(argv=None) -> int:
         with open(path) as fh:
             runs.append(json.load(fh))
     worst, differ = compare(*runs)
-    for key, value in worst.items():
-        print(f"max relative {key} difference: {value:.3g}")
+    for key, (value, label) in worst.items():
+        print(f"max relative {key} difference: {value:.3g}"
+              + ("" if label is None else f" ({label})"))
     totals_a, totals_b = (count_totals(run) for run in runs)
     for key in sorted(totals_a.keys() | totals_b.keys()):
         print(f"total {key} {totals_a.get(key, 0)} -> {totals_b.get(key, 0)}")
