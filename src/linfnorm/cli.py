@@ -9,7 +9,7 @@ import json
 import sys
 import time
 
-from .errors import LinfNormError
+from .errors import LinfNormError, ParseError
 from .greedy import (CONVERGED, DOMINANT, FULL, KEEP_ALL, LAST_TWO, RunConfig,
                      run)
 from .inner import InnerConfig
@@ -69,28 +69,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config_from(config: dict, args) -> RunConfig:
-    """Merge manifest defaults with command-line overrides."""
-    def pick(cli_val, key, fallback):
+    """Merge manifest defaults with command-line overrides.  A manifest
+    value of the wrong type raises ParseError naming its key."""
+    def number(value):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    def integer(value):
+        return number(value) and isinstance(value, int)
+
+    def pair(value):
+        return (isinstance(value, list) and len(value) == 2
+                and all(map(number, value)))
+
+    def pick(cli_val, key, fallback, valid=None, what=None):
         if cli_val is not None:
             return cli_val
-        return config.get(key, fallback)
+        value = config.get(key, fallback)
+        if valid is not None and not valid(value):
+            raise ParseError(
+                f"manifest config {key!r} must be {what}, got {value!r}")
+        return value
 
-    omega_max = pick(args.omega_max, "omega_max", None)
-    if omega_max is None:
+    if args.omega_max is None and config.get("omega_max") is None:
         raise LinfNormError(
             "omega_max is required (set --omega-max or the manifest config)")
-    interval = pick(list(args.interval) if args.interval else None,
-                    "interval", [0.0, omega_max])
+    omega_max = pick(args.omega_max, "omega_max", None, number, "a number")
+    interval = pick(args.interval, "interval", [0.0, omega_max], pair,
+                    "a list of two numbers")
     inner = InnerConfig(
         interval=tuple(float(x) for x in interval),
-        curvature_bound=pick(args.gamma, "gamma", -100.0),
-        max_inner_iters=pick(args.max_inner_iters, "max_inner_iters", 200),
+        curvature_bound=pick(args.gamma, "gamma", -100.0, number, "a number"),
+        max_inner_iters=pick(args.max_inner_iters, "max_inner_iters", 200,
+                             integer, "an integer"),
     )
     return RunConfig(
         omega_max=float(omega_max),
-        r0=int(pick(args.r0, "r0", 10)),
-        eps=float(pick(args.eps, "eps", 1e-6)),
-        r_max=int(pick(args.rmax, "r_max", 30)),
+        r0=pick(args.r0, "r0", 10, integer, "an integer"),
+        eps=float(pick(args.eps, "eps", 1e-6, number, "a number")),
+        r_max=pick(args.rmax, "r_max", 30, integer, "an integer"),
         expansion_mode=pick(args.mode, "expansion_mode", FULL),
         subspace_policy=pick(args.policy, "subspace_policy", KEEP_ALL),
         inner=inner,

@@ -11,6 +11,7 @@ no column.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -57,78 +58,48 @@ class RunConfig:
     def __post_init__(self):
         if not np.isfinite(self.omega_max):
             raise ValueError(f"omega_max must be finite, got {self.omega_max}")
-        if self.r0 < 1:
-            raise ValueError("r0 must be at least 1")
+        for name in ("r0", "r_max"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value}")
         if not 0 < self.eps < np.inf:
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
-        if self.r_max < 1:
-            raise ValueError("r_max must be at least 1")
         if self.expansion_mode not in (FULL, DOMINANT):
             raise ValueError(f"unknown expansion_mode {self.expansion_mode!r}")
         if self.subspace_policy not in (KEEP_ALL, LAST_TWO):
             raise ValueError(f"unknown subspace_policy {self.subspace_policy!r}")
 
 
-class _Blocks:
-    """The (n, capacity) Fortran blocks behind the V and W of the states
-    that expand returns.  Each such state views their first ``dim``
-    columns; ``used`` is the dim of the newest one, and expand writes only
-    from column ``used`` on, so no state that views the blocks changes.
-    ``rows_v`` and ``rows_w`` are one past the last row where any column
-    written into V or W is nonzero."""
-
-    def __init__(self, n: int, capacity: int, dtype, rows=(0, 0)):
-        self.V = np.empty((n, capacity), dtype=dtype, order="F")
-        self.W = np.empty((n, capacity), dtype=dtype, order="F")
-        self.used = 0
-        self.rows_v, self.rows_w = rows
-
-    def state(self, points: tuple = ()) -> "SubspaceState":
-        """The state that views the first ``used`` columns."""
-        return SubspaceState(V=self.V[:, :self.used], W=self.W[:, :self.used],
-                             points=points, _blocks=self)
-
-
 @dataclass(frozen=True)
 class SubspaceState:
-    """Orthonormal bases of equal column count and the frequencies at which
-    their blocks were taken.  ``rows`` bounds the rows where V and W can be
-    nonzero, so that project can skip the others."""
+    """Orthonormal bases of equal column count with ``n`` rows each, and
+    the frequencies at which their blocks were taken.  V and W hold the
+    bases' leading rows, and every row below them, down to row n, is zero;
+    expand stores each basis up to its last nonzero row.  ``n`` defaults to
+    the row count of V, so bases given with all their rows are taken
+    whole."""
 
     V: np.ndarray
     W: np.ndarray
     points: tuple = ()
-    _blocks: _Blocks | None = field(default=None, repr=False, compare=False)
+    n: int | None = None
+
+    def __post_init__(self):
+        if self.n is None:
+            object.__setattr__(self, "n", self.V.shape[0])
+        if max(self.V.shape[0], self.W.shape[0]) > self.n:
+            raise DimensionMismatch(
+                f"V and W may have at most n = {self.n} rows, got "
+                f"{self.V.shape[0]} and {self.W.shape[0]}")
 
     @property
     def dim(self) -> int:
         return self.V.shape[1]
 
-    @property
-    def _viewed_blocks(self) -> _Blocks | None:
-        """The blocks behind V and W when both view them, else None."""
-        blocks = self._blocks
-        if (blocks is not None and self.V.base is blocks.V
-                and self.W.base is blocks.W):
-            return blocks
-        return None
-
-    @property
-    def rows(self) -> tuple:
-        """(rows_v, rows_w): V is zero below its first rows_v rows and W
-        below its first rows_w.  The extents of the blocks that V and W
-        view; bases from elsewhere count as nonzero on every row, unless
-        they have no column."""
-        blocks = self._viewed_blocks
-        if blocks is not None:
-            return blocks.rows_v, blocks.rows_w
-        n = self.V.shape[0]
-        return (n, n) if self.dim else (0, 0)
-
     @classmethod
     def empty(cls, n: int) -> "SubspaceState":
-        z = np.zeros((n, 0), dtype=np.complex128)
-        return cls(V=z, W=z.copy())
+        z = np.zeros((0, 0), dtype=np.complex128)
+        return cls(V=z, W=z.copy(), n=n)
 
 
 @dataclass
@@ -201,14 +172,11 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _append_orthonormal(q: np.ndarray, k: int, block: np.ndarray,
-                        rows: int) -> int:
+def _append_orthonormal(q: np.ndarray, k: int, block: np.ndarray) -> int:
     """Classical Gram-Schmidt, twice (CGS2): each block column is projected
     out of the first k columns of q in two passes and, unless it fails the
     dependency check, written into q as column k, which k then counts.
     Returns the final k; columns before the first k are never written.
-    The passes run over the first ``rows`` rows; the first k columns of q
-    and the block must be zero below them.
 
     q is Fortran-ordered, so each basis column is contiguous and a pass is
     two numpy calls, ``vecdot`` (every column with the vector) and
@@ -221,14 +189,14 @@ def _append_orthonormal(q: np.ndarray, k: int, block: np.ndarray,
     ms instead of 0.4 ms."""
     q[:, k:k + block.shape[1]] = block
     for j in range(k, k + block.shape[1]):
-        v = q[:rows, j]
+        v = q[:, j]
         pre = _norm(v)
-        basis = q[:rows, :k].T
+        basis = q[:, :k].T
         for _ in range(2):
             v = v - np.vecmat(np.vecdot(basis, v).conj(), basis)
         nrm = _norm(v)
         if nrm >= DEFLATION_TOL * (pre + 1.0):
-            q[:rows, k] = v / nrm
+            q[:, k] = v / nrm
             k += 1
     return k
 
@@ -242,74 +210,53 @@ def _row_extent(block: np.ndarray, rows: int) -> int:
     return rows + int(nonzero[-1]) + 1 if nonzero.size else rows
 
 
-def _blocks_for(state: SubspaceState, Vb: np.ndarray,
-                Wb: np.ndarray) -> _Blocks:
-    """The blocks that expand writes state's new columns into: state's own
-    when it is their newest holder and they have the room and dtype, else
-    new blocks of twice the needed capacity holding a copy of its bases.
-    New blocks start from state's row extents (``SubspaceState.rows``)."""
-    n, dim = state.V.shape
-    needed = dim + max(Vb.shape[1], Wb.shape[1])
-    dtype = np.result_type(state.V, state.W, Vb, Wb)
-    blocks = state._viewed_blocks
-    if (blocks is not None and blocks.used == dim
-            and blocks.V.shape[1] >= needed and blocks.V.dtype == dtype):
-        return blocks
-    blocks = _Blocks(n, 2 * needed, dtype, state.rows)
-    blocks.V[:, :dim], blocks.W[:, :dim] = state.V, state.W
-    blocks.used = dim
-    return blocks
-
-
 def expand(state: SubspaceState, Vb: np.ndarray, Wb: np.ndarray,
            omega: float) -> SubspaceState:
     """A new state with the snapshot blocks taken at omega appended and
     omega recorded; the input state is left as it is.
 
-    The new columns go in place into the blocks behind the input state
-    when it is the newest state expanded from them; any other state (a
-    second expansion of one state, a state built by hand) is copied into
-    new blocks first.  Nearly dependent directions are dropped; if the
-    drops leave the two bases with unequal column counts, the newest
-    surviving columns of the larger basis are removed until the counts
-    match.  A fully degenerate expansion leaves the dimension unchanged.
-    Each block must be 2-D with one row per basis row.
+    Nearly dependent directions are dropped; if the drops leave the two
+    bases with unequal column counts, the newest surviving columns of the
+    larger basis are removed until the counts match.  A fully degenerate
+    expansion leaves the dimension unchanged.  Each block must be 2-D with
+    one row per basis row, n.
 
-    The passes stop at the later of the basis's row extent and the block's
-    last nonzero row: the delay family's resolvents underflow to exact
-    zeros past row 1742 or so at every order.
+    Each new basis holds the rows up to the later of the old basis's and
+    the block's last nonzero row, and the passes run over those rows only:
+    the delay family's resolvents underflow to exact zeros past row 1742 or
+    so at every order.
     """
-    n = state.V.shape[0]
+    n = state.n
     for block in (Vb, Wb):
         if block.ndim != 2 or block.shape[0] != n:
             raise DimensionMismatch(f"expansion blocks must be 2-D with {n} "
                                     f"rows, got shape {block.shape}")
-    blocks = _blocks_for(state, Vb, Wb)
-    blocks.rows_v = _row_extent(Vb, blocks.rows_v)
-    blocks.rows_w = _row_extent(Wb, blocks.rows_w)
-    blocks.used = min(
-        _append_orthonormal(blocks.V, state.dim, Vb, blocks.rows_v),
-        _append_orthonormal(blocks.W, state.dim, Wb, blocks.rows_w))
-    return blocks.state(state.points + (omega,))
+    dtype = np.result_type(state.V, state.W, Vb, Wb)
+    grown = []
+    for basis, block in ((state.V, Vb), (state.W, Wb)):
+        rows = _row_extent(block, basis.shape[0])
+        q = np.zeros((rows, state.dim + block.shape[1]), dtype=dtype,
+                     order="F")
+        q[:basis.shape[0], :state.dim] = basis
+        grown.append((q, _append_orthonormal(q, state.dim, block[:rows])))
+    (V, kv), (W, kw) = grown
+    k = min(kv, kw)
+    return SubspaceState(V=V[:, :k], W=W[:, :k],
+                         points=state.points + (omega,), n=n)
 
 
 def _initial_state(tf: StructuredTF, points, mode: str):
     """The state interpolating at every point whose shift is not singular,
-    and the list of the points skipped.  The blocks are made at the first
-    point that is not singular, with room for twice the columns of all the
-    points, so that every expand here writes in place."""
-    state, skipped = None, []
+    and the list of the points skipped."""
+    state, skipped = SubspaceState.empty(tf.n), []
     for w0 in points:
         try:
             vb, wb = expansion_block(tf, w0, mode)
         except SingularShift:
             skipped.append(w0)
             continue
-        if state is None:
-            state = _Blocks(tf.n, 2 * len(points) * vb.shape[1],
-                            np.complex128).state()
         state = expand(state, vb, wb, w0)
-    if state is None:
+    if not state.points:
         raise AllShiftsSingular("every initial interpolation point was singular")
     return state, skipped
 
@@ -328,7 +275,7 @@ def check_interpolation(tf: StructuredTF, state: SubspaceState,
     report = []
     if not state.points:
         return report
-    rm = project(tf, state.V, state.W, rows=state.rows)
+    rm = project(tf, state.V, state.W)
     full = mode == FULL
     hr, hr_prime = rm.eval_stack([1j * w for w in state.points],
                                  derivative=full)
@@ -427,7 +374,7 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     prior = None    # the model of the state that expand grew into this one
 
     for _ in range(cfg.r_max):
-        rm = project(tf, state.V, state.W, prior, rows=state.rows)
+        rm = project(tf, state.V, state.W, prior)
         try:
             res = maximize(rm, search_cfg, state.points)
         except UnboundedOnAxis:

@@ -121,8 +121,7 @@ def _project_factor(factor, prior, k: int, V=None, W=None) -> MatrixFactor:
 
 
 def project(tf: StructuredTF, V: np.ndarray, W: np.ndarray,
-            prior: StructuredTF | None = None,
-            rows: tuple | None = None) -> StructuredTF:
+            prior: StructuredTF | None = None) -> StructuredTF:
     """Coefficient-wise Petrov-Galerkin projection onto Col(V), Col(W).
 
     ``prior`` is the projection of tf onto the first k columns of V and W,
@@ -131,30 +130,29 @@ def project(tf: StructuredTF, V: np.ndarray, W: np.ndarray,
     of the D factor, one product with D_j and one with D_j^*, instead of
     one per column.
 
-    ``rows`` is (rv, rw), such as ``SubspaceState.rows``: V is zero below
-    its first rv rows and W below its first rw.  Every product then runs
-    over those rows only, C_j V over the first rv columns of C_j, W^* B_j
-    over the first rw rows of B_j and W^* D_j V over the leading rw-by-rv
-    block of D_j, and gives the same entries.  The delay family's bases
-    are zero past row 1742 or so at every order.  With None, or with both
-    extents n, nothing is cut."""
-    V = np.atleast_2d(np.asarray(V))
-    W = np.atleast_2d(np.asarray(W))
+    V and W may hold fewer than n rows, as a SubspaceState's do: they are
+    the leading rows of bases that are zero below them.  Every product then
+    runs over those rows only, C_j V over the leading columns of C_j, W^*
+    B_j over the leading rows of B_j and W^* D_j V over the leading block
+    of D_j, and gives the entries of the projection onto the zero-padded
+    bases.  The delay family's bases are zero past row 1742 or so at every
+    order.  With n rows each, nothing is cut."""
+    V, W = np.asarray(V), np.asarray(W)
+    if V.ndim != 2 or W.ndim != 2:
+        raise DimensionMismatch(
+            f"projection bases must be 2-D, got shapes {V.shape} and {W.shape}")
     if V.shape[1] != W.shape[1]:
         raise DimensionMismatch(
             f"V and W must have equal column counts, got {V.shape[1]} and {W.shape[1]}")
     n = tf.n
-    if V.shape[0] != n or W.shape[0] != n:
-        raise DimensionMismatch("projection bases must have n rows")
-    rv, rw = (n, n) if rows is None else rows
-    if not (0 <= rv <= n and 0 <= rw <= n):
+    if V.shape[0] > n or W.shape[0] > n:
         raise DimensionMismatch(
-            f"row extents must lie in [0, {n}], got {(rv, rw)}")
+            f"projection bases may have at most n = {n} rows, got "
+            f"{V.shape[0]} and {W.shape[0]}")
     k = 0 if prior is None else prior.n
     if k > V.shape[1]:
         raise DimensionMismatch(
             f"the prior model has {k} columns, more than the {V.shape[1]} of V")
-    V, W = V[:rv], W[:rw]
     old = (None,) * 3 if prior is None else (
         prior.c_factor, prior.d_factor, prior.b_factor)
     return StructuredTF(

@@ -76,6 +76,15 @@ def cgs2_reference(block, tol):
     return q, kept
 
 
+def padded(basis, n):
+    """A state's basis with the zero rows below its stored ones put back,
+    n rows in all; Fortran-ordered, as the state's own bases are, so that
+    products with it take the same arithmetic."""
+    out = np.zeros((n, basis.shape[1]), dtype=basis.dtype, order="F")
+    out[:basis.shape[0]] = basis
+    return out
+
+
 def constant_factor(mat):
     return MatrixFactor([(ScalarTerm(), np.atleast_2d(np.asarray(mat, dtype=float)))])
 

@@ -47,6 +47,32 @@ class TestNormCommand:
         assert main(["norm", str(manifest)]) == EXIT_ERROR
         assert "omega_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, config", [
+        ("interval", {"omega_max": 5.0, "interval": 5}),
+        ("interval", {"omega_max": 5.0, "interval": [0.0, "5"]}),
+        ("r0", {"omega_max": 5.0, "r0": None}),
+        ("r0", {"omega_max": 5.0, "r0": 2.5}),
+        ("r_max", {"omega_max": 5.0, "r_max": True}),
+        ("eps", {"omega_max": 5.0, "eps": [1]}),
+        ("gamma", {"omega_max": 5.0, "gamma": "x"}),
+        ("max_inner_iters", {"omega_max": 5.0, "max_inner_iters": 2.5}),
+        ("omega_max", {"omega_max": [10]}),
+    ])
+    def test_manifest_config_of_the_wrong_type_is_an_error(
+            self, tmp_path, capsys, key, config):
+        manifest = one_pole_manifest(tmp_path, config=config)
+        assert main(["norm", str(manifest)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest config {key!r} must be")
+
+    def test_command_line_overrides_a_manifest_config_value(self, tmp_path,
+                                                            capsys):
+        # only the manifest values in use are checked
+        manifest = one_pole_manifest(tmp_path, config={"omega_max": 5.0,
+                                                       "r0": 2.5})
+        assert main(["norm", str(manifest), "--r0", "3"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["norm"] == pytest.approx(1.0)
+
     def test_missing_manifest_is_an_error(self, tmp_path, capsys):
         code = main(["norm", str(tmp_path / "nope.json"), "--omega-max", "5"])
         assert code == EXIT_ERROR

@@ -127,6 +127,23 @@ def test_layer_counts_of_traced_runs(compare_runs, tmp_path, capsys):
     assert "layer" not in capsys.readouterr().out
 
 
+def test_metrics_are_printed_and_do_not_fail(compare_runs, tmp_path, capsys):
+    doc_a = _run([0.5], [1.0], [3], [False])
+    doc_b = _run([0.5], [1.0], [3], [False])
+    doc_a["metrics"] = {"wall_s": 1.336, "peak_rss_mb": 159.3, "setup_s": 0.4}
+    doc_b["metrics"] = {"wall_s": 1.326, "peak_rss_mb": 117.8125,
+                        "job_s_p50": 0.2}
+    a = _write(tmp_path, "a.json", doc_a)
+    b = _write(tmp_path, "b.json", doc_b)
+    assert compare_runs.main([a, b]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # in the first file's order, then the second's; None where one lacks it
+    assert lines[-4:] == ["metric wall_s 1.336 -> 1.326",
+                          "metric peak_rss_mb 159.3 -> 117.812",
+                          "metric setup_s 0.4 -> None",
+                          "metric job_s_p50 None -> 0.2"]
+
+
 def test_relative_difference(compare_runs):
     rel = compare_runs.relative_difference
     assert rel(0.0, 0.0) == 0.0

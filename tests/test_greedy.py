@@ -20,7 +20,8 @@ from linfnorm.problems import descriptor_tf, make_delay_fixture
 from linfnorm.reduced import DOMINANT_SEEDS, dominant_frequencies, sigma_max
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
-from conftest import cgs2_reference, random_descriptor, siso_one_pole
+from conftest import (cgs2_reference, padded, random_descriptor,
+                      siso_one_pole)
 
 
 def orthonormality_defect(q):
@@ -38,6 +39,12 @@ class TestRunConfig:
     def test_non_finite_settings_name_their_field(self, field, kwargs):
         with pytest.raises(ValueError, match=field):
             RunConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["r0", "r_max"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, 0])
+    def test_counts_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(omega_max=1.0, **{field: value})
 
 
 class TestExpansionBlock:
@@ -169,8 +176,8 @@ class TestExpand:
         np.testing.assert_array_equal(new.V[:, :3], v0)
 
     def test_two_expansions_of_one_state_are_independent(self):
-        # the second expansion of a state finds its blocks taken by the
-        # first child, so it copies them; the first child stays as it was
+        # each expansion makes new bases, so the first child stays as it
+        # was when its parent is expanded again
         rng = np.random.default_rng(36)
         state = SubspaceState.empty(20)
         for k in range(3):
@@ -210,8 +217,8 @@ class TestExpand:
         assert orthonormality_defect(new.V) <= 1e-12
 
     def test_replaced_bases_are_expanded(self):
-        # a state made by dataclasses.replace from an expanded one carries
-        # its blocks along, but not its bases: it is expanded from its own
+        # a state made by dataclasses.replace from an expanded one is
+        # expanded from its own bases
         rng = np.random.default_rng(38)
         state = expand(SubspaceState.empty(12), rng.standard_normal((12, 3)),
                        rng.standard_normal((12, 3)), 0.0)
@@ -237,6 +244,7 @@ class TestBlockOrthonormalization:
             state = expand(state, *block, omega)
         assert state.points == points
         for basis, side in ((state.V, 0), (state.W, 1)):
+            basis = padded(basis, 2000)
             block = np.hstack([b[side] for b in blocks])
             ref, kept = cgs2_reference(block, greedy.DEFLATION_TOL)
             assert kept == [0, 1, 2, 3, 4, 5, 6, 7, 9]
@@ -280,29 +288,32 @@ class TestBlockOrthonormalization:
 
     def test_later_delay_expansions_skip_the_zero_rows(self, monkeypatch):
         # the delay resolvents at omega = 0, 10, 20 end at rows 473, 386
-        # and 517 of 5000: each pass runs up to the latest end so far
+        # and 517 of 5000: each basis holds the rows up to the latest end
+        # so far, and each pass runs over them
         tf = make_delay_fixture(5000)
         rows = []
         inner_append = greedy._append_orthonormal
 
-        def spy(q, k, block, extent):
-            rows.append(extent)
-            return inner_append(q, k, block, extent)
+        def spy(q, k, block):
+            assert block.shape[0] == q.shape[0]
+            rows.append(q.shape[0])
+            return inner_append(q, k, block)
 
         monkeypatch.setattr(greedy, "_append_orthonormal", spy)
         state = SubspaceState.empty(5000)
         for omega in (0.0, 10.0, 20.0):
             state = expand(state, *expansion_block(tf, omega), omega)
         assert rows == [473, 473, 473, 473, 517, 517]
-        assert state.dim == 3
+        assert state.dim == 3 and state.n == 5000
         for basis in (state.V, state.W):
+            assert basis.shape[0] == 517
             assert orthonormality_defect(basis) <= 1e-12
             assert not basis[517:].any()
 
     def test_replaced_dense_bases_are_passed_over_every_row(self):
-        # a state made by dataclasses.replace keeps the blocks of the state
-        # it came from, but its dense bases are nonzero past their row
-        # extent: the passes against them must cover every row
+        # a state made by dataclasses.replace with dense bases of all n
+        # rows keeps them all: its expansion holds, and passes over, every
+        # row
         tf = make_delay_fixture(5000)
         state = SubspaceState.empty(5000)
         for omega in (0.0, 10.0):
@@ -313,12 +324,14 @@ class TestBlockOrthonormalization:
         new = expand(dataclasses.replace(state, V=q, W=q.copy()),
                      *expansion_block(tf, 20.0), 20.0)
         assert new.dim == 3
+        assert new.V.shape[0] == new.W.shape[0] == new.n == 5000
+        np.testing.assert_array_equal(new.V[:, :2], q)
         assert orthonormality_defect(new.V) <= 1e-12
         assert orthonormality_defect(new.W) <= 1e-12
 
     def test_run_expands_the_initial_points_once(self, monkeypatch):
-        # one expand per initial point that is not singular, each writing
-        # in place into the blocks made for the first one
+        # one expand per initial point that is not singular, starting from
+        # the empty state of the function's order
         calls = []
         inner_expand = greedy.expand
 
@@ -345,12 +358,9 @@ class TestBlockOrthonormalization:
             assert bool(res.seeds) != bool(res.skipped_points)
             initial = calls[:len(points)]
             assert tuple(omega for _, omega, _ in initial) == points
-            blocks = initial[0][0]._blocks
             assert initial[0][0].dim == 0
-            assert blocks.V.shape[1] == 2 * (cfg.r0 + len(res.seeds))
             for k, (state, _, new) in enumerate(initial):
-                assert state._blocks is new._blocks is blocks
-                assert new.V.base is blocks.V and new.W.base is blocks.W
+                assert state.n == new.n == tf.n
                 assert new.points == points[:k + 1]
             assert res.states[0] is initial[-1][2]
 
@@ -420,8 +430,8 @@ class TestRun:
             assert res.states[k].points == tuple(omegas[k - 2:k])
 
     def test_kept_states_never_change(self, monkeypatch):
-        # the states run() keeps view the blocks that later expansions
-        # write into; each must still hold what it held when it was kept
+        # each state run() keeps must still hold what it held when it was
+        # kept, after every later expansion
         taken = []
         inner_project = greedy.project
 
@@ -456,9 +466,9 @@ class TestRun:
         dims = []
         inner_project = greedy.project
 
-        def spy_project(tf, V, W, prior=None, rows=None):
+        def spy_project(tf, V, W, prior=None):
             dims.append(V.shape[1])
-            return inner_project(tf, V, W, prior, rows)
+            return inner_project(tf, V, W, prior)
 
         monkeypatch.setattr(greedy, "project", spy_project)
         tf, interval = random_descriptor(n, m, m, seed, min_decay=decay[0],
@@ -533,11 +543,11 @@ class TestRun:
         inner_project = greedy.project
         sparse_times = reduced._sparse_times
 
-        def spy_project(tf, V, W, prior=None, rows=None):
+        def spy_project(tf, V, W, prior=None):
             calls.append({"dim": V.shape[1],
                           "prior": None if prior is None else prior.n,
                           "cols": 0})
-            return inner_project(tf, V, W, prior, rows)
+            return inner_project(tf, V, W, prior)
 
         def spy_times(mat, X):
             calls[-1]["cols"] += X.shape[1]
@@ -561,9 +571,9 @@ class TestRun:
         priors = []
         inner_project = greedy.project
 
-        def spy_project(tf, V, W, prior=None, rows=None):
+        def spy_project(tf, V, W, prior=None):
             priors.append(prior)
-            return inner_project(tf, V, W, prior, rows)
+            return inner_project(tf, V, W, prior)
 
         monkeypatch.setattr(greedy, "project", spy_project)
         tf, interval = random_descriptor(60, 1, 1, seed=43)
@@ -588,18 +598,18 @@ class TestRun:
         assert res.converged and res.states
         for state in res.states:
             np.testing.assert_array_equal(state.W, state.V.conj())
-            rows_v, rows_w = state.rows
-            assert rows_v == rows_w < tf.n
+            assert state.V.shape[0] == state.W.shape[0] < state.n == tf.n
 
     def test_delay_projections_take_the_row_extents(self, monkeypatch):
         # the delay resolvents end far above row 5000, and every projection
-        # that run() and check_interpolation make is told so
+        # that run() and check_interpolation make takes only the bases'
+        # stored rows
         extents = []
         inner_project = greedy.project
 
-        def spy_project(tf, V, W, prior=None, rows=None):
-            extents.append(rows)
-            return inner_project(tf, V, W, prior, rows)
+        def spy_project(tf, V, W, prior=None):
+            extents.append((V.shape[0], W.shape[0]))
+            return inner_project(tf, V, W, prior)
 
         monkeypatch.setattr(greedy, "project", spy_project)
         tf = make_delay_fixture(5000)
@@ -609,7 +619,7 @@ class TestRun:
         assert res.converged and len(extents) >= 2
         check_interpolation(tf, res.states[-1])
         assert len(extents) == len(res.states) + 1
-        assert all(rows is not None and max(rows) < tf.n for rows in extents)
+        assert all(max(rows) < tf.n for rows in extents)
 
     def test_monotone_span_with_keepall(self):
         tf, interval = random_descriptor(50, 1, 1, seed=44)

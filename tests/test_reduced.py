@@ -17,7 +17,7 @@ from linfnorm.reduced import (DOMINANT_MAX_N, dominant_frequencies, project,
                               sigma_max)
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
-from conftest import (pointwise_sigma_and_slope, random_descriptor,
+from conftest import (padded, pointwise_sigma_and_slope, random_descriptor,
                       siso_one_pole)
 
 
@@ -190,6 +190,12 @@ def _padded_block(rng, n, width, rows):
     return block
 
 
+def _padded_project(tf, state, prior=None):
+    """The projection onto the state's bases with all n rows."""
+    return project(tf, padded(state.V, state.n), padded(state.W, state.n),
+                   prior)
+
+
 class TestRowExtents:
     def test_delay_bases_after_three_expansions(self):
         # the delay resolvents at omega = 0, 10, 20 end at row 517 of 5000
@@ -198,14 +204,14 @@ class TestRowExtents:
         state = SubspaceState.empty(n)
         for omega in (0.0, 10.0):
             state = expand(state, *expansion_block(tf, omega), omega)
-        prior = project(tf, state.V, state.W, rows=state.rows)
+        prior = project(tf, state.V, state.W)
         state = expand(state, *expansion_block(tf, 20.0), 20.0)
-        assert state.rows == (517, 517) and state.dim == 3
-        _assert_equal_models(project(tf, state.V, state.W, rows=state.rows),
-                             project(tf, state.V, state.W))
-        _assert_equal_models(
-            project(tf, state.V, state.W, prior, rows=state.rows),
-            project(tf, state.V, state.W, prior))
+        assert (state.V.shape[0], state.W.shape[0]) == (517, 517)
+        assert state.dim == 3
+        _assert_equal_models(project(tf, state.V, state.W),
+                             _padded_project(tf, state))
+        _assert_equal_models(project(tf, state.V, state.W, prior),
+                             _padded_project(tf, state, prior))
 
     @pytest.mark.parametrize("fmt", ["dense", "csc", "csr", "coo"])
     def test_padded_bases_on_a_general_sparse_d(self, fmt):
@@ -220,20 +226,19 @@ class TestRowExtents:
             state = expand(state, _padded_block(rng, n, 2, rv),
                            _padded_block(rng, n, 2, rw), float(k))
             prior = models[-1] if models else None
-            models.append(project(tf, state.V, state.W, prior,
-                                  rows=state.rows))
-            _assert_same_model(models[-1],
-                               project(tf, state.V, state.W, prior))
-        assert state.rows == (15, 23) and state.dim == 6
+            models.append(project(tf, state.V, state.W, prior))
+            _assert_same_model(models[-1], _padded_project(tf, state, prior))
+        assert (state.V.shape[0], state.W.shape[0]) == (15, 23)
+        assert state.dim == 6
 
     def test_full_extents_are_bit_for_bit(self):
         tf, _ = random_descriptor(30, 2, 2, seed=67)
         state = SubspaceState.empty(tf.n)
         for omega in (0.5, 1.5, 2.5):
             state = expand(state, *expansion_block(tf, omega), omega)
-        assert state.rows == (30, 30)
-        _assert_equal_models(project(tf, state.V, state.W, rows=state.rows),
-                             project(tf, state.V, state.W))
+        assert (state.V.shape[0], state.W.shape[0]) == (30, 30)
+        _assert_equal_models(project(tf, state.V, state.W),
+                             _padded_project(tf, state))
 
     def test_full_extents_leave_the_coefficients_uncut(self, monkeypatch):
         # at n = 200 the delay resolvents are nonzero on every row, so the
@@ -242,7 +247,7 @@ class TestRowExtents:
         state = SubspaceState.empty(tf.n)
         for omega in (0.0, 10.0):
             state = expand(state, *expansion_block(tf, omega), omega)
-        assert state.rows == (200, 200)
+        assert (state.V.shape[0], state.W.shape[0]) == (200, 200)
         mats = []
         sparse_times = reduced._sparse_times
 
@@ -251,25 +256,39 @@ class TestRowExtents:
             return sparse_times(mat, V)
 
         monkeypatch.setattr(reduced, "_sparse_times", spy)
-        project(tf, state.V, state.W, rows=state.rows)
+        project(tf, state.V, state.W)
         terms = [m for _, m in tf.d_factor.terms]
         assert len(mats) == len(terms)
         assert all(a is b for a, b in zip(mats, terms))
 
-    @pytest.mark.parametrize("rows", [(7, 6), (6, 7), (-1, 6), (6, -1)])
+    @pytest.mark.parametrize("rows", [((7, 2), (6, 2)), ((6, 2), (7, 2)),
+                                      ((6,), (6, 2)), ((6, 2), (6,))])
     def test_extents_out_of_range_rejected(self, rows):
+        # bases of more than n rows, or not 2-D
         tf, _ = random_descriptor(6, 1, 1, seed=68)
+        v_shape, w_shape = rows
         with pytest.raises(DimensionMismatch):
-            project(tf, np.eye(6)[:, :2], np.eye(6)[:, :2], rows=rows)
+            project(tf, np.ones(v_shape), np.ones(w_shape))
 
-    def test_state_rows(self):
+    def test_state_holds_the_leading_rows(self):
         n = 5000
         tf = make_delay_fixture(n)
         state = expand(SubspaceState.empty(n), *expansion_block(tf, 0.0), 0.0)
-        assert state.rows == (473, 473)
-        assert SubspaceState(V=state.V.copy(), W=state.W.copy()).rows == (n, n)
-        assert dataclasses.replace(state, V=state.V.copy()).rows == (n, n)
-        assert SubspaceState.empty(n).rows == (0, 0)
+        assert state.V.shape == state.W.shape == (473, 1)
+        assert state.n == n
+        # bases given with all their rows keep them
+        full = SubspaceState(V=padded(state.V, n), W=padded(state.W, n))
+        assert full.n == n and full.V.shape[0] == full.W.shape[0] == n
+        replaced = dataclasses.replace(state, V=padded(state.V, n))
+        assert replaced.n == n and replaced.V.shape[0] == n
+        empty = SubspaceState.empty(n)
+        assert empty.n == n and empty.V.shape == empty.W.shape == (0, 0)
+        for v, w in ((np.ones((n + 1, 1)), np.ones((n, 1))),
+                     (np.ones((n, 1)), np.ones((n + 1, 1)))):
+            with pytest.raises(DimensionMismatch):
+                SubspaceState(V=v, W=w, n=n)
+        with pytest.raises(DimensionMismatch):
+            SubspaceState(V=np.ones((3, 1)), W=np.ones((4, 1)))
 
 
 class TestSigmaMax:

@@ -10,8 +10,12 @@ deterministic count (iterations, basis dimension, inner evaluations, ...)
 over the jobs on both sides, then every job whose counts or failed flag
 differ.  When both runs are traced (``--trace 1``),
 it then prints each per-layer count of the traced round on both sides.
-Exits with 1 when a job differs in its counts or failed flag, when a layer
-count differs, or when the two runs do not hold the same jobs, else 0.
+Last it prints each metric that either run file records on both sides:
+the end-to-end metrics (wall_s, peak_rss_mb, ...) of untraced runs, the
+per-layer ones of traced runs.  Exits with 1 when a job differs in its
+counts or failed flag, when a layer count differs, or when the two runs do
+not hold the same jobs, else 0; metrics, which vary between runs of the
+same code, do not count.
 """
 
 from __future__ import annotations
@@ -83,6 +87,19 @@ def compare_layers(a: dict, b: dict) -> list:
     return lines
 
 
+def metric_lines(a: dict, b: dict) -> list:
+    """One line per metric of either run, with both sides' values; None
+    on a side that lacks it."""
+    metrics_a, metrics_b = a.get("metrics", {}), b.get("metrics", {})
+
+    def shown(value):
+        return "None" if value is None else f"{value:.6g}"
+
+    return [f"metric {key} {shown(metrics_a.get(key))} -> "
+            f"{shown(metrics_b.get(key))}"
+            for key in metrics_a | metrics_b]
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -108,6 +125,8 @@ def main(argv=None) -> int:
         print(line)
     if layers:
         print(f"{layers_differ} layer count(s) differ")
+    for line in metric_lines(*runs):
+        print(line)
     return 1 if differ or layers_differ else 0
 
 
