@@ -371,10 +371,9 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     stop_reason = MAX_ITERATIONS
     w_new, sigma_red = state.points[0], 0.0
     repaired = False
-    prior = None    # the model of the state that expand grew into this one
 
     for _ in range(cfg.r_max):
-        rm = project(tf, state.V, state.W, prior)
+        rm = project(tf, state.V, state.W)
         try:
             res = maximize(rm, search_cfg, state.points)
         except UnboundedOnAxis:
@@ -418,13 +417,13 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
             # w_new already, would return w_new again
             stop_reason = CONVERGED
             break
-        state, prior = grown, rm
+        state = grown
         if res is None:
             continue    # maximize the repaired model
         if cfg.subspace_policy == LAST_TWO:
             recent_blocks = recent_blocks[-1:] + [(vb, wb, w_new)]
             if len(recent_blocks) == 2:
-                state, prior = SubspaceState.empty(tf.n), None
+                state = SubspaceState.empty(tf.n)
                 for block in recent_blocks:
                     state = expand(state, *block)
         prev_omega = w_new

@@ -7,6 +7,7 @@ derivative-based inner solvers.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,12 +67,14 @@ def _golden_refine(model, lo, hi, tol, best):
 def grid_sweep(model, interval, npoints: int):
     """(omegas, sigmas, skipped) over an equispaced grid; singular shifts
     are skipped and recorded.  The interval's ends must be finite with
-    lo <= hi."""
+    lo <= hi, and npoints an integer."""
     lo, hi = interval
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"interval ends must be finite, got {(lo, hi)}")
     if lo > hi:
         raise ValueError(f"interval must have lo <= hi, got {(lo, hi)}")
+    if not isinstance(npoints, numbers.Integral):
+        raise ValueError(f"npoints must be an integer, got {npoints!r}")
     if npoints < 1 or (npoints < 2 and lo != hi):
         raise ValueError("npoints must be at least 2 for a nondegenerate interval")
     omegas = np.linspace(lo, hi, npoints) if lo != hi else np.array([lo])

@@ -4,6 +4,7 @@ fixture generators."""
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from pathlib import Path
 
@@ -107,8 +108,8 @@ def make_delay_fixture(n: int, tau: float = 1.0, beta: float = 0.01,
     A1 = (1/tau)(1/beta - 1)(T - theta*I), with T the coupling matrix above;
     B = e1 + e2 and C = B^T.  D(s) = s*E - A0 - exp(-tau*s)*A1.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not (isinstance(n, numbers.Integral) and n >= 2):
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
     if tau <= 0:
         raise ValueError("tau must be positive")
     if beta == 0:

@@ -26,17 +26,6 @@ IMAG_TOL = 1e-8
 DOMINANT_MAX_N = 500
 
 
-def _sparse_times(mat, V: np.ndarray) -> np.ndarray:
-    """mat @ V for a sparse mat, one column of V at a time: for the product
-    with a dense block, scipy copies a Fortran-ordered V, such as the bases
-    that greedy grows, into C order."""
-    out = np.empty((mat.shape[0], V.shape[1]),
-                   dtype=np.result_type(mat.dtype, V.dtype), order="F")
-    for j, v in enumerate(V.T):
-        out[:, j] = mat @ v
-    return out
-
-
 def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X^* Y as one dot product per pair of columns (np.vecdot), for the thin
     products of the C and B factors: a BLAS matrix product of that shape
@@ -51,24 +40,11 @@ def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _adjoint_product(W: np.ndarray, X: np.ndarray) -> np.ndarray:
     """W^* X as one BLAS matrix product, with W passed as its conjugate
     transpose and not copied when it is Fortran-ordered, as greedy's bases
-    are; for the k-by-k product of a from-scratch projection.  OpenBLAS ran
+    are; for the k-by-k product W^* (D_j V) of a projection.  OpenBLAS ran
     it on one thread for every k up to 16 at every row count tried, 30 to
     1.4e5, and on two from k = 20 or so."""
     gemm = sla.get_blas_funcs("gemm", (W, X))
     return gemm(1.0, W, X, trans_a=2)
-
-
-def _times(mat, X: np.ndarray) -> np.ndarray:
-    """mat @ X as a dense array."""
-    return _sparse_times(mat, X) if sp.issparse(mat) else _as_dense(mat) @ X
-
-
-def _adjoint_times(mat, X: np.ndarray) -> np.ndarray:
-    """mat^* @ X as a dense array; a sparse mat is transposed without a
-    copy, and conjugated only when complex."""
-    if sp.issparse(mat):
-        return _sparse_times(mat.conj(copy=False).T, X)
-    return _inner(_as_dense(mat), X)
 
 
 def _leading(mat, rows: int, cols: int):
@@ -81,54 +57,38 @@ def _leading(mat, rows: int, cols: int):
     return mat[:rows, :cols]
 
 
-def _project_factor(factor, prior, k: int, V=None, W=None) -> MatrixFactor:
+def _project_factor(factor, V=None, W=None) -> MatrixFactor:
     """The coefficients of factor projected: C_j V without W, W^* B_j
-    without V, W^* D_j V with both.  ``prior`` is the projected factor of
-    the first k columns of V and W, or None with k = 0; only the rows and
-    columns past k are computed.  V and W hold the bases' leading rows, and
-    each coefficient is cut to its block on them, once per term."""
+    without V, W^* D_j V with both.  V and W hold the bases' leading rows,
+    and each coefficient is cut to its block on them, once per term.  A
+    sparse coefficient is multiplied as one mat @ V: scipy copies a
+    Fortran-ordered V into C order for it, which over the delay family's
+    1742 or so stored rows costs less than one product per column."""
     projected = []
-    for j, (term, mat) in enumerate(factor.terms):
-        old = None if prior is None else prior.terms[j][1]
+    for term, mat in factor.terms:
         if W is None:    # C_j V, p rows
             mat = _leading(mat, mat.shape[0], V.shape[0])
-            new = (_sparse_times(mat, V[:, k:]) if sp.issparse(mat)
-                   else _inner(_as_dense(mat).conj().T, V[:, k:]))
-            out = new if old is None else np.concatenate((old, new), axis=1)
+            out = (mat @ V if sp.issparse(mat)
+                   else _inner(_as_dense(mat).conj().T, V))
         elif V is None:  # W^* B_j, m columns
             mat = _leading(mat, W.shape[0], mat.shape[1])
-            new = _inner(W[:, k:], _as_dense(mat))
-            out = new if old is None else np.concatenate((old, new), axis=0)
+            out = _inner(W, _as_dense(mat))
         else:
             mat = _leading(mat, W.shape[0], V.shape[0])
             # D_j V before W^*, and not kept past this product: the other
             # order raised delay_sparse's peak RSS by 8 MB, through the
             # allocator's reuse of freed blocks, and keeping D_j V until the
             # next term's product raised it by 20 MB
-            if old is None:
-                out = _adjoint_product(W, _times(mat, V))
-            else:
-                new = _inner(W, _times(mat, V[:, k:]))
-                out = np.empty((W.shape[1], V.shape[1]),
-                               dtype=np.result_type(old, new))
-                out[:k, :k] = old
-                out[:, k:] = new
-                # W_new^* D_j V_old = (V_old^* (D_j^* W_new))^*
-                out[k:, :k] = _inner(
-                    V[:, :k], _adjoint_times(mat, W[:, k:])).conj().T
+            out = _adjoint_product(
+                W, mat @ V if sp.issparse(mat) else _as_dense(mat) @ V)
         projected.append((term, out))
     return MatrixFactor(projected)
 
 
-def project(tf: StructuredTF, V: np.ndarray, W: np.ndarray,
-            prior: StructuredTF | None = None) -> StructuredTF:
-    """Coefficient-wise Petrov-Galerkin projection onto Col(V), Col(W).
-
-    ``prior`` is the projection of tf onto the first k columns of V and W,
-    such as the model of a state that expand has grown into this one.  With
-    it only the new rows and columns are computed: per new column and term
-    of the D factor, one product with D_j and one with D_j^*, instead of
-    one per column.
+def project(tf: StructuredTF, V: np.ndarray, W: np.ndarray) -> StructuredTF:
+    """Coefficient-wise Petrov-Galerkin projection onto Col(V), Col(W),
+    computed from scratch on every call: one product with each C_j and
+    B_j, and D_j V then one gemm W^* (D_j V) per term of D.
 
     V and W may hold fewer than n rows, as a SubspaceState's do: they are
     the leading rows of bases that are zero below them.  Every product then
@@ -149,16 +109,10 @@ def project(tf: StructuredTF, V: np.ndarray, W: np.ndarray,
         raise DimensionMismatch(
             f"projection bases may have at most n = {n} rows, got "
             f"{V.shape[0]} and {W.shape[0]}")
-    k = 0 if prior is None else prior.n
-    if k > V.shape[1]:
-        raise DimensionMismatch(
-            f"the prior model has {k} columns, more than the {V.shape[1]} of V")
-    old = (None,) * 3 if prior is None else (
-        prior.c_factor, prior.d_factor, prior.b_factor)
     return StructuredTF(
-        _project_factor(tf.c_factor, old[0], k, V=V),
-        _project_factor(tf.d_factor, old[1], k, V=V, W=W),
-        _project_factor(tf.b_factor, old[2], k, W=W),
+        _project_factor(tf.c_factor, V=V),
+        _project_factor(tf.d_factor, V=V, W=W),
+        _project_factor(tf.b_factor, W=W),
     )
 
 

@@ -144,7 +144,9 @@ class MatrixFactor:
     def stack(self, shifts, derivative: bool = False) -> np.ndarray:
         """eval (or eval_derivative) at every shift, as a dense
         (len(shifts), nrows, ncols) stack; each layer is summed in eval's
-        term order."""
+        term order.  The scalars come from array arithmetic, which for
+        terms such as s**k * exp(-tau*s) with k >= 1 can differ from
+        per-shift eval in the last bit."""
         shifts = np.asarray(shifts)
         return self._combine(
             [(t.derivative if derivative else t.value)(shifts)[:, None, None]

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import linfnorm.greedy as greedy
-import linfnorm.reduced as reduced
 from linfnorm.errors import (AllShiftsSingular, DimensionMismatch,
                              UnboundedOnAxis)
 from linfnorm.greedy import (CONVERGED, DOMINANT, LAST_TWO, MAX_ITERATIONS,
@@ -466,9 +465,9 @@ class TestRun:
         dims = []
         inner_project = greedy.project
 
-        def spy_project(tf, V, W, prior=None):
+        def spy_project(tf, V, W):
             dims.append(V.shape[1])
-            return inner_project(tf, V, W, prior)
+            return inner_project(tf, V, W)
 
         monkeypatch.setattr(greedy, "project", spy_project)
         tf, interval = random_descriptor(n, m, m, seed, min_decay=decay[0],
@@ -536,58 +535,6 @@ class TestRun:
                                     inner=InnerConfig(interval=interval)))
             assert res.norm == sigma_max(tf, res.omega_opt), seed
 
-    def test_projection_is_bordered(self, monkeypatch):
-        # one projection from scratch; after it, each sparse product of
-        # the projection is with a new column: one with D_j, one with D_j^*
-        calls = []
-        inner_project = greedy.project
-        sparse_times = reduced._sparse_times
-
-        def spy_project(tf, V, W, prior=None):
-            calls.append({"dim": V.shape[1],
-                          "prior": None if prior is None else prior.n,
-                          "cols": 0})
-            return inner_project(tf, V, W, prior)
-
-        def spy_times(mat, X):
-            calls[-1]["cols"] += X.shape[1]
-            return sparse_times(mat, X)
-
-        monkeypatch.setattr(greedy, "project", spy_project)
-        monkeypatch.setattr(reduced, "_sparse_times", spy_times)
-        tf = make_delay_fixture(2000)
-        res = run(tf, RunConfig(omega_max=50.0, inner=InnerConfig(
-            interval=(0.0, 50.0), curvature_bound=-100.0)))
-        assert res.converged and len(calls) >= 2
-        terms = len(tf.d_factor.terms)
-        assert calls[0]["prior"] is None
-        assert calls[0]["cols"] == terms * calls[0]["dim"]
-        for before, call in zip(calls, calls[1:]):
-            assert call["prior"] == before["dim"]
-            assert call["cols"] == 2 * terms * (call["dim"] - before["dim"])
-
-    def test_last_two_rebuilds_project_from_scratch(self, monkeypatch):
-        monkeypatch.setattr(greedy, "dominant_frequencies", lambda tf: ())
-        priors = []
-        inner_project = greedy.project
-
-        def spy_project(tf, V, W, prior=None):
-            priors.append(prior)
-            return inner_project(tf, V, W, prior)
-
-        monkeypatch.setattr(greedy, "project", spy_project)
-        tf, interval = random_descriptor(60, 1, 1, seed=43)
-        res = run(tf, RunConfig(omega_max=interval[1], r0=15,
-                                subspace_policy=LAST_TWO, keep_states=True,
-                                inner=InnerConfig(interval=interval)))
-        # the first expansion grows the initial state; every later one is
-        # followed by a rebuild from the last two blocks
-        assert [len(st.points) for st in res.states] == [15, 16, 2, 2, 2]
-        sw = grid_norm(tf, interval, 4001, refine_tol=1e-12)
-        assert res.norm == pytest.approx(sw.best_sigma, rel=1e-12)
-        assert priors[0] is None and priors[1] is not None
-        assert priors[2:] == [None] * (len(priors) - 2)
-
     def test_delay_bases_are_conjugates(self):
         # the delay function is complex symmetric: each adjoint resolvent is
         # the conjugate of its direct one, and CGS2 keeps W = conj(V)
@@ -607,9 +554,9 @@ class TestRun:
         extents = []
         inner_project = greedy.project
 
-        def spy_project(tf, V, W, prior=None):
+        def spy_project(tf, V, W):
             extents.append((V.shape[0], W.shape[0]))
-            return inner_project(tf, V, W, prior)
+            return inner_project(tf, V, W)
 
         monkeypatch.setattr(greedy, "project", spy_project)
         tf = make_delay_fixture(5000)

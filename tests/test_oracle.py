@@ -83,6 +83,14 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="interval"):
             grid_norm(siso_one_pole(), interval, 5)
 
+    @pytest.mark.parametrize("npoints", [2.5, 5.0, "5", None])
+    def test_npoints_must_be_an_integer(self, npoints):
+        # 2.5 reached np.linspace, which raised a bare TypeError
+        with pytest.raises(ValueError, match="npoints"):
+            grid_sweep(siso_one_pole(), (0.0, 5.0), npoints)
+        with pytest.raises(ValueError, match="npoints"):
+            grid_norm(siso_one_pole(), (0.0, 5.0), npoints)
+
     def test_reversed_interval(self):
         with pytest.raises(ValueError, match="interval"):
             grid_sweep(siso_one_pole(), (5.0, 0.0), 5)

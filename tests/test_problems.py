@@ -153,6 +153,13 @@ class TestDelayFixture:
         with pytest.raises(ValueError):
             make_delay_fixture(5, beta=0.0)
 
+    @pytest.mark.parametrize("n", [1e3, 50.0, "50", None])
+    def test_order_must_be_an_integer(self, n):
+        # 1e3 reached the coupling matrix, which raised a bare TypeError
+        with pytest.raises(ValueError, match="n must be an integer"):
+            make_delay_fixture(n)
+        assert make_delay_fixture(np.int64(50)).n == 50
+
 
 class TestDescriptor:
     def test_nested_lists(self):

@@ -62,7 +62,7 @@ class TestProject:
         assert np.linalg.norm(h - hr, 2) <= 1e-10 * (1 + np.linalg.norm(h, 2))
 
     def test_sparse_factors_on_fortran_bases(self):
-        # a sparse factor is multiplied one basis column at a time
+        # a sparse factor takes a Fortran-ordered basis in one product
         tf = make_delay_fixture(40)
         rng = np.random.default_rng(7)
         v, _ = np.linalg.qr(rng.standard_normal((40, 3))
@@ -107,16 +107,42 @@ def _two_term_tf(n, width, fmt, cplx, seed):
         b_factor=factor((n, width), (ScalarTerm(), ScalarTerm(degree=1))))
 
 
-def _assert_same_model(bordered, scratch):
+def _assert_same_model(model, reference):
     """Every projected coefficient agrees to 1e-13 relative."""
-    for fb, fs in ((bordered.c_factor, scratch.c_factor),
-                   (bordered.d_factor, scratch.d_factor),
-                   (bordered.b_factor, scratch.b_factor)):
-        assert len(fb.terms) == len(fs.terms)
-        for (tb, mb), (ts, ms) in zip(fb.terms, fs.terms):
-            assert tb == ts
-            assert mb.shape == ms.shape
-            assert np.linalg.norm(mb - ms) <= 1e-13 * np.linalg.norm(ms)
+    for fm, fr in ((model.c_factor, reference.c_factor),
+                   (model.d_factor, reference.d_factor),
+                   (model.b_factor, reference.b_factor)):
+        assert len(fm.terms) == len(fr.terms)
+        for (tm, mm), (tr, mr) in zip(fm.terms, fr.terms):
+            assert tm == tr
+            assert mm.shape == mr.shape
+            assert np.linalg.norm(mm - mr) <= 1e-13 * np.linalg.norm(mr)
+
+
+def _dense_projection(tf, V, W):
+    """C_j V, W^H D_j V and W^H B_j as plain numpy products of dense
+    coefficients with the bases zero-padded to all n rows."""
+    V, W = padded(V, tf.n), padded(W, tf.n)
+    wh = W.conj().T
+
+    def dense(factor, left, right):
+        return MatrixFactor([
+            (t, left @ (m.toarray() if sp.issparse(m) else np.asarray(m))
+             @ right) for t, m in factor.terms])
+    return StructuredTF(dense(tf.c_factor, np.eye(tf.p), V),
+                        dense(tf.d_factor, wh, V),
+                        dense(tf.b_factor, wh, np.eye(tf.m)))
+
+
+def _assert_borders(model, before):
+    """The projection of a grown state keeps the projection of the state
+    it grew from as its leading block."""
+    k = before.n
+    for fm, fb, cut in ((model.c_factor, before.c_factor, np.s_[:, :k]),
+                        (model.d_factor, before.d_factor, np.s_[:k, :k]),
+                        (model.b_factor, before.b_factor, np.s_[:k, :])):
+        for (_, mm), (_, mb) in zip(fm.terms, fb.terms, strict=True):
+            assert np.linalg.norm(mm[cut] - mb) <= 1e-13 * np.linalg.norm(mb)
 
 
 def _random_block(rng, n, width):
@@ -124,6 +150,9 @@ def _random_block(rng, n, width):
 
 
 class TestBorderedProject:
+    """Projections of a state that expand grows, against a dense reference;
+    each borders the one before it."""
+
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("cplx", [False, True])
     @pytest.mark.parametrize("fmt", ["dense", "csc", "csr", "coo"])
@@ -134,9 +163,11 @@ class TestBorderedProject:
         state = SubspaceState.empty(n)
         models = []
         for k in range(4):
-            prior = models[-1] if models else None
-            models.append(project(tf, state.V, state.W, prior))
-            _assert_same_model(models[-1], project(tf, state.V, state.W))
+            models.append(project(tf, state.V, state.W))
+            _assert_same_model(models[-1],
+                               _dense_projection(tf, state.V, state.W))
+            if k:
+                _assert_borders(models[-1], models[-2])
             state = expand(state, _random_block(rng, n, width),
                            _random_block(rng, n, width), float(k))
         assert state.dim == 4 * width
@@ -148,8 +179,10 @@ class TestBorderedProject:
         rm = None
         for omega in (0.0, 1.5, 3.0, 4.5, 6.0):
             state = expand(state, *expansion_block(tf, omega), omega)
-            rm = project(tf, state.V, state.W, rm)
-            _assert_same_model(rm, project(tf, state.V, state.W))
+            before, rm = rm, project(tf, state.V, state.W)
+            _assert_same_model(rm, _dense_projection(tf, state.V, state.W))
+            if before is not None:
+                _assert_borders(rm, before)
         assert rm.n == 5
 
     def test_rebalanced_expansion(self):
@@ -160,18 +193,12 @@ class TestBorderedProject:
         rng = np.random.default_rng(63)
         state = expand(SubspaceState.empty(n), _random_block(rng, n, 3),
                        _random_block(rng, n, 3), 0.0)
-        prior = project(tf, state.V, state.W)
         vb = np.column_stack((state.V[:, 0] * 2.0, _random_block(rng, n, 1)))
         grown = expand(state, vb, _random_block(rng, n, 2), 1.0)
         assert grown.dim == state.dim + 1
-        _assert_same_model(project(tf, grown.V, grown.W, prior),
-                           project(tf, grown.V, grown.W))
-
-    def test_prior_wider_than_bases_rejected(self):
-        tf, _ = random_descriptor(6, 1, 1, seed=64)
-        prior = project(tf, np.eye(6)[:, :3], np.eye(6)[:, :3])
-        with pytest.raises(DimensionMismatch):
-            project(tf, np.eye(6)[:, :2], np.eye(6)[:, :2], prior)
+        rm = project(tf, grown.V, grown.W)
+        _assert_same_model(rm, _dense_projection(tf, grown.V, grown.W))
+        _assert_borders(rm, project(tf, state.V, state.W))
 
 
 def _assert_equal_models(a, b):
@@ -190,10 +217,9 @@ def _padded_block(rng, n, width, rows):
     return block
 
 
-def _padded_project(tf, state, prior=None):
+def _padded_project(tf, state):
     """The projection onto the state's bases with all n rows."""
-    return project(tf, padded(state.V, state.n), padded(state.W, state.n),
-                   prior)
+    return project(tf, padded(state.V, state.n), padded(state.W, state.n))
 
 
 class TestRowExtents:
@@ -204,30 +230,25 @@ class TestRowExtents:
         state = SubspaceState.empty(n)
         for omega in (0.0, 10.0):
             state = expand(state, *expansion_block(tf, omega), omega)
-        prior = project(tf, state.V, state.W)
         state = expand(state, *expansion_block(tf, 20.0), 20.0)
         assert (state.V.shape[0], state.W.shape[0]) == (517, 517)
         assert state.dim == 3
         _assert_equal_models(project(tf, state.V, state.W),
                              _padded_project(tf, state))
-        _assert_equal_models(project(tf, state.V, state.W, prior),
-                             _padded_project(tf, state, prior))
 
     @pytest.mark.parametrize("fmt", ["dense", "csc", "csr", "coo"])
     def test_padded_bases_on_a_general_sparse_d(self, fmt):
         # a random sparse D goes to SuperLU, not the tridiagonal route; V
-        # and W end at different rows, so the border must take each its own
+        # and W end at different rows, so each product must take its own
         n = 40
         tf = _two_term_tf(n, 2, fmt, True, seed=65)
         rng = np.random.default_rng(66)
         state = SubspaceState.empty(n)
-        models = []
         for k, (rv, rw) in enumerate(((12, 20), (9, 17), (15, 23))):
             state = expand(state, _padded_block(rng, n, 2, rv),
                            _padded_block(rng, n, 2, rw), float(k))
-            prior = models[-1] if models else None
-            models.append(project(tf, state.V, state.W, prior))
-            _assert_same_model(models[-1], _padded_project(tf, state, prior))
+            _assert_same_model(project(tf, state.V, state.W),
+                               _padded_project(tf, state))
         assert (state.V.shape[0], state.W.shape[0]) == (15, 23)
         assert state.dim == 6
 
@@ -249,17 +270,19 @@ class TestRowExtents:
             state = expand(state, *expansion_block(tf, omega), omega)
         assert (state.V.shape[0], state.W.shape[0]) == (200, 200)
         mats = []
-        sparse_times = reduced._sparse_times
+        leading = reduced._leading
 
-        def spy(mat, V):
-            mats.append(mat)
-            return sparse_times(mat, V)
+        def spy(mat, rows, cols):
+            mats.append(leading(mat, rows, cols))
+            return mats[-1]
 
-        monkeypatch.setattr(reduced, "_sparse_times", spy)
+        monkeypatch.setattr(reduced, "_leading", spy)
         project(tf, state.V, state.W)
-        terms = [m for _, m in tf.d_factor.terms]
+        terms = [m for factor in (tf.c_factor, tf.d_factor, tf.b_factor)
+                 for _, m in factor.terms]
         assert len(mats) == len(terms)
         assert all(a is b for a, b in zip(mats, terms))
+        assert all(sp.issparse(m) for _, m in tf.d_factor.terms)
 
     @pytest.mark.parametrize("rows", [((7, 2), (6, 2)), ((6, 2), (7, 2)),
                                       ((6,), (6, 2)), ((6, 2), (6,))])

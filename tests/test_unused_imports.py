@@ -1,5 +1,6 @@
 """Static checks on the library, test and tools sources: every imported
-name is used, and every file parses as Python 3.10, the declared floor."""
+name is used, every private helper of the library is referenced, and every
+file parses as Python 3.10, the declared floor."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,28 @@ def unused_imports(path):
             for name, line in sorted(imported.items()) if name not in used]
 
 
+def unreferenced_helpers(paths):
+    """Module-level private functions and classes of paths that no module
+    of paths references.  A crude check, like unused_imports: a name or
+    attribute of the same spelling anywhere counts as a use."""
+    defined, used = {}, set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                defined[node.name] = f"{path.relative_to(ROOT)}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{where}: {name}" for name, where in sorted(defined.items())
+            if name not in used]
+
+
 def sources():
     return [path for folder in (ROOT / "src" / "linfnorm", ROOT / "tests",
                                 ROOT / "tools")
@@ -35,6 +58,11 @@ def test_no_unused_imports():
     # __init__.py imports names to re-export them
     paths = [p for p in sources() if p.name != "__init__.py"]
     assert [u for p in paths for u in unused_imports(p)] == []
+
+
+def test_no_unreferenced_private_helpers():
+    paths = sorted((ROOT / "src" / "linfnorm").glob("*.py"))
+    assert unreferenced_helpers(paths) == []
 
 
 def test_parses_as_python_3_10():
