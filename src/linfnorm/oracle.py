@@ -1,4 +1,6 @@
-"""Brute-force reference: dense frequency sweep plus golden-section refinement.
+"""Brute-force reference: dense frequency sweep plus Brent refinement of
+every local grid maximum (Brent, Algorithms for Minimization without
+Derivatives, 1973, ch. 5).
 
 Deliberately derivative-free so the oracle shares no code path with the
 derivative-based inner solvers.
@@ -7,6 +9,7 @@ derivative-based inner solvers.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -15,7 +18,8 @@ import numpy as np
 from .errors import SingularShift
 from .reduced import sigma_max
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+#: the fraction of the larger bracket side that a golden-section step takes
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass
@@ -23,45 +27,72 @@ class SweepResult:
     grid: list
     best_omega: float
     best_sigma: float
+    #: Brent steps over all refinements, one sigma evaluation each
     refinement_iters: int
     skipped: list = field(default_factory=list)
 
 
-def _golden_refine(model, lo, hi, tol, best):
-    """Golden-section maximization on [lo, hi]; returns (omega, sigma, iters)."""
-    best_w, best_s = best
-    a, b = lo, hi
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    try:
-        f1 = sigma_max(model, x1)
-        f2 = sigma_max(model, x2)
-    except SingularShift:
-        return best_w, best_s, 0
-    for f, w in ((f1, x1), (f2, x2)):
-        if f > best_s:
-            best_w, best_s = w, f
-    iters = 0
+def _brent_refine(model, a, b, x, fx, tol):
+    """Brent's maximization of sigma on [a, b] from x, a point of the
+    bracket whose sigma fx is known; returns (omega, sigma, steps), the
+    best point found.  Each step evaluates one trial point: the peak of the
+    parabola through the three best points when it falls well inside the
+    bracket and moves less than half the step before last, else a
+    golden-section step into the larger side, and never closer than tol/4
+    to the best point.  Stops once the bracket is no wider than tol, when a
+    trial point rounds onto the best point or out of the open bracket, or
+    at a singular trial point."""
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    tol1 = tol / 4
+    steps = 0
     while b - a > tol:
-        iters += 1
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            try:
-                f2 = sigma_max(model, x2)
-            except SingularShift:
-                break
+        xm = 0.5 * (a + b)
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            parabolic = (abs(p) < abs(0.5 * q * e_prev)
+                         and q * (a - x) < p < q * (b - x))
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            try:
-                f1 = sigma_max(model, x1)
-            except SingularShift:
-                break
-        fbest, wbest = (f1, x1) if f1 >= f2 else (f2, x2)
-        if fbest > best_s:
-            best_w, best_s = wbest, fbest
-    return best_w, best_s, iters
+            parabolic = False
+        if parabolic:
+            d = p / q
+            if x + d - a < 2 * tol1 or b - (x + d) < 2 * tol1:
+                d = tol1 if x < xm else -tol1
+        else:
+            e = (a if x >= xm else b) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        if not a < u < b or u == x:
+            break
+        steps += 1
+        try:
+            fu = sigma_max(model, u)
+        except SingularShift:
+            break
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx, steps
 
 
 def grid_sweep(model, interval, npoints: int):
@@ -89,11 +120,13 @@ def grid_sweep(model, interval, npoints: int):
 
 
 def grid_norm(model, interval, npoints: int, refine_tol: float = 1e-9) -> SweepResult:
-    """Equispaced sigma sweep with golden-section refinement around every
-    local grid maximum; returns the global best found.  The refinement
-    stops once its bracket is no wider than refine_tol, which must be
-    positive: at 0 the bracket around an interior peak stops shrinking one
-    ulp wide, and the loop never ends."""
+    """Equispaced sigma sweep with Brent's refinement of every local grid
+    maximum, started from that grid point inside the bracket of its two
+    grid neighbours; returns the best over the grid and every refinement.
+    A refinement stops once its bracket is no wider than refine_tol, which
+    must be positive, or sooner once its next trial point would round onto
+    the best point or out of the bracket, as happens where refine_tol is
+    below the float spacing at the peak."""
     if not refine_tol > 0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     kept_w, kept_s, skipped = grid_sweep(model, interval, npoints)
@@ -102,7 +135,7 @@ def grid_norm(model, interval, npoints: int, refine_tol: float = 1e-9) -> SweepR
     grid = list(zip(kept_w, kept_s))
     i_best = int(np.argmax(kept_s))
     best_w, best_s = kept_w[i_best], kept_s[i_best]
-    total_iters = 0
+    total_steps = 0
     n = len(kept_w)
     for i in range(n):
         left_ok = i == 0 or kept_s[i] >= kept_s[i - 1]
@@ -113,11 +146,13 @@ def grid_norm(model, interval, npoints: int, refine_tol: float = 1e-9) -> SweepR
         hi_b = kept_w[min(i + 1, n - 1)]
         if hi_b <= lo_b:
             continue
-        best_w, best_s, iters = _golden_refine(
-            model, lo_b, hi_b, refine_tol, (best_w, best_s))
-        total_iters += iters
+        w, s, steps = _brent_refine(model, lo_b, hi_b, kept_w[i], kept_s[i],
+                                    refine_tol)
+        total_steps += steps
+        if s > best_s:
+            best_w, best_s = w, s
     return SweepResult(grid=grid, best_omega=best_w, best_sigma=best_s,
-                       refinement_iters=total_iters, skipped=skipped)
+                       refinement_iters=total_steps, skipped=skipped)
 
 
 def sweep_csv(grid, path) -> None:

@@ -21,6 +21,10 @@ from .errors import DimensionMismatch, SingularShift
 #: reciprocal condition estimate below which a shift is declared singular
 RCOND_THRESHOLD = 1e-14
 
+#: band entries that MatrixFactor.eval_tridiagonal sums at a time: two
+#: (2, block) float buffers of 256 KiB each
+_BAND_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class ScalarTerm:
@@ -166,11 +170,18 @@ class MatrixFactor:
                 ab += band * c
             return ab.reshape(3, n)
         parts = np.array([(c.real, c.imag) for c in coeffs])[:, :, None]
-        halves = bands[0] * parts[0]    # (2, 3n): real and imaginary part
-        for band, part in zip(bands[1:], parts[1:]):
-            halves += band * part
         ab = np.empty(3 * n, dtype=np.complex128)
-        ab.real, ab.imag = halves
+        # real and imaginary halves, summed block by block so that the
+        # temporaries stay in cache
+        acc = np.empty((2, min(_BAND_BLOCK, 3 * n)))
+        tmp = np.empty_like(acc)
+        for lo in range(0, 3 * n, _BAND_BLOCK):
+            hi = min(lo + _BAND_BLOCK, 3 * n)
+            halves, term = acc[:, :hi - lo], tmp[:, :hi - lo]
+            np.multiply(bands[0, lo:hi], parts[0], out=halves)
+            for band, part in zip(bands[1:], parts[1:]):
+                halves += np.multiply(band[lo:hi], part, out=term)
+            ab.real[lo:hi], ab.imag[lo:hi] = halves
         return ab.reshape(3, n)
 
     def scalar_signature(self):

@@ -5,11 +5,44 @@ import csv
 import numpy as np
 import pytest
 
+import linfnorm.oracle as oracle
 from linfnorm.errors import SingularShift
 from linfnorm.oracle import grid_norm, grid_sweep, sweep_csv
-from linfnorm.problems import descriptor_tf
+from linfnorm.problems import descriptor_tf, make_delay_fixture
 
 from conftest import random_descriptor, siso_one_pole, siso_two_pole
+
+
+#: (n, m = p, seed, best_sigma) of golden-section refinement to a bracket
+#: of 1e-9 from a 201-point grid, on random_descriptor systems
+GOLDEN_SECTION_PEAKS = [
+    (10, 1, 2000, 13.087415452280826),
+    (17, 2, 2001, 5.199245538035593),
+    (24, 1, 2002, 3.08344604355173),
+    (31, 2, 2003, 10.664825339738163),
+    (38, 1, 2004, 8.02857558403809),
+    (45, 2, 2005, 29.45128479057697),
+    (52, 1, 2006, 20.996453928859488),
+    (59, 2, 2007, 12.249436623771468),
+    (66, 1, 2008, 12.952073728708664),
+    (73, 2, 2009, 13.58083489833427),
+]
+
+
+@pytest.fixture
+def sigma_calls(monkeypatch):
+    """The omegas of every sigma_max call the oracle makes, in call order;
+    a call past the 1000th fails the test rather than let a loop run on."""
+    omegas = []
+
+    def counting(model, omega):
+        omegas.append(omega)
+        assert len(omegas) <= 1000, "the oracle did not stop"
+        return sigma_max(model, omega)
+
+    sigma_max = oracle.sigma_max
+    monkeypatch.setattr(oracle, "sigma_max", counting)
+    return omegas
 
 
 def _axis_pole():
@@ -65,6 +98,30 @@ class TestGridNorm:
         fine = grid_norm(tf, interval, 20001, refine_tol=1e-10)
         assert res.best_sigma >= max(coarse) - 1e-12
         assert res.best_sigma == pytest.approx(fine.best_sigma, rel=1e-7)
+
+    def test_delay_peak_in_few_evaluations(self, sigma_calls):
+        # 100 grid points, then the steps at 9 local grid maxima: golden
+        # section took 278 evaluations there, 378 in all
+        res = grid_norm(make_delay_fixture(1000), (0.0, 50.0), 100,
+                        refine_tol=1e-6)
+        assert len(sigma_calls) <= 210
+        assert len(sigma_calls) == 100 + res.refinement_iters
+        assert res.best_sigma == pytest.approx(0.2376599185228, rel=1e-12)
+
+    @pytest.mark.parametrize("n, m, seed, golden", GOLDEN_SECTION_PEAKS)
+    def test_no_lower_than_golden_section(self, n, m, seed, golden):
+        tf, interval = random_descriptor(n, m, m, seed=seed)
+        res = grid_norm(tf, interval, 201, refine_tol=1e-9)
+        assert res.best_sigma >= golden * (1 - 1e-12)
+
+    def test_tolerance_below_float_spacing_ends(self, sigma_calls):
+        # the peak is interior, at omega = 3, where the float spacing is
+        # 4.4e-16: the bracket cannot shrink to 1e-20
+        tf = descriptor_tf(np.eye(1), np.array([[-0.1 + 3j]]),
+                           np.ones((1, 1)), np.ones((1, 1)))
+        res = grid_norm(tf, (0.0, 10.0), 11, refine_tol=1e-20)
+        assert res.best_omega == pytest.approx(3.0, abs=1e-12)
+        assert res.best_sigma == pytest.approx(10.0, rel=1e-12)
 
     def test_best_at_least_grid_max(self):
         for seed in range(5):

@@ -504,6 +504,20 @@ class TestTridiagonalPositions:
             ab[1 + d.indices - cols, cols] = d.data
             np.testing.assert_array_equal(f.eval_tridiagonal(s), ab)
 
+    def test_delay_tridiagonal_blocks_match_csc_scatter(self):
+        # the real bands are summed in blocks; 3n spans several blocks and
+        # ends in a partial one
+        n = 20001
+        assert 3 * n > 3 * structured._BAND_BLOCK
+        assert 3 * n % structured._BAND_BLOCK
+        f = make_delay_fixture(n).d_factor
+        for s in (0.0, 3.07547j, 0.3 + 7j, 0.71 + 2.9j):
+            d = f.eval(s)
+            cols = np.repeat(np.arange(n), np.diff(d.indptr))
+            ab = np.zeros((3, n), dtype=np.complex128)
+            ab[1 + d.indices - cols, cols] = d.data
+            np.testing.assert_array_equal(f.eval_tridiagonal(s), ab)
+
 
     def test_complex_bands_match_csc_scatter(self):
         # complex coefficients take the complex band path; terms on
