@@ -163,21 +163,15 @@ def triangular_sigma_and_slope(realization, omegas, slope: bool = False):
     makes the matrix exactly singular raises UnboundedOnAxis with its omega;
     poles near the axis are left to _axis_poles."""
     e, a, b, c = realization
-    if not len(omegas):
-        return np.empty(0), (np.empty(0) if slope else None)
     r = a.shape[0]
     x = np.empty((len(omegas), r, b.shape[1]), dtype=np.complex128)
     y = np.empty_like(x) if slope else None
     shifted = np.empty((r, r), dtype=np.complex128, order="F")
-    diagonal = np.einsum("ii->i", shifted)  # a view, unlike reshape on F order
+    eye = np.eye(r) if e is None else e
     trtrs = sla.lapack.ztrtrs
     for k, w in enumerate(omegas):
-        if e is None:
-            np.negative(a, out=shifted)
-            diagonal += 1j * w
-        else:
-            np.multiply(e, 1j * w, out=shifted)
-            shifted -= a
+        np.multiply(eye, 1j * w, out=shifted)
+        shifted -= a
         x[k], info = trtrs(shifted, b)
         if info > 0:
             raise UnboundedOnAxis(f"pole on the axis near omega={float(w)}")

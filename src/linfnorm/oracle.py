@@ -122,7 +122,9 @@ def grid_sweep(model, interval, npoints: int):
 def grid_norm(model, interval, npoints: int, refine_tol: float = 1e-9) -> SweepResult:
     """Equispaced sigma sweep with Brent's refinement of every local grid
     maximum, started from that grid point inside the bracket of its two
-    grid neighbours; returns the best over the grid and every refinement.
+    grid neighbours; a run of equal grid values is one maximum, refined
+    from its first point inside the bracket of the run's two outer
+    neighbours.  Returns the best over the grid and every refinement.
     A refinement stops once its bracket is no wider than refine_tol, which
     must be positive, or sooner once its next trial point would round onto
     the best point or out of the bracket, as happens where refine_tol is
@@ -137,14 +139,12 @@ def grid_norm(model, interval, npoints: int, refine_tol: float = 1e-9) -> SweepR
     best_w, best_s = kept_w[i_best], kept_s[i_best]
     total_steps = 0
     n = len(kept_w)
-    for i in range(n):
-        left_ok = i == 0 or kept_s[i] >= kept_s[i - 1]
-        right_ok = i == n - 1 or kept_s[i] >= kept_s[i + 1]
-        if not (left_ok and right_ok):
-            continue
-        lo_b = kept_w[max(i - 1, 0)]
-        hi_b = kept_w[min(i + 1, n - 1)]
-        if hi_b <= lo_b:
+    bounds = [0, *(k for k in range(1, n) if kept_s[k] != kept_s[k - 1]), n]
+    for i, j in zip(bounds, bounds[1:]):  # a run kept_s[i:j] of equal values
+        left_ok = i == 0 or kept_s[i] > kept_s[i - 1]
+        right_ok = j == n or kept_s[i] > kept_s[j]
+        lo_b, hi_b = kept_w[max(i - 1, 0)], kept_w[min(j, n - 1)]
+        if not (left_ok and right_ok) or hi_b <= lo_b:
             continue
         w, s, steps = _brent_refine(model, lo_b, hi_b, kept_w[i], kept_s[i],
                                     refine_tol)

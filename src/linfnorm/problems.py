@@ -47,6 +47,8 @@ def _load_factor(entries, base: Path, name: str, expected_shape):
                 raise ValueError(f"k must be an integer, got {k}")
             term = ScalarTerm(degree=int(k), delay=float(entry.get("tau", 0.0)))
             rel = entry["matrix"]
+            if not isinstance(rel, str):
+                raise TypeError(f"matrix must be a file name, got {rel!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ParseError(
                 f"bad term in factor {name!r}: {entry} ({err})") from err
@@ -76,9 +78,13 @@ def load_problem(manifest_path):
         raise ParseError(str(err)) from err
     try:
         dims = doc["dimensions"]
-        n, m, p = int(dims["n"]), int(dims["m"]), int(dims["p"])
-    except (KeyError, TypeError, ValueError) as err:
+        n, m, p = dims["n"], dims["m"], dims["p"]
+    except (KeyError, TypeError) as err:
         raise ParseError(f"{manifest_path}: missing or bad 'dimensions'") from err
+    for key, value in zip("nmp", (n, m, p)):
+        if type(value) is not int:  # not a bool, a float or a string
+            raise ParseError(f"{manifest_path}: dimension {key!r} must be an "
+                             f"integer, got {value!r}")
     base = manifest_path.parent
     b = _load_factor(doc.get("B"), base, "B_factor", (n, m))
     c = _load_factor(doc.get("C"), base, "C_factor", (p, n))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -21,8 +22,8 @@ from .errors import DimensionMismatch, SingularShift
 #: reciprocal condition estimate below which a shift is declared singular
 RCOND_THRESHOLD = 1e-14
 
-#: band entries that MatrixFactor.eval_tridiagonal sums at a time: two
-#: (2, block) float buffers of 256 KiB each
+#: band entries that MatrixFactor.eval_tridiagonal sums at a time, so that
+#: its one complex temporary (256 KiB) stays in cache
 _BAND_BLOCK = 16384
 
 
@@ -58,9 +59,6 @@ class ScalarTerm:
         return poly * np.exp(-tau * s, dtype=complex)
 
 
-_UNSET = object()
-
-
 class MatrixFactor:
     """A sum of scalar terms times constant coefficient matrices.
 
@@ -80,10 +78,8 @@ class MatrixFactor:
                 )
         self.terms = terms
         self.shape = shape
-        self._bands = _UNSET
-        self._symmetric = _UNSET
 
-    @property
+    @cached_property
     def bands(self) -> np.ndarray | None:
         """Per term, its stored values scattered into the C-ordered (3, n)
         storage of a tridiagonal factor (super-, main and subdiagonal, each
@@ -92,26 +88,21 @@ class MatrixFactor:
         |i - j| <= 1 for every stored entry and n >= 3 (scipy's zgttrf
         wrapper rejects n = 2).  Built on first use, then kept: it does not
         depend on the shift."""
-        if self._bands is _UNSET:
-            self._bands = _tridiagonal_bands(self.terms, self.ncols)
-        return self._bands
+        return _tridiagonal_bands(self.terms, self.ncols)
 
-    @property
+    @cached_property
     def symmetric(self) -> bool:
         """Whether every coefficient equals its transpose exactly.  Read
         from the bands when the factor has them, where each band's
         superdiagonal must equal its subdiagonal, since comparing sparse
         coefficients with their transposes took ten times as long on the
         delay family.  Built on first use, then kept, as bands is."""
-        if self._symmetric is _UNSET:
-            if self.nrows != self.ncols:
-                self._symmetric = False
-            elif self.bands is not None:
-                v = self.bands.reshape(len(self.terms), 3, self.ncols)
-                self._symmetric = np.array_equal(v[:, 0, 1:], v[:, 2, :-1])
-            else:
-                self._symmetric = all(_equal(m, m.T) for _, m in self.terms)
-        return self._symmetric
+        if self.nrows != self.ncols:
+            return False
+        if self.bands is not None:
+            v = self.bands.reshape(len(self.terms), 3, self.ncols)
+            return np.array_equal(v[:, 0, 1:], v[:, 2, :-1])
+        return all(_equal(m, m.T) for _, m in self.terms)
 
     @property
     def nrows(self) -> int:
@@ -158,30 +149,18 @@ class MatrixFactor:
 
     def eval_tridiagonal(self, s: complex) -> np.ndarray:
         """eval at the shift s in the (3, n) storage of bands, which must
-        not be None: each term's band times its scalar, added in term order.
-        Real bands are summed with real multiplies, once with the real and
-        once with the imaginary parts of the scalars: the same values that
-        complex arithmetic gives, with half the work."""
+        not be None: each term's band, real or complex, times its scalar,
+        added in term order, _BAND_BLOCK entries at a time."""
         bands, n = self.bands, self.ncols
         coeffs = [t.value(s) for t, _ in self.terms]
-        if np.iscomplexobj(bands):
-            ab = bands[0] * coeffs[0]
-            for band, c in zip(bands[1:], coeffs[1:]):
-                ab += band * c
-            return ab.reshape(3, n)
-        parts = np.array([(c.real, c.imag) for c in coeffs])[:, :, None]
         ab = np.empty(3 * n, dtype=np.complex128)
-        # real and imaginary halves, summed block by block so that the
-        # temporaries stay in cache
-        acc = np.empty((2, min(_BAND_BLOCK, 3 * n)))
-        tmp = np.empty_like(acc)
+        tmp = np.empty(min(_BAND_BLOCK, 3 * n), dtype=np.complex128)
         for lo in range(0, 3 * n, _BAND_BLOCK):
             hi = min(lo + _BAND_BLOCK, 3 * n)
-            halves, term = acc[:, :hi - lo], tmp[:, :hi - lo]
-            np.multiply(bands[0, lo:hi], parts[0], out=halves)
-            for band, part in zip(bands[1:], parts[1:]):
-                halves += np.multiply(band[lo:hi], part, out=term)
-            ab.real[lo:hi], ab.imag[lo:hi] = halves
+            term = tmp[:hi - lo]
+            np.multiply(bands[0, lo:hi], coeffs[0], out=ab[lo:hi])
+            for band, c in zip(bands[1:], coeffs[1:]):
+                ab[lo:hi] += np.multiply(band[lo:hi], c, out=term)
         return ab.reshape(3, n)
 
     def scalar_signature(self):
@@ -302,9 +281,9 @@ class StructuredTF:
 
     Holds no factorization between calls, so concurrent evaluation is safe.
     The only things kept are the D factor's bands and symmetric flag, which
-    do not depend on the shift; a concurrent first call builds them twice,
-    harmlessly.  A sparse D(s) goes to the tridiagonal LU when the factor
-    has bands and to SuperLU otherwise; a dense D(s) gets a LAPACK LU.
+    do not depend on the shift; a concurrent first call may build them
+    twice, harmlessly.  A sparse D(s) goes to the tridiagonal LU when the
+    factor has bands and to SuperLU otherwise; a dense D(s) gets a LAPACK LU.
     """
 
     def __init__(self, c_factor: MatrixFactor, d_factor: MatrixFactor,
@@ -371,10 +350,6 @@ class StructuredTF:
     def solve_d(self, s: complex, rhs) -> np.ndarray:
         """Solve D(s) X = RHS."""
         return self._factorization(s).solve(rhs)
-
-    def solve_d_adjoint(self, s: complex, rhs) -> np.ndarray:
-        """Solve D(s)^* X = RHS."""
-        return self._factorization(s).solve(rhs, adjoint=True)
 
     def eval(self, s: complex) -> np.ndarray:
         """H(s) = C(s) D(s)^{-1} B(s) as a dense p-by-m array."""

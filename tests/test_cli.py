@@ -78,6 +78,23 @@ class TestNormCommand:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("name, edit", [
+        ("B_factor", lambda doc: doc["B"][0].update(matrix=5)),
+        ("C_factor", lambda doc: doc["C"][0].update(matrix=["C.mtx"])),
+        ("dimension 'n'", lambda doc: doc["dimensions"].update(n=2.7)),
+    ], ids=["B-matrix", "C-matrix", "n"])
+    def test_bad_manifest_entry_is_an_error(self, tmp_path, capsys, name,
+                                            edit):
+        # named on stderr, not a traceback
+        manifest = one_pole_manifest(tmp_path)
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        code = main(["norm", str(manifest), "--omega-max", "5"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
     def test_singular_expansion_exits_with_warnings(self, tmp_path, capsys,
                                                     monkeypatch):
         # with r0 = 1 the initial points are omega = 2.5 and the seed

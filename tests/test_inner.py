@@ -289,6 +289,12 @@ class TestTriangular:
         alone, none = triangular_sigma_and_slope(tri, ws)
         np.testing.assert_array_equal(alone, sig)
         assert none is None
+        # no shifts, as for the polish's bracket when both ends are the
+        # interval's
+        sig, slope = triangular_sigma_and_slope(tri, [], slope=True)
+        assert sig.shape == slope.shape == (0,)
+        assert sig.dtype == slope.dtype == np.float64
+        assert triangular_sigma_and_slope(tri, [])[1] is None
 
     def test_polished_incumbent_ends_after_one_level(self, monkeypatch):
         # the best candidate, 1.1, sits on the flank of the global peak

@@ -9,6 +9,7 @@ import linfnorm.oracle as oracle
 from linfnorm.errors import SingularShift
 from linfnorm.oracle import grid_norm, grid_sweep, sweep_csv
 from linfnorm.problems import descriptor_tf, make_delay_fixture
+from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
 from conftest import random_descriptor, siso_one_pole, siso_two_pole
 
@@ -122,6 +123,19 @@ class TestGridNorm:
         res = grid_norm(tf, (0.0, 10.0), 11, refine_tol=1e-20)
         assert res.best_omega == pytest.approx(3.0, abs=1e-12)
         assert res.best_sigma == pytest.approx(10.0, rel=1e-12)
+
+    @pytest.mark.parametrize("npoints", [11, 201])
+    def test_run_of_equal_values_refined_once(self, npoints, sigma_calls):
+        # a static gain H = 3 is one run of equal grid values: one
+        # refinement from omega = 0 inside (0, 10), however fine the grid
+        tf = StructuredTF(MatrixFactor([(ScalarTerm(), np.ones((1, 3)))]),
+                          MatrixFactor([(ScalarTerm(), np.eye(3))]),
+                          MatrixFactor([(ScalarTerm(), np.ones((3, 1)))]))
+        res = grid_norm(tf, (0.0, 10.0), npoints)
+        assert res.refinement_iters <= 60
+        assert len(sigma_calls) == npoints + res.refinement_iters
+        assert all(0.0 <= w <= 10.0 for w in sigma_calls)
+        assert (res.best_omega, res.best_sigma) == (0.0, pytest.approx(3.0))
 
     def test_best_at_least_grid_max(self):
         for seed in range(5):

@@ -99,6 +99,26 @@ class TestLoadProblem:
         with pytest.raises(ParseError, match="D_factor"):
             load_problem(path)
 
+    @pytest.mark.parametrize("rel", [5, ["B.mtx"], None])
+    def test_matrix_that_is_not_a_file_name(self, tmp_path, rel):
+        path = one_pole_manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["B"][0]["matrix"] = rel
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="B_factor.*matrix must be"):
+            load_problem(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 2.7), ("n", 1.0), ("m", "1"), ("p", True), ("p", None)])
+    def test_dimension_that_is_not_an_integer(self, tmp_path, key, value):
+        # not truncated, nor parsed from a string
+        path = one_pole_manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["dimensions"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"dimension '{key}' must be"):
+            load_problem(path)
+
     def test_bad_mtx_reports_file(self, tmp_path):
         path = one_pole_manifest(tmp_path)
         (tmp_path / "B.mtx").write_text("not a matrix\n")

@@ -249,7 +249,7 @@ class TestSolves:
                 d = tf.d_factor.eval(s).toarray()
                 for adjoint, ref in ((False, np.linalg.solve(d, rhs)),
                                      (True, np.linalg.solve(d.conj().T, rhs))):
-                    x = (tf.solve_d_adjoint if adjoint else tf.solve_d)(s, rhs)
+                    x = tf._factorization(s).solve(rhs, adjoint=adjoint)
                     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         assert routes == ["_SparseFactorization"] * 12
 
@@ -268,7 +268,7 @@ class TestSolves:
                 assert (abs(d[1, 0]) > abs(d[0, 0])) == swaps
                 for adjoint, ref in ((False, np.linalg.solve(d, rhs)),
                                      (True, np.linalg.solve(d.conj().T, rhs))):
-                    x = (tf.solve_d_adjoint if adjoint else tf.solve_d)(s, rhs)
+                    x = tf._factorization(s).solve(rhs, adjoint=adjoint)
                     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         assert routes == ["_TridiagonalFactorization"] * 18
 
@@ -304,7 +304,7 @@ class TestSolves:
 
     def test_adjoint_scalar(self):
         tf = siso_one_pole()
-        x = tf.solve_d_adjoint(1j, np.array([[1.0]]))
+        x = tf._factorization(1j).solve(np.array([[1.0]]), adjoint=True)
         assert x[0, 0] == pytest.approx(0.5 + 0.5j)
 
     def test_adjoint_equals_direct_for_hermitian(self):
@@ -318,8 +318,9 @@ class TestSolves:
         c = MatrixFactor([(ScalarTerm(), rng.standard_normal((2, 6)))])
         tf = StructuredTF(c, d, b)
         rhs = rng.standard_normal((6, 2))
+        fact = tf._factorization(3.0)
         np.testing.assert_allclose(tf.solve_d(3.0, rhs),
-                                   tf.solve_d_adjoint(3.0, rhs), atol=1e-12)
+                                   fact.solve(rhs, adjoint=True), atol=1e-12)
 
     def test_adjoint_residual(self):
         rng = np.random.default_rng(21)
@@ -329,7 +330,7 @@ class TestSolves:
                                 rng.standard_normal((2, 30)))
         rhs = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
         s = 0.3 + 2.1j
-        x = tf.solve_d_adjoint(s, rhs)
+        x = tf._factorization(s).solve(rhs, adjoint=True)
         d = tf.d_factor.eval(s)
         assert np.linalg.norm(d.conj().T @ x - rhs) / np.linalg.norm(rhs) <= 1e-10
 
@@ -367,7 +368,8 @@ class TestSolves:
             tf.eval_with_derivative(2.5j)
             assert shifts == [1.5j, 2.5j]
             tf.solve_d(1.5j, np.ones((tf.n, tf.m)))
-            tf.solve_d_adjoint(1.5j, np.ones((tf.n, tf.p)))
+            tf._factorization(1.5j).solve(np.ones((tf.n, tf.p)),
+                                          adjoint=True)
             assert vars(tf) == state
             for omega in (0.0, 0.7, 3.1):
                 sigma, _ = sigma_and_slope(tf, [omega], slope=True)
@@ -466,7 +468,7 @@ class TestTridiagonalPositions:
             d = _dense_eval(f, s)
             for adjoint, ref in ((False, np.linalg.solve(d, rhs)),
                                  (True, np.linalg.solve(d.conj().T, rhs))):
-                x = (tf.solve_d_adjoint if adjoint else tf.solve_d)(s, rhs)
+                x = tf._factorization(s).solve(rhs, adjoint=adjoint)
                 assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         assert routes == ["_TridiagonalFactorization"] * 6
         for (_, m), arrays in zip(f.terms, before):
@@ -520,28 +522,29 @@ class TestTridiagonalPositions:
 
 
     def test_complex_bands_match_csc_scatter(self):
-        # complex coefficients take the complex band path; terms on
-        # different diagonals, one real among them
-        n = 120
-        rng = np.random.default_rng(17)
-
+        # complex coefficients, on terms on different diagonals with one
+        # real among them; at n = 20001 the bands span several blocks and
+        # end in a partial one
         def draw(k):
             return rng.standard_normal(k) + 1j * rng.standard_normal(k)
 
-        off = [draw(n - 1), draw(n), draw(n - 1)]
-        f = MatrixFactor([
-            (ScalarTerm(degree=1), sp.diags(off, [-1, 0, 1], format="csc")),
-            (ScalarTerm(), sp.diags(rng.uniform(-1.0, 1.0, n), 0,
-                                    format="csc")),
-            (ScalarTerm(delay=0.5), sp.diags(draw(n - 1), 1, format="csc")),
-        ])
-        assert not f.is_real
-        for s in (0.0, 1j, 2.71j, 0.3 + 7j, 1 / 3):
-            d = f.eval(s)
-            cols = np.repeat(np.arange(n), np.diff(d.indptr))
-            ab = np.zeros((3, n), dtype=np.complex128)
-            ab[1 + d.indices - cols, cols] = d.data
-            np.testing.assert_array_equal(f.eval_tridiagonal(s), ab)
+        for n in (120, 20001):
+            rng = np.random.default_rng(17)
+            off = [draw(n - 1), draw(n), draw(n - 1)]
+            f = MatrixFactor([
+                (ScalarTerm(degree=1), sp.diags(off, [-1, 0, 1], format="csc")),
+                (ScalarTerm(), sp.diags(rng.uniform(-1.0, 1.0, n), 0,
+                                        format="csc")),
+                (ScalarTerm(delay=0.5), sp.diags(draw(n - 1), 1,
+                                                 format="csc")),
+            ])
+            assert np.iscomplexobj(f.bands)
+            for s in (0.0, 1j, 2.71j, 0.3 + 7j, 1 / 3):
+                d = f.eval(s)
+                cols = np.repeat(np.arange(n), np.diff(d.indptr))
+                ab = np.zeros((3, n), dtype=np.complex128)
+                ab[1 + d.indices - cols, cols] = d.data
+                np.testing.assert_array_equal(f.eval_tridiagonal(s), ab)
 
     def test_bands_built_once_on_first_factorization(self, built_bands):
         tf = make_delay_fixture(50)
@@ -631,7 +634,7 @@ class TestComplexSymmetric:
     def _reference(tf, s):
         """D(s)^{-*} C(s)^* by the adjoint solve."""
         cs = structured._as_dense(tf.c_factor.eval(s))
-        return tf.solve_d_adjoint(s, cs.conj().T)
+        return tf._factorization(s).solve(cs.conj().T, adjoint=True)
 
     def test_delay_adjoint_resolvent_is_conj(self, adjoint_flags):
         tf = make_delay_fixture(5000)
