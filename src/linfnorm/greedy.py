@@ -256,6 +256,7 @@ def _initial_state(tf: StructuredTF, points, mode: str):
             skipped.append(w0)
             continue
         state = expand(state, vb, wb, w0)
+        del vb, wb      # freed before the next factorization
     if not state.points:
         raise AllShiftsSingular("every initial interpolation point was singular")
     return state, skipped
@@ -412,6 +413,11 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
             stop_reason = SINGULAR_EXPANSION
             break
         grown = expand(state, vb, wb, w_expand)
+        if cfg.subspace_policy == LAST_TWO and res is not None:
+            recent_blocks = recent_blocks[-1:] + [(vb, wb, w_new)]
+        # freed here, LAST_TWO's two kept blocks apart, so that the next
+        # factorization and the certification run without them
+        del vb, wb
         if res is not None and grown.dim == state.dim:
             # V and W are unchanged, so the model, which interpolates H at
             # w_new already, would return w_new again
@@ -420,12 +426,10 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
         state = grown
         if res is None:
             continue    # maximize the repaired model
-        if cfg.subspace_policy == LAST_TWO:
-            recent_blocks = recent_blocks[-1:] + [(vb, wb, w_new)]
-            if len(recent_blocks) == 2:
-                state = SubspaceState.empty(tf.n)
-                for block in recent_blocks:
-                    state = expand(state, *block)
+        if len(recent_blocks) == 2:
+            state = SubspaceState.empty(tf.n)
+            for block in recent_blocks:
+                state = expand(state, *block)
         prev_omega = w_new
     else:
         warns.append("MaxIterations: r_max reached before convergence")

@@ -112,27 +112,31 @@ def make_delay_fixture(n: int, tau: float = 1.0, beta: float = 0.01,
 
     E = theta*I + T, A0 = (1/tau)(1/beta + 1)(T - theta*I),
     A1 = (1/tau)(1/beta - 1)(T - theta*I), with T the coupling matrix above;
-    B = e1 + e2 and C = B^T.  D(s) = s*E - A0 - exp(-tau*s)*A1.
+    B = e1 + e2 and C = B^T.  D(s) = s*E - A0 - exp(-tau*s)*A1.  T - theta*I
+    is built once, and each D term is that matrix times its negated scalar,
+    which rounds as the negation of A0 or A1 would.
     """
     if not (isinstance(n, numbers.Integral) and n >= 2):
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if beta == 0:
-        raise ValueError("beta must be nonzero")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
+    if not (np.isfinite(beta) and beta != 0):
+        raise ValueError(f"beta must be finite and nonzero, got {beta!r}")
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     t = delay_coupling_matrix(n)
-    eye = sp.identity(n, format="csc")
-    e = theta * eye + t
-    a0 = (1.0 / tau) * (1.0 / beta + 1.0) * (t - theta * eye)
-    a1 = (1.0 / tau) * (1.0 / beta - 1.0) * (t - theta * eye)
+    theta_eye = theta * sp.identity(n, format="csc")
+    e = theta_eye + t
+    shifted = t - theta_eye
     b = np.zeros((n, 1))
     b[0, 0] = 1.0
     b[1, 0] = 1.0
     c = b.T.copy()
     d_factor = MatrixFactor([
         (ScalarTerm(degree=1), e),
-        (ScalarTerm(degree=0), -a0),
-        (ScalarTerm(degree=0, delay=tau), -a1),
+        (ScalarTerm(degree=0), -((1.0 / tau) * (1.0 / beta + 1.0)) * shifted),
+        (ScalarTerm(degree=0, delay=tau),
+         -((1.0 / tau) * (1.0 / beta - 1.0)) * shifted),
     ])
     return StructuredTF(
         c_factor=MatrixFactor([(ScalarTerm(), c)]),

@@ -169,19 +169,50 @@ class MatrixFactor:
 
 
 def _tridiagonal_bands(terms, n: int) -> np.ndarray | None:
-    """MatrixFactor.bands of a sum of terms with n columns.  Every term's
-    pattern is checked before the bands are allocated."""
+    """MatrixFactor.bands of a sum of terms with n columns.
+
+    Every term's pattern is checked, one term at a time, before the bands
+    are allocated; then the bands are filled one term at a time.  So at
+    most one term's int64 flat positions and column indices exist at once:
+    about 36n bytes on the delay family, with 3n stored entries per term.
+    The values are added with np.add.at in stored order, so duplicate
+    entries sum as in a conversion to COO."""
     if n < 3 or not all(sp.issparse(m) for _, m in terms):
         return None
-    coos = [m.tocoo() for _, m in terms]
-    if any(np.any(np.abs(coo.row - coo.col) > 1) for coo in coos):
+    if not all(_within_one_of_diagonal(m) for _, m in terms):
         return None
-    dtype = np.result_type(*(coo.dtype for coo in coos), np.float64)
-    bands = np.zeros((len(coos), 3 * n), dtype=dtype)
-    for band, coo in zip(bands, coos):
-        row = coo.row.astype(np.int64)  # flat positions reach 3n
-        np.add.at(band, (1 + row - coo.col) * n + coo.col, coo.data)
+    dtype = np.result_type(*(m.dtype for _, m in terms), np.float64)
+    bands = np.zeros((len(terms), 3 * n), dtype=dtype)
+    for band, (_, m) in zip(bands, terms):
+        pos, cols, data = _offsets(m)
+        pos += 1
+        pos *= n
+        pos += cols     # (1 + i - j) * n + j, which reaches 3n
+        np.add.at(band, pos, data)
+        del pos, cols   # before the next term's are made
     return bands
+
+
+def _within_one_of_diagonal(m) -> bool:
+    """Whether every stored entry (i, j) of the sparse m has |i - j| <= 1."""
+    offsets = _offsets(m)[0]
+    return not offsets.size or (offsets.min() >= -1 and offsets.max() <= 1)
+
+
+def _offsets(m):
+    """(i - j as int64, j, value) of every stored entry (i, j) of the sparse
+    m, in stored order.  CSC and CSR matrices are read through their own
+    indices and indptr; any other format is converted to COO first."""
+    if m.format in ("csc", "csr"):
+        major = np.repeat(np.arange(len(m.indptr) - 1, dtype=m.indptr.dtype),
+                          np.diff(m.indptr))
+        rows, cols = ((m.indices, major) if m.format == "csc"
+                      else (major, m.indices))
+        data = m.data
+    else:
+        coo = m.tocoo()
+        rows, cols, data = coo.row, coo.col, coo.data
+    return np.subtract(rows, cols, dtype=np.int64), cols, data
 
 
 def _equal(a, b) -> bool:
@@ -223,7 +254,8 @@ class _DenseFactorization:
 
     def solve(self, rhs, adjoint: bool = False) -> np.ndarray:
         rhs = np.asarray(_as_dense(rhs), dtype=np.complex128)
-        x, _ = sla.lapack.zgetrs(*self._lu, rhs, trans=2 if adjoint else 0)
+        x, _ = sla.lapack.zgetrs(*self._lu, rhs, trans=2 if adjoint else 0,
+                                 overwrite_b=True)
         return x
 
 
@@ -250,7 +282,7 @@ class _SparseFactorization:
         self._lu = lu
 
     def solve(self, rhs, adjoint: bool = False) -> np.ndarray:
-        rhs = np.ascontiguousarray(_as_dense(rhs), dtype=np.complex128)
+        rhs = np.asarray(_as_dense(rhs), dtype=np.complex128)
         return self._lu.solve(rhs, trans="H" if adjoint else "N")
 
 
@@ -271,8 +303,12 @@ class _TridiagonalFactorization:
         self._lu = lu  # dl, d, du, du2, ipiv
 
     def solve(self, rhs, adjoint: bool = False) -> np.ndarray:
+        """D(s)^{-1} rhs, or D(s)^{-*} rhs with ``adjoint``, computed in the
+        memory of rhs when it is a Fortran-contiguous complex array, so
+        that a full-length block is not copied; rhs is then overwritten."""
         rhs = np.asarray(_as_dense(rhs), dtype=np.complex128)
-        x, _ = sla.lapack.zgttrs(*self._lu, rhs, trans="C" if adjoint else "N")
+        x, _ = sla.lapack.zgttrs(*self._lu, rhs, trans="C" if adjoint else "N",
+                                 overwrite_b=True)
         return x
 
 
@@ -321,7 +357,9 @@ class StructuredTF:
         return self.c_factor.nrows
 
     def _factorization(self, s: complex):
-        """A fresh LU of D(s); raises SingularShift if D(s) is singular."""
+        """A fresh LU of D(s); raises SingularShift if D(s) is singular.
+        Its solve(rhs, adjoint=False) may overwrite rhs, as LAPACK's
+        overwrite_b does, so callers pass a temporary of their own."""
         s = complex(s)
         if self.d_factor.bands is not None:
             return _TridiagonalFactorization(
@@ -336,24 +374,36 @@ class StructuredTF:
 
         A complex-symmetric function, one with C(s) = B(s)^T and every D_j
         equal to its transpose, has D(s)^* = conj(D(s)) and so
-        D(s)^{-*} C(s)^* = conj(D(s)^{-1} B(s)): it takes one solve, and
-        C(s) is B(s)^T."""
+        D(s)^{-*} C(s)^* = conj(D(s)^{-1} B(s)): it takes one solve.
+
+        Each solve overwrites a fresh B(s) or C(s)^*, and on the one-solve
+        path the factorization is freed before C(s) and conj(x) are made,
+        so that no more than the factorization and one n-by-m block are
+        alive at once."""
         fact = self._factorization(s)
-        bs = self.b_factor.eval(s)
-        x = fact.solve(bs)
+        x = fact.solve(self.b_factor.eval(s))
         if self._c_is_b_transpose and self.d_factor.symmetric:
-            return bs.T, x, x.conj()
+            del fact
+            return self.c_factor.eval(s), x, x.conj()
         cs = self.c_factor.eval(s)
         y = fact.solve(_as_dense(cs).conj().T, adjoint=True)
         return cs, x, y
 
     def solve_d(self, s: complex, rhs) -> np.ndarray:
-        """Solve D(s) X = RHS."""
-        return self._factorization(s).solve(rhs)
+        """Solve D(s) X = RHS.  RHS is an array or a sparse matrix, which is
+        left as it is, or a MatrixFactor F with F.nrows = n, for RHS = F(s):
+        F(s) is then evaluated here and overwritten by X, so that no copy of
+        it is made."""
+        fact = self._factorization(s)
+        if isinstance(rhs, MatrixFactor):
+            return fact.solve(rhs.eval(s))
+        return fact.solve(np.array(_as_dense(rhs), dtype=np.complex128,
+                                   order="F"))
 
     def eval(self, s: complex) -> np.ndarray:
-        """H(s) = C(s) D(s)^{-1} B(s) as a dense p-by-m array."""
-        x = self.solve_d(s, self.b_factor.eval(s))
+        """H(s) = C(s) D(s)^{-1} B(s) as a dense p-by-m array.  B(s) is
+        solved in place, and C(s) is made once the factorization is freed."""
+        x = self.solve_d(s, self.b_factor)
         return _as_dense(self.c_factor.eval(s) @ x)
 
     def eval_with_derivative(self, s: complex):

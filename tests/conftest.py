@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -83,6 +85,19 @@ def padded(basis, n):
     out = np.zeros((n, basis.shape[1]), dtype=basis.dtype, order="F")
     out[:basis.shape[0]] = basis
     return out
+
+
+def peak_bytes(fn):
+    """(fn(), the most bytes that numpy and Python held during the call
+    beyond what they held when it began), counted by tracemalloc, so that
+    the count does not depend on the allocator or on BLAS threads."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def constant_factor(mat):

@@ -19,7 +19,7 @@ from linfnorm.problems import descriptor_tf, make_delay_fixture
 from linfnorm.reduced import DOMINANT_SEEDS, dominant_frequencies, sigma_max
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
-from conftest import (cgs2_reference, padded, random_descriptor,
+from conftest import (cgs2_reference, padded, peak_bytes, random_descriptor,
                       siso_one_pole)
 
 
@@ -427,6 +427,44 @@ class TestRun:
         omegas = [h["omega"] for h in res.history]
         for k in range(2, len(res.states)):
             assert res.states[k].points == tuple(omegas[k - 2:k])
+
+    def test_last_two_policy_matches_rebuilt_states(self, monkeypatch):
+        # the policy keeps the last two blocks, and only those: each kept
+        # state from the third on is the expansion of the empty state by
+        # the blocks at the two preceding maximizers
+        monkeypatch.setattr(greedy, "dominant_frequencies", lambda tf: ())
+        tf, interval = random_descriptor(60, 1, 1, seed=43)
+        cfg = RunConfig(omega_max=interval[1], r0=15,
+                        subspace_policy=LAST_TWO, keep_states=True,
+                        inner=InnerConfig(interval=interval))
+        res = run(tf, cfg)
+        omegas = [h["omega"] for h in res.history]
+        for k in range(2, len(res.states)):
+            state = SubspaceState.empty(tf.n)
+            for w in omegas[k - 2:k]:
+                state = expand(state, *expansion_block(tf, w), w)
+            np.testing.assert_array_equal(res.states[k].V, state.V)
+            np.testing.assert_array_equal(res.states[k].W, state.W)
+
+    def test_delay_run_memory_per_order(self):
+        # what one run holds beyond its fixture and bands, per order: the
+        # factorization of D(s) (the three bands, zgttrf's second
+        # superdiagonal and pivots) and X = D(s)^{-1} B(s), about 84 bytes
+        # per order; both resolvent blocks of the previous shift, a copy of
+        # B(s) and a conjugate made beside the factorization took about
+        # 148.  The inner maximization's 2.8 MB do not depend on the order,
+        # so the bound is on the growth between two orders
+        cfg = RunConfig(omega_max=50.0,
+                        inner=InnerConfig(interval=(0, 50),
+                                          curvature_bound=-100.0))
+        peaks = []
+        for n in (40000, 80000):
+            tf = make_delay_fixture(n)
+            assert tf.d_factor.bands is not None
+            res, peak = peak_bytes(lambda: run(tf, cfg))
+            assert res.norm == pytest.approx(0.2376599180, abs=1e-10)
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] <= 90 * 40000
 
     def test_kept_states_never_change(self, monkeypatch):
         # each state run() keeps must still hold what it held when it was

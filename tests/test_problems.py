@@ -173,6 +173,38 @@ class TestDelayFixture:
         with pytest.raises(ValueError):
             make_delay_fixture(5, beta=0.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("tau", np.nan), ("tau", np.inf), ("beta", np.nan),
+        ("beta", -np.inf), ("theta", np.nan), ("theta", np.inf)])
+    def test_rejects_nonfinite_parameters(self, name, value):
+        # a NaN beta or theta, or an infinite theta, built NaN or infinite
+        # coefficients, and a NaN tau failed in ScalarTerm, naming delay
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make_delay_fixture(5, **{name: value})
+
+    @pytest.mark.parametrize("n, params", [
+        (3, {}), (2001, {}),
+        (40, dict(tau=0.3, beta=-0.7, theta=-2.5)),
+        (7, dict(tau=2.0, beta=3.0, theta=0.0))])
+    def test_terms_match_negated_products(self, n, params):
+        # T - theta*I is built once and scaled by each negated scalar; each
+        # term stores what negating (1/tau)(1/beta -+ 1)(T - theta*I) gave
+        tau, beta, theta = (params.get(k, v) for k, v in
+                            (("tau", 1.0), ("beta", 0.01), ("theta", 5.0)))
+        t = delay_coupling_matrix(n)
+        eye = sp.identity(n, format="csc")
+        a0 = (1.0 / tau) * (1.0 / beta + 1.0) * (t - theta * eye)
+        a1 = (1.0 / tau) * (1.0 / beta - 1.0) * (t - theta * eye)
+        expected = [theta * eye + t, -a0, -a1]
+        for (_, got), want in zip(make_delay_fixture(n, **params)
+                                  .d_factor.terms, expected):
+            assert got.format == want.format == "csc"
+            for key in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(got, key),
+                                              getattr(want, key))
+            np.testing.assert_array_equal(np.signbit(got.data),
+                                          np.signbit(want.data))
+
     @pytest.mark.parametrize("n", [1e3, 50.0, "50", None])
     def test_order_must_be_an_integer(self, n):
         # 1e3 reached the coupling matrix, which raised a bare TypeError

@@ -14,7 +14,7 @@ from linfnorm.problems import (delay_coupling_matrix, descriptor_tf,
 from linfnorm.reduced import sigma_and_slope, sigma_max
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
-from conftest import random_descriptor, siso_one_pole
+from conftest import peak_bytes, random_descriptor, siso_one_pole
 
 
 class TestScalarTerm:
@@ -302,6 +302,25 @@ class TestSolves:
             tf.eval(1j)
             assert calls == []
 
+    @pytest.mark.parametrize("make, route", [
+        (lambda: random_descriptor(12, 1, 1, seed=4)[0], "_DenseFactorization"),
+        (lambda: _banded_sparse(60, kl=2, ku=1, seed=8),
+         "_SparseFactorization"),
+        (lambda: make_delay_fixture(300), "_TridiagonalFactorization"),
+    ], ids=["dense", "superlu", "tridiagonal"])
+    def test_solve_d_leaves_its_argument(self, make, route, routes):
+        # B(s) of the dense and delay systems is one complex column,
+        # contiguous in both orders, which LAPACK would overwrite if handed
+        # it; B given as its factor is solved in place, to the same bits
+        tf = make()
+        rhs = structured._as_dense(tf.b_factor.eval(0.5j))
+        kept = rhs.copy()
+        x = tf.solve_d(0.5j, rhs)
+        np.testing.assert_array_equal(rhs, kept)
+        assert not np.shares_memory(x, rhs)
+        np.testing.assert_array_equal(tf.solve_d(0.5j, tf.b_factor), x)
+        assert routes == [route] * 2
+
     def test_adjoint_scalar(self):
         tf = siso_one_pole()
         x = tf._factorization(1j).solve(np.array([[1.0]]), adjoint=True)
@@ -545,6 +564,32 @@ class TestTridiagonalPositions:
                 ab = np.zeros((3, n), dtype=np.complex128)
                 ab[1 + d.indices - cols, cols] = d.data
                 np.testing.assert_array_equal(f.eval_tridiagonal(s), ab)
+
+    def test_mixed_bands_match_coo_scatter(self):
+        # each term's stored values, duplicates included, added in the
+        # order a conversion to COO gives them
+        f = _mixed_pattern_factor(30, seed=14)
+        ref = np.zeros((4, 90))
+        for band, (_, m) in zip(ref, f.terms):
+            coo = m.tocoo()
+            np.add.at(band, (1 + coo.row.astype(np.int64) - coo.col) * 30
+                      + coo.col, coo.data)
+        np.testing.assert_array_equal(f.bands, ref)
+
+    @pytest.mark.parametrize("factor", [
+        lambda n: make_delay_fixture(n).d_factor,
+        lambda n: _mixed_pattern_factor(n, seed=14),
+    ], ids=["delay", "mixed-formats"])
+    def test_band_build_memory(self, factor):
+        # one term's positions at a time: about 43 and 51 bytes per order
+        # above the bands, where a COO copy of every term at once took
+        # about 196 and 120
+        n = 20000
+        f = factor(n)
+        bands, peak = peak_bytes(
+            lambda: structured._tridiagonal_bands(f.terms, n))
+        assert bands is not None
+        assert peak - bands.nbytes <= 70 * n
 
     def test_bands_built_once_on_first_factorization(self, built_bands):
         tf = make_delay_fixture(50)
