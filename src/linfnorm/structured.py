@@ -2,8 +2,9 @@
 
 Each factor is a sum of scalar basis functions of the form s^k * exp(-tau*s)
 times a constant (dense or sparse) coefficient matrix.  Each evaluation
-factors D(s) once and uses that one factorization for every direct and
-adjoint solve it needs at the shift.
+assembles D(s) once and uses it for every direct and adjoint solve it needs
+at the shift: a dense or SuperLU factorization is made once and reused; a
+tridiagonal D(s) is eliminated within each solve, the direct one in place.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ class MatrixFactor:
         storage of a tridiagonal factor (super-, main and subdiagonal, each
         entry in its column), duplicates summed: a (terms, 3n) array, real
         unless a term is complex.  None unless every term is sparse with
-        |i - j| <= 1 for every stored entry and n >= 3 (scipy's zgttrf
-        wrapper rejects n = 2).  Built on first use, then kept: it does not
+        |i - j| <= 1 for every stored entry and n >= 2 (scipy's zgtsv
+        wrapper rejects n = 1).  Built on first use, then kept: it does not
         depend on the shift."""
         return _tridiagonal_bands(self.terms, self.ncols)
 
@@ -177,7 +178,7 @@ def _tridiagonal_bands(terms, n: int) -> np.ndarray | None:
     about 36n bytes on the delay family, with 3n stored entries per term.
     The values are added with np.add.at in stored order, so duplicate
     entries sum as in a conversion to COO."""
-    if n < 3 or not all(sp.issparse(m) for _, m in terms):
+    if n < 2 or not all(sp.issparse(m) for _, m in terms):
         return None
     if not all(_within_one_of_diagonal(m) for _, m in terms):
         return None
@@ -287,28 +288,39 @@ class _SparseFactorization:
 
 
 class _TridiagonalFactorization:
-    """LAPACK tridiagonal LU of a sparse D(s) given in the (3, n) storage of
-    MatrixFactor.eval_tridiagonal, with the same pivot-based singularity
-    check as the sparse path."""
+    """A sparse D(s) in the (3, n) storage of MatrixFactor.eval_tridiagonal.
+    Each solve is one zgtsv call, an elimination with partial pivoting and
+    the substitution fused into it, then the sparse path's pivot-ratio check
+    on the U diagonal it returns, kept as rcond.  The direct solve
+    eliminates on the bands in place and so must come last; an adjoint
+    solve eliminates on conjugate-transposed copies."""
 
     def __init__(self, ab: np.ndarray, s: complex):
-        # rows of ab: superdiagonal from column 1, diagonal, subdiagonal up
-        # to column n - 2; all three are factored in place
-        *lu, info = sla.lapack.zgttrf(ab[2, :-1], ab[1], ab[0, 1:],
-                                      overwrite_dl=True, overwrite_d=True,
-                                      overwrite_du=True)
-        if info > 0:
-            raise SingularShift(s, rcond=0.0)
-        self.rcond = _pivot_rcond(lu[1], s)
-        self._lu = lu  # dl, d, du, du2, ipiv
+        self._ab, self._s = ab, s
 
     def solve(self, rhs, adjoint: bool = False) -> np.ndarray:
         """D(s)^{-1} rhs, or D(s)^{-*} rhs with ``adjoint``, computed in the
         memory of rhs when it is a Fortran-contiguous complex array, so
         that a full-length block is not copied; rhs is then overwritten."""
+        ab = self._ab
+        if ab is None:
+            raise RuntimeError(
+                "the direct solve overwrote the bands of D(s): make every "
+                "adjoint solve before the one direct solve")
+        # rows of ab: superdiagonal from column 1, diagonal, subdiagonal up
+        # to column n - 2
+        if adjoint:
+            dl, d, du = ab[0, 1:].conj(), ab[1].conj(), ab[2, :-1].conj()
+        else:
+            dl, d, du = ab[2, :-1], ab[1], ab[0, 1:]
+            self._ab = None
         rhs = np.asarray(_as_dense(rhs), dtype=np.complex128)
-        x, _ = sla.lapack.zgttrs(*self._lu, rhs, trans="C" if adjoint else "N",
-                                 overwrite_b=True)
+        _, udiag, _, x, info = sla.lapack.zgtsv(
+            dl, d, du, rhs, overwrite_dl=True, overwrite_d=True,
+            overwrite_du=True, overwrite_b=True)
+        if info > 0:
+            raise SingularShift(self._s, rcond=0.0)
+        self.rcond = _pivot_rcond(udiag, self._s)
         return x
 
 
@@ -318,8 +330,9 @@ class StructuredTF:
     Holds no factorization between calls, so concurrent evaluation is safe.
     The only things kept are the D factor's bands and symmetric flag, which
     do not depend on the shift; a concurrent first call may build them
-    twice, harmlessly.  A sparse D(s) goes to the tridiagonal LU when the
-    factor has bands and to SuperLU otherwise; a dense D(s) gets a LAPACK LU.
+    twice, harmlessly.  A sparse D(s) goes to LAPACK's tridiagonal solver
+    when the factor has bands and to SuperLU otherwise; a dense D(s) gets a
+    LAPACK LU.
     """
 
     def __init__(self, c_factor: MatrixFactor, d_factor: MatrixFactor,
@@ -357,9 +370,12 @@ class StructuredTF:
         return self.c_factor.nrows
 
     def _factorization(self, s: complex):
-        """A fresh LU of D(s); raises SingularShift if D(s) is singular.
-        Its solve(rhs, adjoint=False) may overwrite rhs, as LAPACK's
-        overwrite_b does, so callers pass a temporary of their own."""
+        """A fresh factorization of D(s); a singular D(s) raises
+        SingularShift here or, on the tridiagonal route, in a solve.  Its
+        solve(rhs, adjoint=False) may overwrite rhs, as LAPACK's overwrite_b
+        does, so callers pass a temporary of their own; on the tridiagonal
+        route it also overwrites D(s), so it comes after every adjoint
+        solve."""
         s = complex(s)
         if self.d_factor.bands is not None:
             return _TridiagonalFactorization(
@@ -376,18 +392,19 @@ class StructuredTF:
         equal to its transpose, has D(s)^* = conj(D(s)) and so
         D(s)^{-*} C(s)^* = conj(D(s)^{-1} B(s)): it takes one solve.
 
-        Each solve overwrites a fresh B(s) or C(s)^*, and on the one-solve
-        path the factorization is freed before C(s) and conj(x) are made,
-        so that no more than the factorization and one n-by-m block are
-        alive at once."""
+        Each solve overwrites a fresh B(s) or C(s)^*.  The adjoint solve
+        comes first, since a tridiagonal direct solve overwrites D(s).  On
+        the one-solve path the factorization is freed before C(s) and
+        conj(x) are made, so that no more than the factorization and one
+        n-by-m block are alive at once."""
         fact = self._factorization(s)
-        x = fact.solve(self.b_factor.eval(s))
         if self._c_is_b_transpose and self.d_factor.symmetric:
+            x = fact.solve(self.b_factor.eval(s))
             del fact
             return self.c_factor.eval(s), x, x.conj()
         cs = self.c_factor.eval(s)
         y = fact.solve(_as_dense(cs).conj().T, adjoint=True)
-        return cs, x, y
+        return cs, fact.solve(self.b_factor.eval(s)), y
 
     def solve_d(self, s: complex, rhs) -> np.ndarray:
         """Solve D(s) X = RHS.  RHS is an array or a sparse matrix, which is

@@ -448,12 +448,13 @@ class TestRun:
 
     def test_delay_run_memory_per_order(self):
         # what one run holds beyond its fixture and bands, per order: the
-        # factorization of D(s) (the three bands, zgttrf's second
-        # superdiagonal and pivots) and X = D(s)^{-1} B(s), about 84 bytes
-        # per order; both resolvent blocks of the previous shift, a copy of
-        # B(s) and a conjugate made beside the factorization took about
-        # 148.  The inner maximization's 2.8 MB do not depend on the order,
-        # so the bound is on the growth between two orders
+        # three complex bands of D(s), which zgtsv eliminates in place,
+        # X = D(s)^{-1} B(s) and the moduli of the pivot check, about 72
+        # bytes per order; zgttrf's second superdiagonal and pivots made it
+        # about 84, and both resolvent blocks of the previous shift, a copy
+        # of B(s) and a conjugate made beside the factorization about 148.
+        # The inner maximization's 2.8 MB do not depend on the order, so
+        # the bound is on the growth between two orders
         cfg = RunConfig(omega_max=50.0,
                         inner=InnerConfig(interval=(0, 50),
                                           curvature_bound=-100.0))

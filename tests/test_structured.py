@@ -255,11 +255,12 @@ class TestSolves:
 
     def test_tridiagonal_route_matches_dense_solve(self, routes):
         # dl != du and a row swap, so swapped off-diagonals or a transpose
-        # in place of the adjoint give wrong solves; n = 3 and a diagonal
+        # in place of the adjoint give wrong solves; n = 2 and a diagonal
         # pattern are the edges of the route
         rng = np.random.default_rng(13)
         for tf, swaps in ((_tridiagonal_sparse(40, seed=9), True),
                           (_tridiagonal_sparse(3, seed=9), True),
+                          (_tridiagonal_sparse(2, seed=9), True),
                           (_banded_sparse(40, kl=0, ku=0, seed=9), False)):
             n = tf.n
             rhs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
@@ -270,7 +271,7 @@ class TestSolves:
                                      (True, np.linalg.solve(d.conj().T, rhs))):
                     x = tf._factorization(s).solve(rhs, adjoint=adjoint)
                     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-        assert routes == ["_TridiagonalFactorization"] * 18
+        assert routes == ["_TridiagonalFactorization"] * 24
 
     def test_singular_shift_tridiagonal(self, routes):
         # D(s) = s*I + L with L the path-graph Laplacian, exactly singular
@@ -287,17 +288,24 @@ class TestSolves:
         assert routes == ["_TridiagonalFactorization"]
 
     def test_lapack_kernel_only_for_tridiagonal(self, monkeypatch):
+        # one zgtsv per solve, and no separate factorization
         calls = []
         lapack = structured.sla.lapack
-        for name in ("zgttrf", "zgttrs"):
+        for name in ("zgtsv", "zgttrf", "zgttrs"):
             def spy(*args, _f=getattr(lapack, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _f(*args, **kwargs)
             monkeypatch.setattr(lapack, name, spy)
-        make_delay_fixture(3000).eval(1j)
-        assert calls == ["zgttrf", "zgttrs"]
+        for tf in (make_delay_fixture(3000), make_delay_fixture(2)):
+            calls.clear()
+            tf.eval(1j)
+            assert calls == ["zgtsv"]
+        calls.clear()
+        _tridiagonal_sparse(40, seed=9).eval_with_derivative(1j)
+        assert calls == ["zgtsv"] * 2
+        # scipy's zgtsv rejects n = 1, so a 1-by-1 sparse D takes SuperLU
         for tf in (_banded_sparse(60, kl=2, ku=1, seed=8),
-                   make_delay_fixture(2)):  # scipy's zgttrf rejects n = 2
+                   _banded_sparse(1, kl=0, ku=0, seed=8)):
             calls.clear()
             tf.eval(1j)
             assert calls == []
@@ -431,6 +439,126 @@ class TestNearSingularShifts:
             self._tf(d).eval(1j)
         assert err.value.rcond == 0.0
         assert routes == ["_SparseFactorization"]
+
+
+def _bits(a):
+    """The bytes of a complex array, so that equality also compares signed
+    zeros and NaN payloads."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _separate_lu_solve(ab, rhs):
+    """(x, pivot ratio, whether rows were swapped) from LAPACK's separate
+    tridiagonal LU (zgttrf) and substitution (zgttrs) on copies of the
+    (3, n) storage ab and of rhs."""
+    lapack = structured.sla.lapack
+    *lu, info = lapack.zgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    assert info == 0
+    x, info = lapack.zgttrs(*lu, rhs)
+    assert info == 0
+    ipiv = lu[-1]
+    return x, structured._pivot_rcond(lu[1], None), bool(
+        np.any(ipiv != np.arange(1, len(ipiv) + 1)))
+
+
+def _conj_transposed(ab):
+    """The (3, n) storage of D^* from that of D."""
+    out = np.zeros_like(ab)
+    out[0, 1:], out[1], out[2, :-1] = ab[2, :-1], ab[1], ab[0, 1:]
+    return out.conj()
+
+
+class TestFusedTridiagonalSolve:
+    """Each tridiagonal solve is one zgtsv: the elimination of zgttrf with
+    the substitution of zgttrs fused into it, to the same bits."""
+
+    @staticmethod
+    def _check_against_separate_lu(ab, rhs, s):
+        for adjoint, ref_ab in ((True, _conj_transposed(ab)), (False, ab)):
+            x_ref, rcond_ref, swaps = _separate_lu_solve(ref_ab, rhs)
+            fact = structured._TridiagonalFactorization(ab.copy(), s)
+            x = fact.solve(np.array(rhs, order="F"), adjoint=adjoint)
+            np.testing.assert_array_equal(_bits(x), _bits(x_ref))
+            assert fact.rcond == rcond_ref
+        return swaps
+
+    def test_random_matches_separate_lu_bit_for_bit(self):
+        # with and without row swaps: a diagonal that outweighs both
+        # off-diagonals keeps every row in place
+        rng = np.random.default_rng(60)
+        swapped = []
+        for k in range(24):
+            n = int(rng.integers(3, 3001)) if k > 1 else 3 + 2997 * k
+            ab = (rng.standard_normal((3, n))
+                  + 1j * rng.standard_normal((3, n)))
+            dominant = k % 2 == 1
+            if dominant:
+                ab[1] = 10.0 + rng.uniform(-1.0, 1.0, n)
+                ab[[0, 2]] = (rng.uniform(-1.0, 1.0, (2, n))
+                              + 1j * rng.uniform(-1.0, 1.0, (2, n)))
+            ab[0, 0] = ab[2, -1] = 0.0
+            rhs = (rng.standard_normal((n, 1 + k % 3))
+                   + 1j * rng.standard_normal((n, 1 + k % 3)))
+            swaps = self._check_against_separate_lu(ab, rhs, 1j)
+            assert swaps != dominant
+            swapped.append(swaps)
+        assert sum(swapped) == 12
+
+    @pytest.mark.parametrize("omega", [3.0754, 9.18],
+                             ids=["peak", "subnormal-stall"])
+    def test_delay_matches_separate_lu_bit_for_bit(self, omega):
+        # at 9.18 the solve runs through subnormal intermediates, which
+        # made it about 7 times slower than at 3.0754 at this order
+        tf = make_delay_fixture(20000)
+        s = 1j * omega
+        rhs = structured._as_dense(tf.b_factor.eval(s)).astype(np.complex128)
+        self._check_against_separate_lu(tf.d_factor.eval_tridiagonal(s),
+                                        rhs, s)
+
+    def test_two_solve_resolvents_match_dense(self, routes):
+        # dl != du and a row swap: the adjoint solve eliminates on the
+        # conjugate transpose, and the direct solve comes after it
+        tf = _tridiagonal_sparse(40, seed=9)
+        b, c = tf.b_factor.terms[0][1], tf.c_factor.terms[0][1]
+        for s in (0.0, 2j, 0.5 + 3j):
+            d = tf.d_factor.eval(s).toarray()
+            assert abs(d[1, 0]) > abs(d[0, 0])
+            x_ref = np.linalg.solve(d, b)
+            y_ref = np.linalg.solve(d.conj().T, c.conj().T)
+            cs, x, y = tf._resolvents(s)
+            np.testing.assert_array_equal(cs, c)
+            for got, ref in ((x, x_ref), (y, y_ref)):
+                assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+            # D'(s) = I, so H' = -C D^{-1} D^{-1} B
+            h, hprime = tf.eval_with_derivative(s)
+            for got, ref in ((h, c @ x_ref),
+                             (hprime, -c @ np.linalg.solve(d, x_ref))):
+                assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert routes == ["_TridiagonalFactorization"] * 6
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_no_solve_after_the_direct_solve(self, adjoint):
+        fact = _tridiagonal_sparse(40, seed=9)._factorization(1j)
+        rhs = np.ones((40, 1), dtype=np.complex128)
+        fact.solve(rhs.copy(), adjoint=True)
+        fact.solve(rhs.copy())
+        with pytest.raises(RuntimeError,
+                           match="adjoint solve before the one direct solve"):
+            fact.solve(rhs.copy(), adjoint=adjoint)
+
+    @pytest.mark.parametrize("step", [
+        lambda tf: expansion_block(tf, 3.0754),
+        lambda tf: sigma_max(tf, 3.0754),
+    ], ids=["expansion_block", "sigma_max"])
+    def test_one_shift_memory(self, step):
+        # one shift holds the complex bands (48 bytes per order), X (16)
+        # and the pivot check's moduli (8): 72 in all, where zgttrf's
+        # second superdiagonal and pivots made it about 86
+        n = 80000
+        tf = make_delay_fixture(n)
+        assert tf.d_factor.bands is not None
+        _, peak = peak_bytes(lambda: step(tf))
+        assert peak <= 76 * n
 
 
 def _mixed_pattern_factor(n, seed, reach=1):
@@ -722,7 +850,7 @@ class TestComplexSymmetric:
     def test_others_keep_the_adjoint_solve(self, broken, adjoint_flags):
         tf = broken(make_delay_fixture(50))
         cs, x, y = tf._resolvents(1.5j)
-        assert adjoint_flags == [False, True]
+        assert adjoint_flags == [True, False]  # a direct solve comes last
         np.testing.assert_array_equal(y, self._reference(tf, 1.5j))
 
     @pytest.mark.parametrize("tf, symmetric", [
