@@ -10,8 +10,7 @@ import sys
 import time
 
 from .errors import LinfNormError, ParseError
-from .greedy import (CONVERGED, DOMINANT, FULL, KEEP_ALL, LAST_TWO, RunConfig,
-                     run)
+from .greedy import CONVERGED, DOMINANT, FULL, RunConfig, run
 from .inner import InnerConfig
 from .oracle import grid_norm, sweep_csv
 from .problems import load_problem, make_delay_fixture
@@ -23,6 +22,10 @@ EXIT_WARNINGS = 2
 #: defaults matching the published delay benchmark setup
 DELAY_OMEGA_MAX = 50.0
 DELAY_GAMMA = -100.0
+
+#: the manifest config keys that `norm` reads; any other key is an error
+MANIFEST_CONFIG_KEYS = {"omega_max", "interval", "gamma", "max_inner_iters",
+                        "r0", "eps", "r_max", "expansion_mode"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--eps", type=float, default=None)
     p_norm.add_argument("--rmax", type=int, default=None)
     p_norm.add_argument("--mode", choices=[FULL, DOMINANT], default=None)
-    p_norm.add_argument("--policy", choices=[KEEP_ALL, LAST_TWO], default=None)
     p_norm.add_argument("--gamma", type=float, default=None)
     p_norm.add_argument("--interval", nargs=2, type=float, metavar=("LO", "HI"),
                         default=None)
@@ -69,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config_from(config: dict, args) -> RunConfig:
-    """Merge manifest defaults with command-line overrides.  A manifest
-    value of the wrong type raises ParseError naming its key."""
+    """Merge manifest defaults with command-line overrides.  An unknown
+    manifest key, or a value of the wrong type, raises ParseError naming it."""
     def number(value):
         return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -90,6 +92,9 @@ def _run_config_from(config: dict, args) -> RunConfig:
                 f"manifest config {key!r} must be {what}, got {value!r}")
         return value
 
+    for key in config:
+        if key not in MANIFEST_CONFIG_KEYS:
+            raise ParseError(f"unknown manifest config key {key!r}")
     if args.omega_max is None and config.get("omega_max") is None:
         raise LinfNormError(
             "omega_max is required (set --omega-max or the manifest config)")
@@ -107,8 +112,9 @@ def _run_config_from(config: dict, args) -> RunConfig:
         r0=pick(args.r0, "r0", 10, integer, "an integer"),
         eps=float(pick(args.eps, "eps", 1e-6, number, "a number")),
         r_max=pick(args.rmax, "r_max", 30, integer, "an integer"),
-        expansion_mode=pick(args.mode, "expansion_mode", FULL),
-        subspace_policy=pick(args.policy, "subspace_policy", KEEP_ALL),
+        expansion_mode=pick(args.mode, "expansion_mode", FULL,
+                            lambda value: value in (FULL, DOMINANT),
+                            f"{FULL!r} or {DOMINANT!r}"),
         inner=inner,
     )
 

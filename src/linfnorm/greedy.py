@@ -31,8 +31,6 @@ SIMPLICITY_GAP = 1e-8
 
 FULL = "full"
 DOMINANT = "dominant"
-KEEP_ALL = "keepall"
-LAST_TWO = "lasttwo"
 
 #: SolverResult.stop_reason values
 CONVERGED = "converged"
@@ -51,13 +49,13 @@ class RunConfig:
     eps: float = 1e-6
     r_max: int = 30
     expansion_mode: str = FULL
-    subspace_policy: str = KEEP_ALL
     inner: InnerConfig | None = None
     keep_states: bool = False
 
     def __post_init__(self):
-        if not np.isfinite(self.omega_max):
-            raise ValueError(f"omega_max must be finite, got {self.omega_max}")
+        if not 0 < self.omega_max < np.inf:
+            raise ValueError(
+                f"omega_max must be finite and positive, got {self.omega_max}")
         for name in ("r0", "r_max"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= 1):
@@ -66,8 +64,6 @@ class RunConfig:
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if self.expansion_mode not in (FULL, DOMINANT):
             raise ValueError(f"unknown expansion_mode {self.expansion_mode!r}")
-        if self.subspace_policy not in (KEEP_ALL, LAST_TWO):
-            raise ValueError(f"unknown subspace_policy {self.subspace_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -335,7 +331,9 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     frequencies of up to DOMINANT_SEEDS dominant poles of a rational H
     (``seeds``) that lie in the search interval and are not equidistant
     points already.  Initial points that hit a singular shift are skipped
-    and listed in ``warnings``; at least one must survive.  Converges when
+    and listed in ``warnings``; at least one must survive.  The bases keep
+    every interpolation point, so each reduced model interpolates H at the
+    initial points, the seeds and each maximizer.  Converges when
     two consecutive maximizers agree to relative tolerance eps (the first
     is compared with its nearest interpolation point) or when the expansion
     at the maximizer adds no column: the model, unchanged, would return the
@@ -365,7 +363,6 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     warns = [f"initial point omega={w0} hit a singular shift; skipped"
              for w0 in skipped]
 
-    recent_blocks = []  # (Vb, Wb, omega) of the last two expansions (LAST_TWO)
     history = []
     states = []
     prev_omega = None
@@ -413,10 +410,7 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
             stop_reason = SINGULAR_EXPANSION
             break
         grown = expand(state, vb, wb, w_expand)
-        if cfg.subspace_policy == LAST_TWO and res is not None:
-            recent_blocks = recent_blocks[-1:] + [(vb, wb, w_new)]
-        # freed here, LAST_TWO's two kept blocks apart, so that the next
-        # factorization and the certification run without them
+        # freed here, before the next factorization and the certification
         del vb, wb
         if res is not None and grown.dim == state.dim:
             # V and W are unchanged, so the model, which interpolates H at
@@ -426,10 +420,6 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
         state = grown
         if res is None:
             continue    # maximize the repaired model
-        if len(recent_blocks) == 2:
-            state = SubspaceState.empty(tf.n)
-            for block in recent_blocks:
-                state = expand(state, *block)
         prev_omega = w_new
     else:
         warns.append("MaxIterations: r_max reached before convergence")

@@ -1,7 +1,10 @@
 """End-to-end tests for the command-line entry point."""
 
+import argparse
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +60,7 @@ class TestNormCommand:
         ("gamma", {"omega_max": 5.0, "gamma": "x"}),
         ("max_inner_iters", {"omega_max": 5.0, "max_inner_iters": 2.5}),
         ("omega_max", {"omega_max": [10]}),
+        ("expansion_mode", {"omega_max": 5.0, "expansion_mode": 5}),
     ])
     def test_manifest_config_of_the_wrong_type_is_an_error(
             self, tmp_path, capsys, key, config):
@@ -64,6 +68,18 @@ class TestNormCommand:
         assert main(["norm", str(manifest)]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"error: manifest config {key!r} must be")
+
+    @pytest.mark.parametrize("key, config", [
+        ("subspace_policy", {"omega_max": 5.0, "subspace_policy": "lasttwo"}),
+        ("rmax", {"omega_max": 5.0, "rmax": 1}),
+    ])
+    def test_unknown_manifest_config_key_is_an_error(self, tmp_path, capsys,
+                                                     key, config):
+        manifest = one_pole_manifest(tmp_path, config=config)
+        assert main(["norm", str(manifest)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: unknown manifest config key {key!r}\n"
+        assert captured.out == ""
 
     def test_command_line_overrides_a_manifest_config_value(self, tmp_path,
                                                             capsys):
@@ -201,9 +217,16 @@ class TestBenchCommand:
 
 
 class TestUsageErrors:
-    def test_unknown_flag(self, capsys):
-        assert main(["norm", "x.json", "--bogus"]) == EXIT_ERROR
-        capsys.readouterr()
+    def test_unknown_flag(self, tmp_path, capsys):
+        manifest = str(one_pole_manifest(tmp_path))
+        for args, unknown in [
+                (["norm", "x.json", "--bogus"], "--bogus"),
+                (["norm", manifest, "--omega-max", "5", "--policy", "keepall"],
+                 "--policy keepall")]:
+            assert main(args) == EXIT_ERROR
+            captured = capsys.readouterr()
+            assert f"unrecognized arguments: {unknown}" in captured.err
+            assert captured.out == ""
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == EXIT_ERROR
@@ -268,3 +291,40 @@ class TestReportRoundTrip:
         res = SolverResult(2.0, 1.0, 3, False)
         assert res.stop_reason == greedy.MAX_ITERATIONS
         assert res.seeds == ()
+
+
+def readme_command_lines():
+    """The lines of the README's fenced code blocks, each joined with its
+    backslash continuations."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines, fenced, pending = [], False, ""
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced:
+            pending += line.strip()
+            if pending.endswith("\\"):
+                pending = pending[:-1] + " "
+            else:
+                lines.append(pending)
+                pending = ""
+    return lines
+
+
+@pytest.mark.parametrize("command", [["norm"], ["oracle"], ["bench", "delay"]],
+                         ids=" ".join)
+def test_readme_usage_lines_match_the_parsers(command):
+    parser = cli._build_parser()
+    for name in command:
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    options = {option for action in parser._actions
+               for option in action.option_strings
+               if option.startswith("--")} - {"--help"}
+    prefix = " ".join(["linfnorm", *command]) + " "
+    usage = [line for line in readme_command_lines()
+             if line.startswith(prefix)]
+    assert usage
+    for line in usage:
+        assert set(re.findall(r"--[a-z][a-z0-9-]*", line)) == options

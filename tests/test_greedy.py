@@ -9,10 +9,10 @@ import pytest
 import linfnorm.greedy as greedy
 from linfnorm.errors import (AllShiftsSingular, DimensionMismatch,
                              UnboundedOnAxis)
-from linfnorm.greedy import (CONVERGED, DOMINANT, LAST_TWO, MAX_ITERATIONS,
-                             REPAIR_FAILED, SINGULAR_EXPANSION, RunConfig,
-                             SubspaceState, check_interpolation,
-                             convergence_ratios, expand, expansion_block, run)
+from linfnorm.greedy import (CONVERGED, DOMINANT, MAX_ITERATIONS, REPAIR_FAILED,
+                             SINGULAR_EXPANSION, RunConfig, SubspaceState,
+                             check_interpolation, convergence_ratios, expand,
+                             expansion_block, run)
 from linfnorm.inner import InnerConfig
 from linfnorm.oracle import grid_norm
 from linfnorm.problems import descriptor_tf, make_delay_fixture
@@ -34,6 +34,8 @@ class TestRunConfig:
                        "inner": InnerConfig(interval=(0.0, 10.0))}),
         ("eps", {"omega_max": 1.0, "eps": np.nan}),
         ("eps", {"omega_max": 1.0, "eps": np.inf}),
+        ("omega_max", {"omega_max": 0.0}),
+        ("omega_max", {"omega_max": -5.0}),
     ])
     def test_non_finite_settings_name_their_field(self, field, kwargs):
         with pytest.raises(ValueError, match=field):
@@ -408,43 +410,6 @@ class TestRun:
                         inner=InnerConfig(interval=interval))
         res = run(tf, cfg)
         assert res.iterations <= 5
-
-    def test_last_two_policy_converges(self, monkeypatch):
-        # without seeds: with them this system converges at the second
-        # iteration, before the first rebuild of the bases
-        monkeypatch.setattr(greedy, "dominant_frequencies", lambda tf: ())
-        tf, interval = random_descriptor(60, 1, 1, seed=43)
-        cfg = RunConfig(omega_max=interval[1], r0=15,
-                        subspace_policy=LAST_TWO, keep_states=True,
-                        inner=InnerConfig(interval=interval))
-        res = run(tf, cfg)
-        assert res.seeds == ()
-        sw = grid_norm(tf, interval, 4001, refine_tol=1e-12)
-        assert res.norm <= sw.best_sigma * (1 + 1e-9)
-        assert res.norm == pytest.approx(sw.best_sigma, rel=1e-12)
-        # after two expansions the bases hold only the last two blocks
-        assert [len(st.points) for st in res.states] == [15, 16, 2, 2, 2]
-        omegas = [h["omega"] for h in res.history]
-        for k in range(2, len(res.states)):
-            assert res.states[k].points == tuple(omegas[k - 2:k])
-
-    def test_last_two_policy_matches_rebuilt_states(self, monkeypatch):
-        # the policy keeps the last two blocks, and only those: each kept
-        # state from the third on is the expansion of the empty state by
-        # the blocks at the two preceding maximizers
-        monkeypatch.setattr(greedy, "dominant_frequencies", lambda tf: ())
-        tf, interval = random_descriptor(60, 1, 1, seed=43)
-        cfg = RunConfig(omega_max=interval[1], r0=15,
-                        subspace_policy=LAST_TWO, keep_states=True,
-                        inner=InnerConfig(interval=interval))
-        res = run(tf, cfg)
-        omegas = [h["omega"] for h in res.history]
-        for k in range(2, len(res.states)):
-            state = SubspaceState.empty(tf.n)
-            for w in omegas[k - 2:k]:
-                state = expand(state, *expansion_block(tf, w), w)
-            np.testing.assert_array_equal(res.states[k].V, state.V)
-            np.testing.assert_array_equal(res.states[k].W, state.W)
 
     def test_delay_run_memory_per_order(self):
         # what one run holds beyond its fixture and bands, per order: the
