@@ -97,13 +97,20 @@ def load_problem(manifest_path):
     return tf, config
 
 
+def _coupling_diagonals(n: int) -> np.ndarray:
+    """The delay coupling matrix's diagonals in DIA storage with offsets
+    (1, 0, -1): a (3, n) array whose two out-of-matrix entries are 0."""
+    t = np.zeros((3, n))
+    t[0, 1:] = t[2, :-1] = 1.0
+    t[1, [0, -1]] = 1.0
+    return t
+
+
 def delay_coupling_matrix(n: int):
     """The n-by-n matrix with ones on the sub/superdiagonal and in the
     (1,1) and (n,n) entries."""
-    off = np.ones(n - 1)
-    main = np.zeros(n)
-    main[[0, -1]] = 1.0
-    return sp.diags([off, main, off], [-1, 0, 1], format="csc")
+    return sp.dia_matrix((_coupling_diagonals(n), [1, 0, -1]),
+                         shape=(n, n)).tocsc()
 
 
 def make_delay_fixture(n: int, tau: float = 1.0, beta: float = 0.01,
@@ -112,9 +119,15 @@ def make_delay_fixture(n: int, tau: float = 1.0, beta: float = 0.01,
 
     E = theta*I + T, A0 = (1/tau)(1/beta + 1)(T - theta*I),
     A1 = (1/tau)(1/beta - 1)(T - theta*I), with T the coupling matrix above;
-    B = e1 + e2 and C = B^T.  D(s) = s*E - A0 - exp(-tau*s)*A1.  T - theta*I
-    is built once, and each D term is that matrix times its negated scalar,
-    which rounds as the negation of A0 or A1 would.
+    B = e1 + e2 and C = B^T, a view of B.  D(s) = s*E - A0 - exp(-tau*s)*A1.
+
+    Each D term is a DIA matrix with offsets (1, 0, -1) made from T's
+    diagonals, so that its data is its own tridiagonal band
+    (MatrixFactor.bands).  The diagonals of T - theta*I are computed once,
+    and each D term is them times its negated scalar, which rounds as the
+    negation of A0 or A1 would; every value is the one that sums of CSC
+    matrices give, and each zero is +0.0, as where a CSC sum stores no
+    entry.
     """
     if not (isinstance(n, numbers.Integral) and n >= 2):
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
@@ -124,22 +137,29 @@ def make_delay_fixture(n: int, tau: float = 1.0, beta: float = 0.01,
         raise ValueError(f"beta must be finite and nonzero, got {beta!r}")
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    t = delay_coupling_matrix(n)
-    theta_eye = theta * sp.identity(n, format="csc")
-    e = theta_eye + t
-    shifted = t - theta_eye
+    e = _coupling_diagonals(n)
+    e[1] += theta
+    shifted = _coupling_diagonals(n)
+    shifted[1] -= theta
     b = np.zeros((n, 1))
     b[0, 0] = 1.0
     b[1, 0] = 1.0
-    c = b.T.copy()
+
+    def dia_term(scalar_term, diagonals):
+        # + 0.0 turns each -0.0 into the +0.0 of an entry that a CSC sum
+        # does not store
+        return (scalar_term, sp.dia_matrix((diagonals + 0.0, [1, 0, -1]),
+                                           shape=(n, n)))
+
     d_factor = MatrixFactor([
-        (ScalarTerm(degree=1), e),
-        (ScalarTerm(degree=0), -((1.0 / tau) * (1.0 / beta + 1.0)) * shifted),
-        (ScalarTerm(degree=0, delay=tau),
-         -((1.0 / tau) * (1.0 / beta - 1.0)) * shifted),
+        dia_term(ScalarTerm(degree=1), e),
+        dia_term(ScalarTerm(degree=0),
+                 -((1.0 / tau) * (1.0 / beta + 1.0)) * shifted),
+        dia_term(ScalarTerm(degree=0, delay=tau),
+                 -((1.0 / tau) * (1.0 / beta - 1.0)) * shifted),
     ])
     return StructuredTF(
-        c_factor=MatrixFactor([(ScalarTerm(), c)]),
+        c_factor=MatrixFactor([(ScalarTerm(), b.T)]),
         d_factor=d_factor,
         b_factor=MatrixFactor([(ScalarTerm(), b)]),
     )

@@ -49,7 +49,15 @@ def _adjoint_product(W: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def _leading(mat, rows: int, cols: int):
     """The leading rows-by-cols block of mat; mat itself when that is all
-    of it.  A sparse mat in a format without slicing goes through CSC."""
+    of it, unless mat is DIA.  A DIA mat's block is made from the data of
+    its leading cols columns only and returned in CSC, even when it is all
+    of mat, so that its product with a dense block sums in CSC order, as
+    the product of the same matrix held in CSC does (scipy's DIA product
+    sums one diagonal at a time).  A sparse mat in another format without
+    slicing goes through CSC."""
+    if sp.issparse(mat) and mat.format == "dia":
+        return sp.dia_matrix((mat.data[:, :cols], mat.offsets),
+                             shape=(rows, cols)).tocsc()
     if (rows, cols) == mat.shape:
         return mat
     if sp.issparse(mat) and mat.format not in ("csc", "csr"):

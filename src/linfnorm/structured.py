@@ -81,13 +81,17 @@ class MatrixFactor:
         self.shape = shape
 
     @cached_property
-    def bands(self) -> np.ndarray | None:
-        """Per term, its stored values scattered into the C-ordered (3, n)
+    def bands(self) -> tuple | None:
+        """Per term, one 1-D band of 3n entries in the C-ordered (3, n)
         storage of a tridiagonal factor (super-, main and subdiagonal, each
-        entry in its column), duplicates summed: a (terms, 3n) array, real
-        unless a term is complex.  None unless every term is sparse with
+        entry in its column), or None unless every term is sparse with
         |i - j| <= 1 for every stored entry and n >= 2 (scipy's zgtsv
-        wrapper rejects n = 1).  Built on first use, then kept: it does not
+        wrapper rejects n = 1).  A DIA term with offsets (1, 0, -1) and
+        C-contiguous float64 or complex128 (3, n) data is already in that
+        storage: its band is its own data, not copied, with whatever its
+        two out-of-matrix entries hold.  Every other term's stored values
+        are scattered into a zeroed float64 band, complex128 for a complex
+        term, duplicates summed.  Built on first use, then kept: it does not
         depend on the shift."""
         return _tridiagonal_bands(self.terms, self.ncols)
 
@@ -100,9 +104,10 @@ class MatrixFactor:
         delay family.  Built on first use, then kept, as bands is."""
         if self.nrows != self.ncols:
             return False
+        n = self.ncols
         if self.bands is not None:
-            v = self.bands.reshape(len(self.terms), 3, self.ncols)
-            return np.array_equal(v[:, 0, 1:], v[:, 2, :-1])
+            return all(np.array_equal(band[1:n], band[2 * n:-1])
+                       for band in self.bands)
         return all(_equal(m, m.T) for _, m in self.terms)
 
     @property
@@ -151,7 +156,8 @@ class MatrixFactor:
     def eval_tridiagonal(self, s: complex) -> np.ndarray:
         """eval at the shift s in the (3, n) storage of bands, which must
         not be None: each term's band, real or complex, times its scalar,
-        added in term order, _BAND_BLOCK entries at a time."""
+        added in term order, _BAND_BLOCK entries at a time.  The two
+        entries outside the matrix, (0, 0) and (2, n - 1), are set to 0."""
         bands, n = self.bands, self.ncols
         coeffs = [t.value(s) for t, _ in self.terms]
         ab = np.empty(3 * n, dtype=np.complex128)
@@ -159,9 +165,10 @@ class MatrixFactor:
         for lo in range(0, 3 * n, _BAND_BLOCK):
             hi = min(lo + _BAND_BLOCK, 3 * n)
             term = tmp[:hi - lo]
-            np.multiply(bands[0, lo:hi], coeffs[0], out=ab[lo:hi])
+            np.multiply(bands[0][lo:hi], coeffs[0], out=ab[lo:hi])
             for band, c in zip(bands[1:], coeffs[1:]):
                 ab[lo:hi] += np.multiply(band[lo:hi], c, out=term)
+        ab[0] = ab[-1] = 0.0
         return ab.reshape(3, n)
 
     def scalar_signature(self):
@@ -169,29 +176,46 @@ class MatrixFactor:
         return sorted((t.degree, t.delay) for t, _ in self.terms)
 
 
-def _tridiagonal_bands(terms, n: int) -> np.ndarray | None:
+def _tridiagonal_bands(terms, n: int) -> tuple | None:
     """MatrixFactor.bands of a sum of terms with n columns.
 
-    Every term's pattern is checked, one term at a time, before the bands
-    are allocated; then the bands are filled one term at a time.  So at
+    Every term's pattern is checked, one term at a time, before any band is
+    made; then the bands are made one term at a time.  A term in the band
+    storage already is taken as it is.  Any other term is scattered, so at
     most one term's int64 flat positions and column indices exist at once:
-    about 36n bytes on the delay family, with 3n stored entries per term.
-    The values are added with np.add.at in stored order, so duplicate
-    entries sum as in a conversion to COO."""
+    about 36n bytes with 3n stored entries.  Its values are added with
+    np.add.at in stored order, so duplicate entries sum as in a conversion
+    to COO."""
     if n < 2 or not all(sp.issparse(m) for _, m in terms):
         return None
-    if not all(_within_one_of_diagonal(m) for _, m in terms):
+    if not all(_in_band_storage(m, n) or _within_one_of_diagonal(m)
+               for _, m in terms):
         return None
-    dtype = np.result_type(*(m.dtype for _, m in terms), np.float64)
-    bands = np.zeros((len(terms), 3 * n), dtype=dtype)
-    for band, (_, m) in zip(bands, terms):
-        pos, cols, data = _offsets(m)
-        pos += 1
-        pos *= n
-        pos += cols     # (1 + i - j) * n + j, which reaches 3n
-        np.add.at(band, pos, data)
-        del pos, cols   # before the next term's are made
-    return bands
+    return tuple(_band(m, n) for _, m in terms)
+
+
+def _in_band_storage(m, n: int) -> bool:
+    """Whether the sparse m is an n-by-n DIA matrix whose data is the (3, n)
+    band storage itself: offsets (1, 0, -1), C-contiguous, float64 or
+    complex128."""
+    return (m.format == "dia" and m.shape == (n, n)
+            and np.array_equal(m.offsets, (1, 0, -1))
+            and m.data.shape == (3, n) and m.data.flags.c_contiguous
+            and m.data.dtype in (np.float64, np.complex128))
+
+
+def _band(m, n: int) -> np.ndarray:
+    """The band of one term of _tridiagonal_bands: a view of the data of a
+    term in band storage, else a new array."""
+    if _in_band_storage(m, n):
+        return m.data.reshape(-1)
+    band = np.zeros(3 * n, dtype=np.result_type(m.dtype, np.float64))
+    pos, cols, data = _offsets(m)
+    pos += 1
+    pos *= n
+    pos += cols     # (1 + i - j) * n + j, which reaches 3n
+    np.add.at(band, pos, data)
+    return band
 
 
 def _within_one_of_diagonal(m) -> bool:

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from linfnorm.problems import descriptor_tf
-from linfnorm.structured import MatrixFactor, ScalarTerm
+from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
 
 def random_descriptor(n, m, p, seed, min_decay=0.1, max_decay=2.0, im_max=8.0):
@@ -78,6 +79,19 @@ def cgs2_reference(block, tol):
     return q, kept
 
 
+def csc_terms(factor):
+    """The factor's terms with each sparse coefficient converted to CSC."""
+    return [(t, m.tocsc() if sp.issparse(m) else m) for t, m in factor.terms]
+
+
+def csc_twin(tf):
+    """tf with every sparse coefficient in CSC: for the delay fixture, the
+    CSC terms that sums of CSC matrices give, which it held before its
+    terms were DIA."""
+    return StructuredTF(*(MatrixFactor(csc_terms(f))
+                          for f in (tf.c_factor, tf.d_factor, tf.b_factor)))
+
+
 def padded(basis, n):
     """A state's basis with the zero rows below its stored ones put back,
     n rows in all; Fortran-ordered, as the state's own bases are, so that
@@ -96,6 +110,18 @@ def peak_bytes(fn):
         start = tracemalloc.get_traced_memory()[0]
         out = fn()
         return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def kept_bytes(fn):
+    """(fn(), the bytes that numpy and Python hold when it returns beyond
+    what they held when it began), counted by tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
 

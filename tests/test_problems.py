@@ -189,6 +189,7 @@ class TestDelayFixture:
     def test_terms_match_negated_products(self, n, params):
         # T - theta*I is built once and scaled by each negated scalar; each
         # term stores what negating (1/tau)(1/beta -+ 1)(T - theta*I) gave
+        # in CSC, as DIA data with offsets (1, 0, -1) whose zeros are +0.0
         tau, beta, theta = (params.get(k, v) for k, v in
                             (("tau", 1.0), ("beta", 0.01), ("theta", 5.0)))
         t = delay_coupling_matrix(n)
@@ -198,7 +199,10 @@ class TestDelayFixture:
         expected = [theta * eye + t, -a0, -a1]
         for (_, got), want in zip(make_delay_fixture(n, **params)
                                   .d_factor.terms, expected):
-            assert got.format == want.format == "csc"
+            assert (got.format, want.format) == ("dia", "csc")
+            np.testing.assert_array_equal(got.offsets, [1, 0, -1])
+            assert not np.signbit(got.data[got.data == 0.0]).any()
+            got = got.tocsc()
             for key in ("data", "indices", "indptr"):
                 np.testing.assert_array_equal(getattr(got, key),
                                               getattr(want, key))

@@ -263,7 +263,8 @@ class TestRowExtents:
 
     def test_full_extents_leave_the_coefficients_uncut(self, monkeypatch):
         # at n = 200 the delay resolvents are nonzero on every row, so the
-        # products take the function's own sparse matrices
+        # products take the function's own C and B coefficients and each
+        # DIA term of D whole, in CSC
         tf = make_delay_fixture(200)
         state = SubspaceState.empty(tf.n)
         for omega in (0.0, 10.0):
@@ -281,8 +282,14 @@ class TestRowExtents:
         terms = [m for factor in (tf.c_factor, tf.d_factor, tf.b_factor)
                  for _, m in factor.terms]
         assert len(mats) == len(terms)
-        assert all(a is b for a, b in zip(mats, terms))
+        c_mat, *d_mats, b_mat = mats
+        assert c_mat is terms[0] and b_mat is terms[-1]
         assert all(sp.issparse(m) for _, m in tf.d_factor.terms)
+        for a, (_, b) in zip(d_mats, tf.d_factor.terms, strict=True):
+            assert (a.format, b.format, a.shape) == ("csc", "dia", b.shape)
+            b = b.tocsc()
+            for key in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(a, key), getattr(b, key))
 
     @pytest.mark.parametrize("rows", [((7, 2), (6, 2)), ((6, 2), (7, 2)),
                                       ((6,), (6, 2)), ((6, 2), (6,))])

@@ -14,7 +14,7 @@ from linfnorm.problems import (delay_coupling_matrix, descriptor_tf,
 from linfnorm.reduced import sigma_and_slope, sigma_max
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
-from conftest import peak_bytes, random_descriptor, siso_one_pole
+from conftest import csc_terms, peak_bytes, random_descriptor, siso_one_pole
 
 
 class TestScalarTerm:
@@ -706,18 +706,22 @@ class TestTridiagonalPositions:
 
     @pytest.mark.parametrize("factor", [
         lambda n: make_delay_fixture(n).d_factor,
+        lambda n: MatrixFactor(csc_terms(make_delay_fixture(n).d_factor)),
         lambda n: _mixed_pattern_factor(n, seed=14),
-    ], ids=["delay", "mixed-formats"])
+    ], ids=["delay", "delay-csc", "mixed-formats"])
     def test_band_build_memory(self, factor):
         # one term's positions at a time: about 43 and 51 bytes per order
-        # above the bands, where a COO copy of every term at once took
-        # about 196 and 120
+        # above the scattered bands for the delay terms in CSC and the
+        # mixed formats, where a COO copy of every term at once took about
+        # 196 and 120; the delay fixture's DIA terms are their own bands
         n = 20000
         f = factor(n)
         bands, peak = peak_bytes(
             lambda: structured._tridiagonal_bands(f.terms, n))
         assert bands is not None
-        assert peak - bands.nbytes <= 70 * n
+        made = [b for b in bands
+                if not any(np.shares_memory(b, m.data) for _, m in f.terms)]
+        assert peak - sum(b.nbytes for b in made) <= 70 * n
 
     def test_bands_built_once_on_first_factorization(self, built_bands):
         tf = make_delay_fixture(50)
@@ -727,8 +731,11 @@ class TestTridiagonalPositions:
         assert len(built_bands) == 1
         bands = tf.d_factor.bands
         assert bands is built_bands[0]
-        assert bands.shape == (3, 150)
-        assert bands.dtype == np.float64
+        assert len(bands) == 3
+        for band, (_, m) in zip(bands, tf.d_factor.terms):
+            assert band.shape == (150,)
+            assert band.dtype == np.float64
+            assert np.shares_memory(band, m.data)  # the term's own data
 
     def test_non_tridiagonal_last_term_keeps_no_bands(self, routes,
                                                       built_bands):
