@@ -39,6 +39,11 @@ SINGULAR_EXPANSION = "singular_expansion"
 REPAIR_FAILED = "repair_failed"
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in (FULL, DOMINANT):
+        raise ValueError(f"unknown expansion_mode {mode!r}")
+
+
 @dataclass
 class RunConfig:
     """Outer-loop settings.  ``omega_max`` has no default: the spread of the
@@ -58,12 +63,12 @@ class RunConfig:
                 f"omega_max must be finite and positive, got {self.omega_max}")
         for name in ("r0", "r_max"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
+            if (isinstance(value, bool)
+                    or not (isinstance(value, numbers.Integral) and value >= 1)):
                 raise ValueError(f"{name} must be an integer >= 1, got {value}")
         if not 0 < self.eps < np.inf:
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
-        if self.expansion_mode not in (FULL, DOMINANT):
-            raise ValueError(f"unknown expansion_mode {self.expansion_mode!r}")
+        _check_mode(self.expansion_mode)
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,7 @@ def expansion_block(tf: StructuredTF, omega: float, mode: str = FULL):
     verbatim and the wider side is compressed with H(i*omega).  In dominant
     mode only the directions of the top singular pair are used (width 1).
     """
+    _check_mode(mode)
     cs, x, y = tf._resolvents(1j * omega)   # C, D^{-1} B, (C D^{-1})^*
     if mode == DOMINANT:
         h = _as_dense(cs @ x)
@@ -241,21 +247,11 @@ def expand(state: SubspaceState, Vb: np.ndarray, Wb: np.ndarray,
                          points=state.points + (omega,), n=n)
 
 
-def _initial_state(tf: StructuredTF, points, mode: str):
-    """The state interpolating at every point whose shift is not singular,
-    and the list of the points skipped."""
-    state, skipped = SubspaceState.empty(tf.n), []
-    for w0 in points:
-        try:
-            vb, wb = expansion_block(tf, w0, mode)
-        except SingularShift:
-            skipped.append(w0)
-            continue
-        state = expand(state, vb, wb, w0)
-        del vb, wb      # freed before the next factorization
-    if not state.points:
-        raise AllShiftsSingular("every initial interpolation point was singular")
-    return state, skipped
+def _interpolated(tf: StructuredTF, state: SubspaceState, omega: float,
+                  mode: str) -> SubspaceState:
+    """expand(state, ...) with the snapshot blocks taken at omega; the
+    blocks are freed when it returns, before the next factorization."""
+    return expand(state, *expansion_block(tf, omega, mode), omega)
 
 
 def check_interpolation(tf: StructuredTF, state: SubspaceState,
@@ -269,6 +265,7 @@ def check_interpolation(tf: StructuredTF, state: SubspaceState,
     full-order D is held at one shift only; the reduced model is evaluated
     at every point in one call.
     """
+    _check_mode(mode)
     report = []
     if not state.points:
         return report
@@ -330,19 +327,20 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     Initial points are equidistant in [0, omega_max], followed by the
     frequencies of up to DOMINANT_SEEDS dominant poles of a rational H
     (``seeds``) that lie in the search interval and are not equidistant
-    points already.  Initial points that hit a singular shift are skipped
-    and listed in ``warnings``; at least one must survive.  The bases keep
-    every interpolation point, so each reduced model interpolates H at the
-    initial points, the seeds and each maximizer.  Converges when
-    two consecutive maximizers agree to relative tolerance eps (the first
-    is compared with its nearest interpolation point) or when the expansion
-    at the maximizer adds no column: the model, unchanged, would return the
-    same point.  Otherwise stops after r_max iterations, at a singular
-    expansion shift, or when a reduced model still has a pole on the axis
-    after one repair expansion at the interval midpoint; ``stop_reason``
-    says which.  For a real-coefficient H, sigma is even in omega, so the
-    reduced models are maximized over the part of the interval with
-    omega >= 0.
+    points already.  Every point is interpolated in one step: the resolvent
+    blocks at it, then expand.  Initial points that hit a singular shift are
+    skipped and listed in ``warnings``; at least one must survive.  The bases
+    keep every interpolation point.  ``history`` records each maximizer;
+    ``omega_opt`` is the last one, or the first interpolation point if there
+    is none.  Converges when two consecutive maximizers agree to relative
+    tolerance eps (the first is compared with its nearest interpolation
+    point) or when the expansion at the maximizer adds no column: the model,
+    unchanged, would return the same point.  Otherwise stops after r_max
+    iterations, at a singular expansion shift, or when a reduced model still
+    has a pole on the axis after one repair expansion at the interval
+    midpoint; ``stop_reason`` says which.  For a real-coefficient H, sigma is
+    even in omega, so the reduced models are maximized over the part of the
+    interval with omega >= 0.
     """
     t0 = time.perf_counter()
     inner_cfg = cfg.inner or InnerConfig(interval=(0.0, cfg.omega_max))
@@ -350,26 +348,26 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     search_cfg = inner_cfg
     if tf.is_real and lo < 0.0 <= hi:
         search_cfg = replace(inner_cfg, interval=(0.0, hi))
-    if cfg.r0 == 1:
-        init_points = [0.5 * cfg.omega_max]
-    else:
-        init_points = np.linspace(0.0, cfg.omega_max, cfg.r0).tolist()
+    init_points = ([0.5 * cfg.omega_max] if cfg.r0 == 1 else
+                   np.linspace(0.0, cfg.omega_max, cfg.r0).tolist())
     lo, hi = search_cfg.interval
     seeds = tuple(w for w in dominant_frequencies(tf)
                   if lo <= w <= hi and w not in init_points)
 
-    state, skipped = _initial_state(tf, init_points + list(seeds),
-                                    cfg.expansion_mode)
+    state, skipped = SubspaceState.empty(tf.n), []
+    for w0 in init_points + list(seeds):
+        try:
+            state = _interpolated(tf, state, w0, cfg.expansion_mode)
+        except SingularShift:
+            skipped.append(w0)
+    if not state.points:
+        raise AllShiftsSingular("every initial interpolation point was singular")
     warns = [f"initial point omega={w0} hit a singular shift; skipped"
              for w0 in skipped]
 
-    history = []
-    states = []
-    prev_omega = None
+    history, states = [], []
     stop_reason = MAX_ITERATIONS
-    w_new, sigma_red = state.points[0], 0.0
     repaired = False
-
     for _ in range(cfg.r_max):
         rm = project(tf, state.V, state.W)
         try:
@@ -385,58 +383,50 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
             repaired, res = True, None
             w_expand = 0.5 * sum(inner_cfg.interval)
         else:
-            w_new = w_expand = res.omega_opt
-            sigma_red = res.value
-            if prev_omega is not None:
-                w_ref = prev_omega
-            else:
-                w_ref = min(state.points, key=lambda w: abs(w - w_new))
+            w_expand = res.omega_opt
+            w_ref = (history[-1]["omega"] if history else
+                     min(state.points, key=lambda w: abs(w - w_expand)))
             history.append({
-                "omega": w_new,
-                "sigma": sigma_red,
+                "omega": w_expand,
+                "sigma": res.value,
                 "dim": state.dim,
                 "inner_evaluations": res.evaluations,
                 "inner_gap": res.certified_gap,
             })
             if cfg.keep_states:
                 states.append(state)
-            if _converged(w_new, w_ref, cfg.eps):
+            if _converged(w_expand, w_ref, cfg.eps):
                 stop_reason = CONVERGED
                 break
         try:
-            vb, wb = expansion_block(tf, w_expand, cfg.expansion_mode)
+            grown = _interpolated(tf, state, w_expand, cfg.expansion_mode)
         except SingularShift:
             warns.append(f"expansion at omega={w_expand} hit a singular shift")
             stop_reason = SINGULAR_EXPANSION
             break
-        grown = expand(state, vb, wb, w_expand)
-        # freed here, before the next factorization and the certification
-        del vb, wb
         if res is not None and grown.dim == state.dim:
             # V and W are unchanged, so the model, which interpolates H at
-            # w_new already, would return w_new again
+            # w_expand already, would return w_expand again
             stop_reason = CONVERGED
             break
         state = grown
-        if res is None:
-            continue    # maximize the repaired model
-        prev_omega = w_new
     else:
         warns.append("MaxIterations: r_max reached before convergence")
 
+    # the last maximizer, or the first point if no maximization succeeded
+    last = history[-1] if history else {"omega": state.points[0], "sigma": 0.0}
+    omega_opt = last["omega"]
     # certify the final value on the full function (one large solve)
     try:
-        norm = sigma_max(tf, w_new)
+        norm = sigma_max(tf, omega_opt)
     except SingularShift:
-        norm = sigma_red
+        norm = last["sigma"]
         warns.append("final certification solve was singular; reduced value kept")
-    iter_omegas = [h["omega"] for h in history]
-    _, ratios = convergence_ratios(iter_omegas, w_new)
-    n_iter = max(len(history) - 1, 0)
+    _, ratios = convergence_ratios([h["omega"] for h in history], omega_opt)
     return SolverResult(
         norm=norm,
-        omega_opt=w_new,
-        iterations=n_iter,
+        omega_opt=omega_opt,
+        iterations=max(len(history) - 1, 0),
         converged=stop_reason == CONVERGED,
         stop_reason=stop_reason,
         seeds=seeds,

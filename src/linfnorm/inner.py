@@ -58,8 +58,9 @@ class InnerConfig:
             raise ValueError(
                 f"support_tol must be finite and nonnegative, "
                 f"got {self.support_tol}")
-        if not (isinstance(self.max_inner_iters, numbers.Integral)
-                and self.max_inner_iters >= 1):
+        if (isinstance(self.max_inner_iters, bool)
+                or not (isinstance(self.max_inner_iters, numbers.Integral)
+                        and self.max_inner_iters >= 1)):
             raise ValueError(
                 f"max_inner_iters must be an integer >= 1, "
                 f"got {self.max_inner_iters}")

@@ -104,7 +104,7 @@ def grid_sweep(model, interval, npoints: int):
         raise ValueError(f"interval ends must be finite, got {(lo, hi)}")
     if lo > hi:
         raise ValueError(f"interval must have lo <= hi, got {(lo, hi)}")
-    if not isinstance(npoints, numbers.Integral):
+    if isinstance(npoints, bool) or not isinstance(npoints, numbers.Integral):
         raise ValueError(f"npoints must be an integer, got {npoints!r}")
     if npoints < 1 or (npoints < 2 and lo != hi):
         raise ValueError("npoints must be at least 2 for a nondegenerate interval")

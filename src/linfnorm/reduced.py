@@ -49,15 +49,17 @@ def _adjoint_product(W: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def _leading(mat, rows: int, cols: int):
     """The leading rows-by-cols block of mat; mat itself when that is all
-    of it, unless mat is DIA.  A DIA mat's block is made from the data of
-    its leading cols columns only and returned in CSC, even when it is all
-    of mat, so that its product with a dense block sums in CSC order, as
-    the product of the same matrix held in CSC does (scipy's DIA product
-    sums one diagonal at a time).  A sparse mat in another format without
+    of it, unless mat is DIA.  A DIA mat's block is a DIA matrix, even when
+    it is all of mat, made from the data of its leading cols columns with
+    the diagonals in ascending-offset order.  scipy's DIA product adds each
+    row's terms one diagonal at a time, so in that order its product with
+    a dense block sums each row in column order, as the product of the
+    same matrix held in CSC does.  A sparse mat in another format without
     slicing goes through CSC."""
     if sp.issparse(mat) and mat.format == "dia":
-        return sp.dia_matrix((mat.data[:, :cols], mat.offsets),
-                             shape=(rows, cols)).tocsc()
+        order = np.argsort(mat.offsets)
+        return sp.dia_matrix((mat.data[order, :cols], mat.offsets[order]),
+                             shape=(rows, cols))
     if (rows, cols) == mat.shape:
         return mat
     if sp.issparse(mat) and mat.format not in ("csc", "csr"):

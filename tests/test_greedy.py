@@ -42,7 +42,7 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
     @pytest.mark.parametrize("field", ["r0", "r_max"])
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, 0])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, 0, True])
     def test_counts_must_be_positive_integers(self, field, value):
         with pytest.raises(ValueError, match=field):
             RunConfig(omega_max=1.0, **{field: value})
@@ -55,6 +55,17 @@ class TestExpansionBlock:
         assert vb.shape == (1, 1) and wb.shape == (1, 1)
         assert vb[0, 0] == pytest.approx(1.0)
         assert wb[0, 0] == pytest.approx(1.0)
+
+    def test_unknown_mode_is_named(self):
+        # neither falls back to a mode: "bogus" ran full mode and "Full"
+        # gave the dominant-mode report, which has no slopes
+        tf = siso_one_pole()
+        with pytest.raises(ValueError, match="'bogus'"):
+            expansion_block(tf, 1.0, mode="bogus")
+        state = expand(SubspaceState.empty(tf.n), *expansion_block(tf, 1.0),
+                       1.0)
+        with pytest.raises(ValueError, match="'Full'"):
+            check_interpolation(tf, state, mode="Full")
 
     def test_block_width_is_min_mp(self):
         tf, _ = random_descriptor(10, 1, 2, seed=20)

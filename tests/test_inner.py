@@ -140,6 +140,8 @@ class TestInnerConfig:
         ("max_inner_iters", {"interval": (0.0, 1.0), "max_inner_iters": -3}),
         ("max_inner_iters", {"interval": (0.0, 1.0),
                              "max_inner_iters": 2.5}),
+        ("max_inner_iters", {"interval": (0.0, 1.0),
+                             "max_inner_iters": True}),
     ])
     def test_non_finite_settings_name_their_field(self, field, kwargs):
         with pytest.raises(ValueError, match=field):

@@ -154,13 +154,20 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="interval"):
             grid_norm(siso_one_pole(), interval, 5)
 
-    @pytest.mark.parametrize("npoints", [2.5, 5.0, "5", None])
+    @pytest.mark.parametrize("npoints", [2.5, 5.0, "5", None, True])
     def test_npoints_must_be_an_integer(self, npoints):
         # 2.5 reached np.linspace, which raised a bare TypeError
         with pytest.raises(ValueError, match="npoints"):
             grid_sweep(siso_one_pole(), (0.0, 5.0), npoints)
         with pytest.raises(ValueError, match="npoints"):
             grid_norm(siso_one_pole(), (0.0, 5.0), npoints)
+
+    def test_bool_npoints_on_a_point_interval(self):
+        # a one-point interval takes npoints = 1, so True ran as 1
+        with pytest.raises(ValueError, match="npoints must be an integer"):
+            grid_sweep(siso_one_pole(), (2.0, 2.0), True)
+        with pytest.raises(ValueError, match="npoints must be an integer"):
+            grid_norm(siso_one_pole(), (2.0, 2.0), True)
 
     def test_reversed_interval(self):
         with pytest.raises(ValueError, match="interval"):

@@ -264,7 +264,7 @@ class TestRowExtents:
     def test_full_extents_leave_the_coefficients_uncut(self, monkeypatch):
         # at n = 200 the delay resolvents are nonzero on every row, so the
         # products take the function's own C and B coefficients and each
-        # DIA term of D whole, in CSC
+        # DIA term of D whole, in DIA with its offsets ascending
         tf = make_delay_fixture(200)
         state = SubspaceState.empty(tf.n)
         for omega in (0.0, 10.0):
@@ -286,8 +286,9 @@ class TestRowExtents:
         assert c_mat is terms[0] and b_mat is terms[-1]
         assert all(sp.issparse(m) for _, m in tf.d_factor.terms)
         for a, (_, b) in zip(d_mats, tf.d_factor.terms, strict=True):
-            assert (a.format, b.format, a.shape) == ("csc", "dia", b.shape)
-            b = b.tocsc()
+            assert (a.format, b.format, a.shape) == ("dia", "dia", b.shape)
+            assert a.offsets.tolist() == sorted(b.offsets.tolist())
+            a, b = a.tocsc(), b.tocsc()
             for key in ("data", "indices", "indptr"):
                 np.testing.assert_array_equal(getattr(a, key), getattr(b, key))
 
