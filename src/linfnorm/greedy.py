@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class RunConfig:
     r_max: int = 30
     expansion_mode: str = FULL
     inner: InnerConfig | None = None
-    keep_states: bool = False
 
     def __post_init__(self):
         if not 0 < self.omega_max < np.inf:
@@ -105,41 +104,42 @@ class SubspaceState:
 
 @dataclass
 class SolverResult:
+    """What run() found.  ``norm`` is sigma of the full H at
+    ``omega_opt``; ``iterations`` counts the maximizations after the first,
+    each with a ``history`` entry; ``stop_reason`` is CONVERGED,
+    MAX_ITERATIONS, SINGULAR_EXPANSION or REPAIR_FAILED; ``seeds`` are the
+    dominant-pole frequencies added to the initial points; ``ratios`` is
+    convergence_ratios' table; ``wall_time`` is in seconds.  ``events``
+    lists, in order, dicts with a ``kind`` and an ``omega``:
+    ``singular_shift`` ``at`` an ``initial_point`` (skipped), an
+    ``expansion`` (the run stops) or the ``certification`` (the reduced
+    ``sigma``, also recorded, is kept as the norm); ``repair``, an expansion
+    at the interval midpoint for a reduced pole on the axis; and
+    ``seed_outside_interval``, a dominant-pole frequency outside the search
+    interval."""
+
     norm: float
     omega_opt: float
     iterations: int
-    converged: bool
-    stop_reason: str | None = None
+    stop_reason: str
     seeds: tuple = ()
     history: list = field(default_factory=list)
     ratios: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
-    skipped_points: list = field(default_factory=list)
+    events: list = field(default_factory=list)
     wall_time: float = 0.0
-    states: list = field(default_factory=list)
 
-    def __post_init__(self):
-        # a result built without a stop reason, such as a report written
-        # before it was recorded, takes it from converged and the warnings
-        if self.stop_reason is None:
-            if self.converged:
-                self.stop_reason = CONVERGED
-            elif any(w.startswith("expansion at omega=")
-                     for w in self.warnings):
-                self.stop_reason = SINGULAR_EXPANSION
-            else:
-                self.stop_reason = MAX_ITERATIONS
-        self.seeds = tuple(self.seeds)
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == CONVERGED
+
+    @property
+    def skipped_points(self) -> list:
+        """The initial points skipped for a singular shift."""
+        return [e["omega"] for e in self.events
+                if e["kind"] == "singular_shift" and e["at"] == "initial_point"]
 
     def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)
-             if f.name != "states"}
-        d["seeds"] = list(self.seeds)   # as JSON gives it back
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverResult":
-        return cls(**d)
+        return asdict(self)
 
 
 def expansion_block(tf: StructuredTF, omega: float, mode: str = FULL):
@@ -329,7 +329,7 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     (``seeds``) that lie in the search interval and are not equidistant
     points already.  Every point is interpolated in one step: the resolvent
     blocks at it, then expand.  Initial points that hit a singular shift are
-    skipped and listed in ``warnings``; at least one must survive.  The bases
+    skipped, each with an event; at least one must survive.  The bases
     keep every interpolation point.  ``history`` records each maximizer;
     ``omega_opt`` is the last one, or the first interpolation point if there
     is none.  Converges when two consecutive maximizers agree to relative
@@ -351,21 +351,24 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     init_points = ([0.5 * cfg.omega_max] if cfg.r0 == 1 else
                    np.linspace(0.0, cfg.omega_max, cfg.r0).tolist())
     lo, hi = search_cfg.interval
-    seeds = tuple(w for w in dominant_frequencies(tf)
-                  if lo <= w <= hi and w not in init_points)
+    events, seeds = [], []
+    for w in dominant_frequencies(tf):
+        if not lo <= w <= hi:
+            events.append({"kind": "seed_outside_interval", "omega": w})
+        elif w not in init_points:
+            seeds.append(w)
 
-    state, skipped = SubspaceState.empty(tf.n), []
-    for w0 in init_points + list(seeds):
+    state = SubspaceState.empty(tf.n)
+    for w0 in init_points + seeds:
         try:
             state = _interpolated(tf, state, w0, cfg.expansion_mode)
         except SingularShift:
-            skipped.append(w0)
+            events.append({"kind": "singular_shift", "at": "initial_point",
+                           "omega": w0})
     if not state.points:
         raise AllShiftsSingular("every initial interpolation point was singular")
-    warns = [f"initial point omega={w0} hit a singular shift; skipped"
-             for w0 in skipped]
 
-    history, states = [], []
+    history = []
     stop_reason = MAX_ITERATIONS
     repaired = False
     for _ in range(cfg.r_max):
@@ -376,12 +379,11 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
             # reduced model has an axis pole: one repair expansion at the
             # interval midpoint, then retry once
             if repaired:
-                warns.append("reduced model kept a pole on the axis after "
-                             "its repair expansion")
                 stop_reason = REPAIR_FAILED
                 break
             repaired, res = True, None
             w_expand = 0.5 * sum(inner_cfg.interval)
+            events.append({"kind": "repair", "omega": w_expand})
         else:
             w_expand = res.omega_opt
             w_ref = (history[-1]["omega"] if history else
@@ -393,15 +395,14 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
                 "inner_evaluations": res.evaluations,
                 "inner_gap": res.certified_gap,
             })
-            if cfg.keep_states:
-                states.append(state)
             if _converged(w_expand, w_ref, cfg.eps):
                 stop_reason = CONVERGED
                 break
         try:
             grown = _interpolated(tf, state, w_expand, cfg.expansion_mode)
         except SingularShift:
-            warns.append(f"expansion at omega={w_expand} hit a singular shift")
+            events.append({"kind": "singular_shift", "at": "expansion",
+                           "omega": w_expand})
             stop_reason = SINGULAR_EXPANSION
             break
         if res is not None and grown.dim == state.dim:
@@ -410,8 +411,6 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
             stop_reason = CONVERGED
             break
         state = grown
-    else:
-        warns.append("MaxIterations: r_max reached before convergence")
 
     # the last maximizer, or the first point if no maximization succeeded
     last = history[-1] if history else {"omega": state.points[0], "sigma": 0.0}
@@ -421,19 +420,17 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
         norm = sigma_max(tf, omega_opt)
     except SingularShift:
         norm = last["sigma"]
-        warns.append("final certification solve was singular; reduced value kept")
+        events.append({"kind": "singular_shift", "at": "certification",
+                       "omega": omega_opt, "sigma": norm})
     _, ratios = convergence_ratios([h["omega"] for h in history], omega_opt)
     return SolverResult(
         norm=norm,
         omega_opt=omega_opt,
         iterations=max(len(history) - 1, 0),
-        converged=stop_reason == CONVERGED,
         stop_reason=stop_reason,
-        seeds=seeds,
+        seeds=tuple(seeds),
         history=history,
         ratios=ratios,
-        warnings=warns,
-        skipped_points=skipped,
+        events=events,
         wall_time=time.perf_counter() - t0,
-        states=states,
     )

@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+import linfnorm.greedy as greedy
+from linfnorm.greedy import SubspaceState
 from linfnorm.problems import descriptor_tf
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
@@ -128,6 +130,29 @@ def kept_bytes(fn):
 
 def constant_factor(mat):
     return MatrixFactor([(ScalarTerm(), np.atleast_2d(np.asarray(mat, dtype=float)))])
+
+
+@pytest.fixture
+def run_states(monkeypatch):
+    """A list that the runs of the test fill with the state of each
+    maximization in greedy.run that returns: the bases last given to
+    greedy.project and the points given to greedy.maximize."""
+    states, bases = [], []
+    project, maximize = greedy.project, greedy.maximize
+
+    def projecting(tf, V, W):
+        bases[:] = [V, W, tf.n]
+        return project(tf, V, W)
+
+    def maximizing(rm, cfg, points=()):
+        res = maximize(rm, cfg, points)
+        V, W, n = bases
+        states.append(SubspaceState(V=V, W=W, points=tuple(points), n=n))
+        return res
+
+    monkeypatch.setattr(greedy, "project", projecting)
+    monkeypatch.setattr(greedy, "maximize", maximizing)
+    return states
 
 
 @pytest.fixture

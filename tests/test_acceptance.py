@@ -87,7 +87,7 @@ def test_delay_published_value_at_large_order():
     report("delay published value (n=1e5)", ok)
 
 
-def test_hermite_interpolation_suite():
+def test_hermite_interpolation_suite(run_states):
     """Reduced models match the full function in value and slope at every
     interpolation point, after every iteration, on 25 random systems."""
     rng = np.random.default_rng(300)
@@ -97,10 +97,11 @@ def test_hermite_interpolation_suite():
         m, p = shapes[trial % len(shapes)]
         n = int(rng.integers(20, 201))
         tf, interval = random_descriptor(n, m, p, seed=1000 + trial)
-        cfg = RunConfig(omega_max=interval[1], r0=6, keep_states=True,
+        cfg = RunConfig(omega_max=interval[1], r0=6,
                         inner=InnerConfig(interval=interval))
-        res = run(tf, cfg)
-        for state in res.states:
+        run_states.clear()
+        run(tf, cfg)
+        for state in run_states:
             for entry in check_interpolation(tf, state):
                 if entry["matrix_mismatch"] > 1e-8 * (1 + entry["h_norm"]):
                     ok = False
@@ -244,18 +245,19 @@ def test_external_benchmarks(name, norm_ref, omega_ref):
     report(f"external benchmark {name}", ok)
 
 
-def test_property_suite():
+def test_property_suite(run_states):
     """Basis orthonormality, conjugate symmetry, and determinism."""
     ok = True
     for trial in range(5):
         tf, interval = random_descriptor(40, 2, 2, seed=5000 + trial)
-        cfg = RunConfig(omega_max=interval[1], r0=6, keep_states=True,
+        cfg = RunConfig(omega_max=interval[1], r0=6,
                         inner=InnerConfig(interval=interval))
+        run_states.clear()
         res1 = run(tf, cfg)
         res2 = run(tf, cfg)
         if res1.history != res2.history or res1.norm != res2.norm:
             ok = False
-        for state in res1.states:
+        for state in run_states:
             for q in (state.V, state.W):
                 defect = np.linalg.norm(
                     q.conj().T @ q - np.eye(q.shape[1]), 2)

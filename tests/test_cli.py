@@ -28,15 +28,17 @@ class TestNormCommand:
         doc = json.loads(report.read_text())
         assert doc["norm"] == pytest.approx(1.0)
         assert doc["omega_opt"] == pytest.approx(0.0, abs=1e-8)
-        assert doc["converged"] is True
         assert doc["stop_reason"] == "converged"
-        # the pole at -1 seeds omega = 0, which is an equidistant point
+        # the pole at -1 seeds omega = 0, which is an equidistant point and
+        # so neither a seed nor a seed outside the interval
         assert doc["seeds"] == []
-        assert set(doc) == {"norm", "omega_opt", "iterations", "converged",
-                            "stop_reason", "seeds", "history", "ratios",
-                            "warnings", "skipped_points", "wall_time"}
+        assert doc["events"] == []
+        assert set(doc) == {"norm", "omega_opt", "iterations", "stop_reason",
+                            "seeds", "history", "ratios", "events",
+                            "wall_time"}
         printed = json.loads(capsys.readouterr().out)
         assert printed == doc
+        json.dumps(doc, allow_nan=False)
 
     def test_manifest_config_defaults(self, tmp_path, capsys):
         manifest = one_pole_manifest(tmp_path, config={"omega_max": 5.0,
@@ -131,10 +133,10 @@ class TestNormCommand:
         code = main(["norm", str(manifest), "--omega-max", "5", "--r0", "1"])
         doc = json.loads(capsys.readouterr().out)
         assert calls == [2.5, 0.0, 0.0]
-        assert doc["skipped_points"] == [0.0]
-        assert doc["converged"] is False
         assert doc["stop_reason"] == "singular_expansion"
-        assert any("singular" in w for w in doc["warnings"])
+        assert doc["events"] == [
+            {"kind": "singular_shift", "at": at, "omega": 0.0}
+            for at in ("initial_point", "expansion")]
         assert code == EXIT_WARNINGS
 
     def test_repair_failed_exits_with_warnings(self, tmp_path, capsys,
@@ -148,9 +150,8 @@ class TestNormCommand:
         doc = json.loads(capsys.readouterr().out)
         assert code == EXIT_WARNINGS
         assert doc["stop_reason"] == "repair_failed"
-        assert doc["converged"] is False
+        assert doc["events"] == [{"kind": "repair", "omega": 2.5}]
         assert doc["norm"] == pytest.approx(1.0)   # sigma at omega = 0
-        assert SolverResult.from_dict(doc).to_dict() == doc
 
     @pytest.mark.parametrize("reason,code", [
         (greedy.CONVERGED, EXIT_OK),
@@ -162,7 +163,6 @@ class TestNormCommand:
                                            monkeypatch, reason, code):
         def stopped(tf, cfg):
             return SolverResult(norm=1.0, omega_opt=0.0, iterations=0,
-                                converged=reason == greedy.CONVERGED,
                                 stop_reason=reason)
 
         monkeypatch.setattr(cli, "run", stopped)
@@ -257,40 +257,6 @@ class TestUsageErrors:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
         assert captured.out == ""
-
-
-class TestReportRoundTrip:
-    def test_to_from_dict(self, tmp_path):
-        manifest = one_pole_manifest(tmp_path)
-        report = tmp_path / "r.json"
-        main(["norm", str(manifest), "--omega-max", "5",
-              "--report", str(report)])
-        doc = json.loads(report.read_text())
-        res = SolverResult.from_dict(doc)
-        assert res.to_dict() == doc
-
-    @pytest.mark.parametrize("converged,warnings,reason", [
-        (True, [], greedy.CONVERGED),
-        (False, ["MaxIterations: r_max reached before convergence"],
-         greedy.MAX_ITERATIONS),
-        (False, ["expansion at omega=0.0 hit a singular shift"],
-         greedy.SINGULAR_EXPANSION),
-    ])
-    def test_report_without_stop_reason_and_seeds(self, converged, warnings,
-                                                  reason):
-        # the report layout from before stop_reason and seeds were recorded
-        doc = {"norm": 1.0, "omega_opt": 0.0, "iterations": 1,
-               "converged": converged, "history": [], "ratios": [],
-               "warnings": warnings, "skipped_points": [], "wall_time": 0.1}
-        res = SolverResult.from_dict(doc)
-        assert res.stop_reason == reason
-        assert res.seeds == ()
-        assert res.to_dict() == {**doc, "stop_reason": reason, "seeds": []}
-
-    def test_positional_construction(self):
-        res = SolverResult(2.0, 1.0, 3, False)
-        assert res.stop_reason == greedy.MAX_ITERATIONS
-        assert res.seeds == ()
 
 
 def readme_command_lines():

@@ -127,6 +127,46 @@ def test_layer_counts_of_traced_runs(compare_runs, tmp_path, capsys):
     assert "layer" not in capsys.readouterr().out
 
 
+def _traced(tmp_path, side, names):
+    """A traced run file in side/.bench_out whose notes.spans names a
+    spans file beside it, one span per entry of names; returns its path."""
+    out = tmp_path / side / ".bench_out"
+    out.mkdir(parents=True)
+    (out / "w-seed3-spans.jsonl").write_text("".join(
+        json.dumps({"name": name, "start": 0.0, "end": 1.0, "parent": -1,
+                    "job": 0, "attrs": None}) + "\n" for name in names))
+    doc = _run([0.5], [1.0], [3], [False])
+    doc["counts"]["layers"] = {"greedy.kept_cols": 80}
+    doc["notes"] = {"spans": ".bench_out/w-seed3-spans.jsonl"}
+    return _write(out, "w-seed3-trace1.json", doc)
+
+
+def test_span_counts_of_traced_runs(compare_runs, tmp_path, capsys):
+    a = _traced(tmp_path, "a", ["greedy.run", "greedy.expand",
+                                "greedy.expand"])
+    b = _traced(tmp_path, "b", ["greedy.run", "greedy.expand",
+                                "greedy.expand"])
+    assert compare_runs.main([a, b]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == ["span greedy.expand 2 -> 2",
+                          "span greedy.run 1 -> 1",
+                          "0 span count(s) differ"]
+    # a span count that moved, or that one side lacks, fails the comparison
+    c = _traced(tmp_path, "c", ["greedy.run", "greedy.expand",
+                                "greedy.expansion_block"])
+    assert compare_runs.main([a, c]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "0 layer count(s) differ" in lines
+    assert lines[-4:] == ["DIFFERS span greedy.expand 2 -> 1",
+                          "DIFFERS span greedy.expansion_block None -> 1",
+                          "span greedy.run 1 -> 1",
+                          "2 span count(s) differ"]
+    # a missing spans file: no span lines
+    (tmp_path / "c" / ".bench_out" / "w-seed3-spans.jsonl").unlink()
+    assert compare_runs.main([a, c]) == 0
+    assert "span" not in capsys.readouterr().out
+
+
 def test_metrics_are_printed_and_do_not_fail(compare_runs, tmp_path, capsys):
     doc_a = _run([0.5], [1.0], [3], [False])
     doc_b = _run([0.5], [1.0], [3], [False])

@@ -8,7 +8,7 @@ import pytest
 
 import linfnorm.greedy as greedy
 from linfnorm.errors import (AllShiftsSingular, DimensionMismatch,
-                             UnboundedOnAxis)
+                             SingularShift, UnboundedOnAxis)
 from linfnorm.greedy import (CONVERGED, DOMINANT, MAX_ITERATIONS, REPAIR_FAILED,
                              SINGULAR_EXPANSION, RunConfig, SubspaceState,
                              check_interpolation, convergence_ratios, expand,
@@ -341,7 +341,8 @@ class TestBlockOrthonormalization:
         assert orthonormality_defect(new.V) <= 1e-12
         assert orthonormality_defect(new.W) <= 1e-12
 
-    def test_run_expands_the_initial_points_once(self, monkeypatch):
+    def test_run_expands_the_initial_points_once(self, monkeypatch,
+                                                 run_states):
         # one expand per initial point that is not singular, starting from
         # the empty state of the function's order
         calls = []
@@ -354,15 +355,15 @@ class TestBlockOrthonormalization:
 
         monkeypatch.setattr(greedy, "expand", spy)
         tf, interval = random_descriptor(60, 1, 1, seed=43)
-        seeded = (tf, RunConfig(omega_max=interval[1], r0=6, keep_states=True,
+        seeded = (tf, RunConfig(omega_max=interval[1], r0=6,
                                 inner=InnerConfig(interval=interval)))
         # singular at s = 0, the first equidistant point, and not seeded
         tf = descriptor_tf(np.eye(2), np.diag([0.0, -1.0]),
                            np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]]))
-        singular_first = (tf, RunConfig(omega_max=5.0, r0=10,
-                                        keep_states=True))
+        singular_first = (tf, RunConfig(omega_max=5.0, r0=10))
         for tf, cfg in (seeded, singular_first):
             calls.clear()
+            run_states.clear()
             res = run(tf, cfg)
             points = tuple(w for w in np.linspace(0.0, cfg.omega_max, cfg.r0)
                            if w not in res.skipped_points) + res.seeds
@@ -374,7 +375,9 @@ class TestBlockOrthonormalization:
             for k, (state, _, new) in enumerate(initial):
                 assert state.n == new.n == tf.n
                 assert new.points == points[:k + 1]
-            assert res.states[0] is initial[-1][2]
+            last = initial[-1][2]
+            assert run_states[0].V is last.V and run_states[0].W is last.W
+            assert run_states[0].points == last.points
 
 
 class TestRun:
@@ -443,9 +446,9 @@ class TestRun:
             peaks.append(peak)
         assert peaks[1] - peaks[0] <= 90 * 40000
 
-    def test_kept_states_never_change(self, monkeypatch):
-        # each state run() keeps must still hold what it held when it was
-        # kept, after every later expansion
+    def test_kept_states_never_change(self, monkeypatch, run_states):
+        # each state run() maximizes must still hold what it held when it
+        # was projected, after every later expansion
         taken = []
         inner_project = greedy.project
 
@@ -456,11 +459,11 @@ class TestRun:
         monkeypatch.setattr(greedy, "project", copying)
         monkeypatch.setattr(greedy, "dominant_frequencies", lambda tf: ())
         tf, interval = random_descriptor(50, 2, 2, seed=46)
-        cfg = RunConfig(omega_max=interval[1], r0=4, keep_states=True,
+        cfg = RunConfig(omega_max=interval[1], r0=4,
                         eps=1e-12, inner=InnerConfig(interval=interval))
         res = run(tf, cfg)
-        assert len(res.states) == len(taken) == 5
-        for state, (v, w) in zip(res.states, taken):
+        assert len(run_states) == len(taken) == 5
+        for state, (v, w) in zip(run_states, taken):
             np.testing.assert_array_equal(state.V, v)
             np.testing.assert_array_equal(state.W, w)
         sw = grid_norm(tf, interval, 4001, refine_tol=1e-12)
@@ -539,7 +542,9 @@ class TestRun:
         assert res.stop_reason == SINGULAR_EXPANSION
         assert not res.converged
         assert res.history == []
-        assert "expansion at omega=2.0 hit a singular shift" in res.warnings
+        assert res.events == [
+            {"kind": "repair", "omega": 2.0},
+            {"kind": "singular_shift", "at": "expansion", "omega": 2.0}]
 
     def test_norm_is_sigma_max_at_omega_opt(self):
         # the certified norm is sigma_max's value, to the last bit: an SVD
@@ -550,19 +555,20 @@ class TestRun:
                                     inner=InnerConfig(interval=interval)))
             assert res.norm == sigma_max(tf, res.omega_opt), seed
 
-    def test_delay_bases_are_conjugates(self):
+    def test_delay_bases_are_conjugates(self, run_states):
         # the delay function is complex symmetric: each adjoint resolvent is
         # the conjugate of its direct one, and CGS2 keeps W = conj(V)
         tf = make_delay_fixture(5000)
-        res = run(tf, RunConfig(omega_max=50.0, keep_states=True,
+        res = run(tf, RunConfig(omega_max=50.0,
                                 inner=InnerConfig(interval=(0.0, 50.0),
                                                   curvature_bound=-100.0)))
-        assert res.converged and res.states
-        for state in res.states:
+        assert res.converged and run_states
+        for state in run_states:
             np.testing.assert_array_equal(state.W, state.V.conj())
             assert state.V.shape[0] == state.W.shape[0] < state.n == tf.n
 
-    def test_delay_projections_take_the_row_extents(self, monkeypatch):
+    def test_delay_projections_take_the_row_extents(self, monkeypatch,
+                                                    run_states):
         # the delay resolvents end far above row 5000, and every projection
         # that run() and check_interpolation make takes only the bases'
         # stored rows
@@ -575,20 +581,21 @@ class TestRun:
 
         monkeypatch.setattr(greedy, "project", spy_project)
         tf = make_delay_fixture(5000)
-        res = run(tf, RunConfig(omega_max=50.0, keep_states=True,
+        res = run(tf, RunConfig(omega_max=50.0,
                                 inner=InnerConfig(interval=(0.0, 50.0),
                                                   curvature_bound=-100.0)))
         assert res.converged and len(extents) >= 2
-        check_interpolation(tf, res.states[-1])
-        assert len(extents) == len(res.states) + 1
+        check_interpolation(tf, run_states[-1])
+        assert len(extents) == len(run_states) + 1
         assert all(max(rows) < tf.n for rows in extents)
 
-    def test_monotone_span_with_keepall(self):
+    def test_monotone_span_with_keepall(self, run_states):
         tf, interval = random_descriptor(50, 1, 1, seed=44)
-        cfg = RunConfig(omega_max=interval[1], r0=6, keep_states=True,
+        cfg = RunConfig(omega_max=interval[1], r0=6,
                         inner=InnerConfig(interval=interval))
-        res = run(tf, cfg)
-        for prev, cur in zip(res.states[:-1], res.states[1:]):
+        run(tf, cfg)
+        assert len(run_states) >= 2
+        for prev, cur in zip(run_states[:-1], run_states[1:]):
             proj = cur.V @ (cur.V.conj().T @ prev.V)
             assert np.linalg.norm(proj - prev.V) <= 1e-10
 
@@ -626,8 +633,8 @@ class TestRun:
             res = run(tf, RunConfig(omega_max=5.0, r0=10))
         assert caught == []
         assert res.skipped_points == [0.0]
-        assert any(w.startswith("initial point omega=0.0")
-                   for w in res.warnings)
+        assert res.events[0] == {"kind": "singular_shift",
+                                 "at": "initial_point", "omega": 0.0}
 
     def test_stop_reason_converged(self):
         res = run(siso_one_pole(), RunConfig(omega_max=1.0, r0=2))
@@ -640,7 +647,8 @@ class TestRun:
                                 inner=InnerConfig(interval=interval)))
         assert res.stop_reason == MAX_ITERATIONS
         assert not res.converged
-        assert any(w.startswith("MaxIterations") for w in res.warnings)
+        # the stop reason says it all: no event
+        assert res.events == []
 
     def test_stop_reason_singular_expansion(self):
         # as above: the maximizer omega = 0 is the skipped singular shift
@@ -649,8 +657,13 @@ class TestRun:
         res = run(tf, RunConfig(omega_max=5.0, r0=10))
         assert res.stop_reason == SINGULAR_EXPANSION
         assert not res.converged
-        assert any(w.startswith("expansion at omega=0.0")
-                   for w in res.warnings)
+        # singular as an initial point, as the expansion and as the final
+        # certification, which keeps the reduced sigma
+        assert res.events == [
+            {"kind": "singular_shift", "at": at, "omega": 0.0}
+            for at in ("initial_point", "expansion")] + [
+            {"kind": "singular_shift", "at": "certification", "omega": 0.0,
+             "sigma": res.history[-1]["sigma"]}]
 
     def test_stop_reason_repair_failed(self, monkeypatch):
         # the reduced model has an axis pole before and after the repair
@@ -669,20 +682,56 @@ class TestRun:
         assert res.stop_reason == REPAIR_FAILED
         assert not res.converged
         assert res.history == []
-        assert any("after its repair expansion" in w for w in res.warnings)
+        assert res.events == [{"kind": "repair",
+                               "omega": 0.5 * sum(interval)}]
         # certified on the full H at the last omega, here the first point
         assert res.omega_opt == 0.0
         assert res.norm == sigma_max(tf, 0.0)
 
-    def test_seeds_follow_the_equidistant_points(self):
+    def test_repair_that_succeeds_is_an_event(self, monkeypatch):
+        # one axis pole: the model after the repair expansion at the
+        # interval midpoint is maximized as usual, and the repair is recorded
+        tf, interval = random_descriptor(30, 1, 1, seed=42)
+        inner_maximize = greedy.maximize
+        calls = []
+
+        def unbounded_once(rm, cfg, points=()):
+            calls.append(points)
+            if len(calls) == 1:
+                raise UnboundedOnAxis("pole on the axis")
+            return inner_maximize(rm, cfg, points)
+
+        monkeypatch.setattr(greedy, "maximize", unbounded_once)
+        res = run(tf, RunConfig(omega_max=interval[1], r0=4,
+                                inner=InnerConfig(interval=interval)))
+        mid = 0.5 * sum(interval)
+        assert calls[1] == calls[0] + (mid,)
+        assert res.stop_reason == CONVERGED
+        assert res.events == [{"kind": "repair", "omega": mid}]
+
+    def test_singular_certification_keeps_the_reduced_sigma(self,
+                                                            monkeypatch):
+        def singular(tf, omega):
+            raise SingularShift(1j * omega)
+
+        monkeypatch.setattr(greedy, "sigma_max", singular)
+        tf, interval = random_descriptor(30, 1, 1, seed=42)
+        res = run(tf, RunConfig(omega_max=interval[1], r0=4,
+                                inner=InnerConfig(interval=interval)))
+        assert res.history and res.norm == res.history[-1]["sigma"]
+        assert [e for e in res.events if e["kind"] == "singular_shift"] == [
+            {"kind": "singular_shift", "at": "certification",
+             "omega": res.omega_opt, "sigma": res.norm}]
+
+    def test_seeds_follow_the_equidistant_points(self, run_states):
         tf, interval = random_descriptor(60, 1, 1, seed=43)
-        cfg = RunConfig(omega_max=interval[1], r0=15, keep_states=True,
+        cfg = RunConfig(omega_max=interval[1], r0=15,
                         inner=InnerConfig(interval=interval))
         res = run(tf, cfg)
         assert res.seeds == dominant_frequencies(tf)
         assert len(res.seeds) == DOMINANT_SEEDS
         grid = np.linspace(0.0, interval[1], 15).tolist()
-        assert res.states[0].points == tuple(grid) + res.seeds
+        assert run_states[0].points == tuple(grid) + res.seeds
 
     def test_seeds_outside_the_search_interval_are_dropped(self):
         tf, (_, hi) = random_descriptor(60, 1, 1, seed=43)
@@ -692,6 +741,9 @@ class TestRun:
         assert res.seeds == tuple(w for w in dominant_frequencies(tf)
                                   if w <= 2.0)
         assert 0 < len(res.seeds) < DOMINANT_SEEDS
+        # each dropped seed is reported
+        assert res.events == [{"kind": "seed_outside_interval", "omega": w}
+                              for w in dominant_frequencies(tf) if w > 2.0]
 
     def test_delay_function_is_not_seeded(self):
         res = run(make_delay_fixture(100),
@@ -710,25 +762,27 @@ class TestRun:
 
 
 class TestCheckInterpolation:
-    def test_full_mode_hermite(self):
+    def test_full_mode_hermite(self, run_states):
         tf, interval = random_descriptor(60, 2, 2, seed=50)
-        cfg = RunConfig(omega_max=interval[1], r0=6, keep_states=True,
+        cfg = RunConfig(omega_max=interval[1], r0=6,
                         inner=InnerConfig(interval=interval))
-        res = run(tf, cfg)
-        for state in res.states:
+        run(tf, cfg)
+        assert run_states
+        for state in run_states:
             for entry in check_interpolation(tf, state):
                 assert entry["matrix_mismatch"] <= 1e-8 * (1 + entry["h_norm"])
                 if entry["simple"]:
                     assert entry["slope_mismatch"] <= 1e-6 * (
                         1 + abs(entry["slope_full"]))
 
-    def test_dominant_mode_one_sided(self):
+    def test_dominant_mode_one_sided(self, run_states):
         tf, interval = random_descriptor(40, 3, 3, seed=51)
-        cfg = RunConfig(omega_max=interval[1], r0=6, keep_states=True,
+        cfg = RunConfig(omega_max=interval[1], r0=6,
                         expansion_mode=DOMINANT,
                         inner=InnerConfig(interval=interval))
-        res = run(tf, cfg)
-        for state in res.states:
+        run(tf, cfg)
+        assert run_states
+        for state in run_states:
             for entry in check_interpolation(tf, state, mode=DOMINANT):
                 assert entry["sigma_gap"] >= -1e-10
 

@@ -9,13 +9,16 @@ omegas, each with the first job that has it, the total of each
 deterministic count (iterations, basis dimension, inner evaluations, ...)
 over the jobs on both sides, then every job whose counts or failed flag
 differ.  When both runs are traced (``--trace 1``),
-it then prints each per-layer count of the traced round on both sides.
+it then prints each per-layer count of the traced round on both sides, and
+how many spans of each name (``greedy.expand``, ...) the spans file that
+each run names in ``notes.spans`` holds, when both files are there; that
+path is taken from the directory that holds the run's ``.bench_out``.
 Last it prints each metric that either run file records on both sides:
 the end-to-end metrics (wall_s, peak_rss_mb, ...) of untraced runs, the
 per-layer ones of traced runs.  Exits with 1 when a job differs in its
-counts or failed flag, when a layer count differs, or when the two runs do
-not hold the same jobs, else 0; metrics, which vary between runs of the
-same code, do not count.
+counts or failed flag, when a layer or span count differs, or when the two
+runs do not hold the same jobs, else 0; metrics, which vary between runs of
+the same code, do not count.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from pathlib import Path
 
 
 def relative_difference(a: float, b: float) -> float:
@@ -73,18 +77,42 @@ def count_totals(run: dict) -> dict:
     return totals
 
 
+def count_lines(what: str, counts_a: dict, counts_b: dict) -> list:
+    """One line per count of either side, both sides' values, led by
+    DIFFERS where they differ; None on a side that lacks it."""
+    lines = []
+    for key in sorted(counts_a.keys() | counts_b.keys()):
+        va, vb = counts_a.get(key), counts_b.get(key)
+        lines.append(("" if va == vb else "DIFFERS ")
+                     + f"{what} {key} {va} -> {vb}")
+    return lines
+
+
 def compare_layers(a: dict, b: dict) -> list:
-    """One line per layer count of two traced runs, both sides, led by
-    DIFFERS where they differ; empty unless both runs are traced."""
+    """count_lines of two traced runs' layer counts; empty unless both runs
+    are traced."""
     layers_a, layers_b = a["counts"].get("layers"), b["counts"].get("layers")
     if layers_a is None or layers_b is None:
         return []
-    lines = []
-    for key in sorted(layers_a.keys() | layers_b.keys()):
-        va, vb = layers_a.get(key), layers_b.get(key)
-        lines.append(("" if va == vb else "DIFFERS ")
-                     + f"layer {key} {va} -> {vb}")
-    return lines
+    return count_lines("layer", layers_a, layers_b)
+
+
+def span_counts(path: str, run: dict) -> dict | None:
+    """How many spans of each name the spans file that the run at path
+    names in ``notes.spans`` holds; None when it names none or the file is
+    not there."""
+    spans = run.get("notes", {}).get("spans")
+    if spans is None:
+        return None
+    spans_path = Path(path).resolve().parent.parent / spans
+    if not spans_path.is_file():
+        return None
+    counts = {}
+    with open(spans_path) as fh:
+        for line in fh:
+            name = json.loads(line)["name"]
+            counts[name] = counts.get(name, 0) + 1
+    return counts
 
 
 def metric_lines(a: dict, b: dict) -> list:
@@ -119,15 +147,20 @@ def main(argv=None) -> int:
     for line in differ:
         print(f"DIFFERS {line}")
     print(f"{len(differ)} job(s) differ in counts or failed flag")
-    layers = compare_layers(*runs)
-    layers_differ = sum(line.startswith("DIFFERS") for line in layers)
-    for line in layers:
-        print(line)
-    if layers:
-        print(f"{layers_differ} layer count(s) differ")
+    spans = [span_counts(path, run) for path, run in zip(argv, runs)]
+    counts_differ = 0
+    for what, lines in (
+            ("layer", compare_layers(*runs)),
+            ("span", [] if None in spans else count_lines("span", *spans))):
+        n_differ = sum(line.startswith("DIFFERS") for line in lines)
+        for line in lines:
+            print(line)
+        if lines:
+            print(f"{n_differ} {what} count(s) differ")
+        counts_differ += n_differ
     for line in metric_lines(*runs):
         print(line)
-    return 1 if differ or layers_differ else 0
+    return 1 if differ or counts_differ else 0
 
 
 if __name__ == "__main__":
