@@ -13,7 +13,7 @@ from .errors import LinfNormError, ParseError
 from .greedy import CONVERGED, DOMINANT, FULL, RunConfig, run
 from .inner import InnerConfig
 from .oracle import grid_norm, sweep_csv
-from .problems import load_problem, make_delay_fixture
+from .problems import _number, load_problem, make_delay_fixture
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -73,15 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_config_from(config: dict, args) -> RunConfig:
     """Merge manifest defaults with command-line overrides.  An unknown
     manifest key, or a value of the wrong type, raises ParseError naming it."""
-    def number(value):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-
     def integer(value):
-        return number(value) and isinstance(value, int)
+        return _number(value) and isinstance(value, int)
 
     def pair(value):
         return (isinstance(value, list) and len(value) == 2
-                and all(map(number, value)))
+                and all(map(_number, value)))
 
     def pick(cli_val, key, fallback, valid=None, what=None):
         if cli_val is not None:
@@ -98,19 +95,19 @@ def _run_config_from(config: dict, args) -> RunConfig:
     if args.omega_max is None and config.get("omega_max") is None:
         raise LinfNormError(
             "omega_max is required (set --omega-max or the manifest config)")
-    omega_max = pick(args.omega_max, "omega_max", None, number, "a number")
+    omega_max = pick(args.omega_max, "omega_max", None, _number, "a number")
     interval = pick(args.interval, "interval", [0.0, omega_max], pair,
                     "a list of two numbers")
     inner = InnerConfig(
         interval=tuple(float(x) for x in interval),
-        curvature_bound=pick(args.gamma, "gamma", -100.0, number, "a number"),
+        curvature_bound=pick(args.gamma, "gamma", -100.0, _number, "a number"),
         max_inner_iters=pick(args.max_inner_iters, "max_inner_iters", 200,
                              integer, "an integer"),
     )
     return RunConfig(
         omega_max=float(omega_max),
         r0=pick(args.r0, "r0", 10, integer, "an integer"),
-        eps=float(pick(args.eps, "eps", 1e-6, number, "a number")),
+        eps=float(pick(args.eps, "eps", 1e-6, _number, "a number")),
         r_max=pick(args.rmax, "r_max", 30, integer, "an integer"),
         expansion_mode=pick(args.mode, "expansion_mode", FULL,
                             lambda value: value in (FULL, DOMINANT),

@@ -150,15 +150,17 @@ def expansion_block(tf: StructuredTF, omega: float, mode: str = FULL):
     mode only the directions of the top singular pair are used (width 1).
     """
     _check_mode(mode)
-    cs, x, y = tf._resolvents(1j * omega)   # C, D^{-1} B, (C D^{-1})^*
+    # with m == p both sides are taken verbatim: no H(i*omega), so no C
+    verbatim = mode == FULL and tf.m == tf.p
+    # C (None when verbatim), D^{-1} B, (C D^{-1})^*
+    cs, x, y = tf._resolvents(1j * omega, with_c=not verbatim)
+    if verbatim:
+        return x, y
+    h = _as_dense(cs @ x)
     if mode == DOMINANT:
-        h = _as_dense(cs @ x)
         u, _, vh = np.linalg.svd(h)
         v, w = vh[0].conj(), u[:, 0]
         return (x @ v).reshape(-1, 1), (y @ w).reshape(-1, 1)
-    if tf.m == tf.p:
-        return x, y
-    h = _as_dense(cs @ x)
     if tf.m < tf.p:
         return x, y @ h
     return x @ h.conj().T, y

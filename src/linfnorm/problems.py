@@ -9,7 +9,6 @@ import os
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, ParseError
@@ -23,8 +22,10 @@ DENSE_CUTOFF = 200
 
 
 def _load_matrix(path: Path):
+    # imported here, so that only runs that read files load scipy.io
+    from scipy.io import mmread
     try:
-        mat = scipy.io.mmread(os.fspath(path))
+        mat = mmread(os.fspath(path))
     except (ValueError, OSError) as err:
         raise ParseError(f"{path}: {err}") from err
     if sp.issparse(mat):
@@ -32,6 +33,11 @@ def _load_matrix(path: Path):
             return np.asarray(mat.todense())
         return mat.tocsc()
     return np.asarray(mat)
+
+
+def _number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _load_factor(entries, base: Path, name: str, expected_shape):
@@ -42,10 +48,13 @@ def _load_factor(entries, base: Path, name: str, expected_shape):
         try:
             if not isinstance(entry, dict):
                 raise TypeError("a term must be a JSON object")
-            k = entry.get("k", 0)
-            if int(k) != k:
-                raise ValueError(f"k must be an integer, got {k}")
-            term = ScalarTerm(degree=int(k), delay=float(entry.get("tau", 0.0)))
+            k, tau = entry.get("k", 0), entry.get("tau", 0.0)
+            # JSON numbers only: not true as degree 1, nor "0.5" as a delay
+            if not _number(k) or int(k) != k:
+                raise ValueError(f"k must be an integer, got {k!r}")
+            if not _number(tau):
+                raise TypeError(f"tau must be a number, got {tau!r}")
+            term = ScalarTerm(degree=int(k), delay=float(tau))
             rel = entry["matrix"]
             if not isinstance(rel, str):
                 raise TypeError(f"matrix must be a file name, got {rel!r}")

@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, SingularShift
 
@@ -40,10 +39,13 @@ class ScalarTerm:
     delay: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.degree < math.inf
-                and int(self.degree) == self.degree):
+        # a bool is not read as degree 1 or delay 0.0
+        if (isinstance(self.degree, (bool, np.bool_))
+                or not (0 <= self.degree < math.inf
+                        and int(self.degree) == self.degree)):
             raise ValueError(f"degree must be a nonnegative integer, got {self.degree}")
-        if not 0 <= self.delay < math.inf:
+        if (isinstance(self.delay, (bool, np.bool_))
+                or not 0 <= self.delay < math.inf):
             raise ValueError(
                 f"delay must be finite and nonnegative, got {self.delay}")
 
@@ -295,12 +297,17 @@ def _pivot_rcond(udiag: np.ndarray, s: complex) -> float:
 
 
 class _SparseFactorization:
-    """Sparse LU of D(s) with a cheap pivot-based singularity check."""
+    """Sparse LU of D(s) with a cheap pivot-based singularity check.
+
+    SuperLU is imported on first use, so that runs that never take this
+    route (dense, tridiagonal) do not load scipy.sparse.linalg; a failed
+    import is an ImportError, not a singular shift."""
 
     def __init__(self, d, s: complex):
+        from scipy.sparse.linalg import splu
         d = sp.csc_matrix(d, dtype=np.complex128)
         try:
-            lu = spla.splu(d)
+            lu = splu(d)
         except RuntimeError as err:
             raise SingularShift(s, rcond=0.0) from err
         self.rcond = _pivot_rcond(lu.U.diagonal(), s)
@@ -409,12 +416,13 @@ class StructuredTF:
             return _DenseFactorization(d, s)
         return _SparseFactorization(d, s)
 
-    def _resolvents(self, s: complex):
+    def _resolvents(self, s: complex, with_c: bool = True):
         """(C(s), D(s)^{-1} B(s), D(s)^{-*} C(s)^*) from one factorization.
 
         A complex-symmetric function, one with C(s) = B(s)^T and every D_j
         equal to its transpose, has D(s)^* = conj(D(s)) and so
-        D(s)^{-*} C(s)^* = conj(D(s)^{-1} B(s)): it takes one solve.
+        D(s)^{-*} C(s)^* = conj(D(s)^{-1} B(s)): it takes one solve, and
+        C(s) is made only ``with_c``; without, None stands in its place.
 
         Each solve overwrites a fresh B(s) or C(s)^*.  The adjoint solve
         comes first, since a tridiagonal direct solve overwrites D(s).  On
@@ -425,7 +433,7 @@ class StructuredTF:
         if self._c_is_b_transpose and self.d_factor.symmetric:
             x = fact.solve(self.b_factor.eval(s))
             del fact
-            return self.c_factor.eval(s), x, x.conj()
+            return self.c_factor.eval(s) if with_c else None, x, x.conj()
         cs = self.c_factor.eval(s)
         y = fact.solve(_as_dense(cs).conj().T, adjoint=True)
         return cs, fact.solve(self.b_factor.eval(s)), y

@@ -10,6 +10,7 @@ from linfnorm.errors import DimensionMismatch, ParseError
 from linfnorm.problems import (delay_coupling_matrix, descriptor_tf,
                                load_benchmark, load_problem,
                                make_delay_fixture)
+from linfnorm.structured import ScalarTerm
 
 
 def write_mtx_dense(path, mat):
@@ -98,6 +99,28 @@ class TestLoadProblem:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="D_factor"):
             load_problem(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", True), ("k", False), ("k", "1"), ("k", None),
+        ("tau", True), ("tau", False), ("tau", "0.5"), ("tau", [0.5])])
+    def test_term_value_that_is_not_a_number(self, tmp_path, key, value):
+        # not read as degree 1 or delay 0.0, nor parsed from a string
+        path = one_pole_manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["D"][0][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"D_factor.*\\({key} must be"):
+            load_problem(path)
+
+    def test_integral_numbers_are_terms(self, tmp_path):
+        path = one_pole_manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["D"][0].update(k=1.0, tau=0)
+        path.write_text(json.dumps(doc))
+        tf, _ = load_problem(path)
+        term = tf.d_factor.terms[0][0]
+        assert term == ScalarTerm(degree=1)
+        assert type(term.degree) is int and type(term.delay) is float
 
     @pytest.mark.parametrize("rel", [5, ["B.mtx"], None])
     def test_matrix_that_is_not_a_file_name(self, tmp_path, rel):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import linfnorm.structured as structured
 from linfnorm.errors import DimensionMismatch, SingularShift
-from linfnorm.greedy import expansion_block
+from linfnorm.greedy import DOMINANT, FULL, expansion_block
 from linfnorm.problems import (delay_coupling_matrix, descriptor_tf,
                                make_delay_fixture)
 from linfnorm.reduced import sigma_and_slope, sigma_max
@@ -53,6 +53,14 @@ class TestScalarTerm:
         # a ValueError, not the OverflowError of int(inf)
         with pytest.raises(ValueError, match="nonnegative integer"):
             ScalarTerm(degree=degree)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"degree": True}, {"degree": False}, {"degree": np.True_},
+        {"delay": True}, {"delay": False}, {"delay": np.False_}])
+    def test_rejects_bool(self, kwargs):
+        # as RunConfig does: True is not degree 1, nor False delay 0.0
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be"):
+            ScalarTerm(**kwargs)
 
     @given(k=st.integers(0, 4), tau=st.floats(0.0, 3.0),
            re=st.floats(-2.0, 2.0), im=st.floats(-5.0, 5.0))
@@ -844,6 +852,25 @@ class TestComplexSymmetric:
             ref = self._reference(tf, s)
             assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
         assert routes == [route] * 4
+
+    @pytest.mark.parametrize("mode, c_made", [(FULL, False), (DOMINANT, True)])
+    def test_verbatim_blocks_make_no_c(self, mode, c_made, monkeypatch):
+        # full-mode blocks of a function with m == p are D^{-1} B and its
+        # conjugate as they are, so C(s) is not made; the blocks are bit for
+        # bit those of the resolvents that make it
+        tf = make_delay_fixture(5000)
+        _, x, y = tf._resolvents(1.5j)
+        made = []
+
+        def spy(factor, s, _eval=MatrixFactor.eval):
+            made.append(factor)
+            return _eval(factor, s)
+
+        monkeypatch.setattr(MatrixFactor, "eval", spy)
+        vb, wb = expansion_block(tf, 1.5, mode)
+        assert [f is tf.c_factor for f in made] == [False] + [True] * c_made
+        if mode == FULL:
+            assert vb.tobytes() == x.tobytes() and wb.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("broken", [
         _asymmetric_entry,
