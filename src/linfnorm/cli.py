@@ -10,7 +10,7 @@ import sys
 import time
 
 from .errors import LinfNormError, ParseError
-from .greedy import CONVERGED, DOMINANT, FULL, RunConfig, run
+from .greedy import CONVERGED, RunConfig, run
 from .inner import InnerConfig
 from .oracle import grid_norm, sweep_csv
 from .problems import _number, load_problem, make_delay_fixture
@@ -25,7 +25,7 @@ DELAY_GAMMA = -100.0
 
 #: the manifest config keys that `norm` reads; any other key is an error
 MANIFEST_CONFIG_KEYS = {"omega_max", "interval", "gamma", "max_inner_iters",
-                        "r0", "eps", "r_max", "expansion_mode"}
+                        "r0", "eps", "r_max"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--omega-max", type=float, default=None)
     p_norm.add_argument("--eps", type=float, default=None)
     p_norm.add_argument("--rmax", type=int, default=None)
-    p_norm.add_argument("--mode", choices=[FULL, DOMINANT], default=None)
     p_norm.add_argument("--gamma", type=float, default=None)
     p_norm.add_argument("--interval", nargs=2, type=float, metavar=("LO", "HI"),
                         default=None)
@@ -109,9 +108,6 @@ def _run_config_from(config: dict, args) -> RunConfig:
         r0=pick(args.r0, "r0", 10, integer, "an integer"),
         eps=float(pick(args.eps, "eps", 1e-6, _number, "a number")),
         r_max=pick(args.rmax, "r_max", 30, integer, "an integer"),
-        expansion_mode=pick(args.mode, "expansion_mode", FULL,
-                            lambda value: value in (FULL, DOMINANT),
-                            f"{FULL!r} or {DOMINANT!r}"),
         inner=inner,
     )
 

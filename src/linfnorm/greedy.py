@@ -29,19 +29,11 @@ DEFLATION_TOL = 1e-10
 #: relative gap below which the largest singular value is flagged non-simple
 SIMPLICITY_GAP = 1e-8
 
-FULL = "full"
-DOMINANT = "dominant"
-
 #: SolverResult.stop_reason values
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
 SINGULAR_EXPANSION = "singular_expansion"
 REPAIR_FAILED = "repair_failed"
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in (FULL, DOMINANT):
-        raise ValueError(f"unknown expansion_mode {mode!r}")
 
 
 @dataclass
@@ -53,11 +45,12 @@ class RunConfig:
     r0: int = 10
     eps: float = 1e-6
     r_max: int = 30
-    expansion_mode: str = FULL
     inner: InnerConfig | None = None
 
     def __post_init__(self):
-        if not 0 < self.omega_max < np.inf:
+        # a bool is not read as 1.0 or 0.0
+        if (isinstance(self.omega_max, (bool, np.bool_))
+                or not 0 < self.omega_max < np.inf):
             raise ValueError(
                 f"omega_max must be finite and positive, got {self.omega_max}")
         for name in ("r0", "r_max"):
@@ -65,9 +58,8 @@ class RunConfig:
             if (isinstance(value, bool)
                     or not (isinstance(value, numbers.Integral) and value >= 1)):
                 raise ValueError(f"{name} must be an integer >= 1, got {value}")
-        if not 0 < self.eps < np.inf:
+        if isinstance(self.eps, (bool, np.bool_)) or not 0 < self.eps < np.inf:
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
-        _check_mode(self.expansion_mode)
 
 
 @dataclass(frozen=True)
@@ -142,25 +134,20 @@ class SolverResult:
         return asdict(self)
 
 
-def expansion_block(tf: StructuredTF, omega: float, mode: str = FULL):
-    """Snapshot blocks (Vb, Wb) at i*omega giving Hermite interpolation there.
+def expansion_block(tf: StructuredTF, omega: float):
+    """Snapshot blocks (Vb, Wb) at i*omega giving Hermite interpolation of
+    H, and so of sigma and its slope, there.
 
-    In full mode the block width is min(m, p): the narrower side is taken
-    verbatim and the wider side is compressed with H(i*omega).  In dominant
-    mode only the directions of the top singular pair are used (width 1).
+    The block width is min(m, p): the narrower side is taken verbatim and
+    the wider side is compressed with H(i*omega).
     """
-    _check_mode(mode)
     # with m == p both sides are taken verbatim: no H(i*omega), so no C
-    verbatim = mode == FULL and tf.m == tf.p
+    verbatim = tf.m == tf.p
     # C (None when verbatim), D^{-1} B, (C D^{-1})^*
     cs, x, y = tf._resolvents(1j * omega, with_c=not verbatim)
     if verbatim:
         return x, y
     h = _as_dense(cs @ x)
-    if mode == DOMINANT:
-        u, _, vh = np.linalg.svd(h)
-        v, w = vh[0].conj(), u[:, 0]
-        return (x @ v).reshape(-1, 1), (y @ w).reshape(-1, 1)
     if tf.m < tf.p:
         return x, y @ h
     return x @ h.conj().T, y
@@ -249,49 +236,44 @@ def expand(state: SubspaceState, Vb: np.ndarray, Wb: np.ndarray,
                          points=state.points + (omega,), n=n)
 
 
-def _interpolated(tf: StructuredTF, state: SubspaceState, omega: float,
-                  mode: str) -> SubspaceState:
+def _interpolated(tf: StructuredTF, state: SubspaceState,
+                  omega: float) -> SubspaceState:
     """expand(state, ...) with the snapshot blocks taken at omega; the
     blocks are freed when it returns, before the next factorization."""
-    return expand(state, *expansion_block(tf, omega, mode), omega)
+    return expand(state, *expansion_block(tf, omega), omega)
 
 
-def check_interpolation(tf: StructuredTF, state: SubspaceState,
-                        mode: str = FULL) -> list:
+def check_interpolation(tf: StructuredTF, state: SubspaceState) -> list:
     """Per-point Hermite interpolation report for the current bases.
 
-    In full mode the matrix mismatch ||H - H_reduced|| at each point is
-    reported; in dominant mode only the one-sided sigma gap is meaningful.
-    The slope mismatch is reported whenever sigma is simple on both sides.
-    Each point factors the full D once, for H and H' together, so a dense
-    full-order D is held at one shift only; the reduced model is evaluated
-    at every point in one call.
+    Each entry holds the matrix mismatch ||H - H_reduced||, the sigma gap,
+    both slopes of sigma and their mismatch, and whether sigma is simple on
+    both sides; the slopes are unreliable where it is not.  Each point
+    factors the full D once, for H and H' together, so a dense full-order D
+    is held at one shift only; the reduced model is evaluated at every
+    point in one call.
     """
-    _check_mode(mode)
     report = []
     if not state.points:
         return report
     rm = project(tf, state.V, state.W)
-    full = mode == FULL
     hr, hr_prime = rm.eval_stack([1j * w for w in state.points],
-                                 derivative=full)
+                                 derivative=True)
     svr, slopes_red = _svd_and_slope(hr, hr_prime)
     for k, omega in enumerate(state.points):
-        h, h_prime = tf.eval_stack([1j * omega], derivative=full)
-        sv, slope_full = _svd_and_slope(h, h_prime)
-        entry = {
+        h, h_prime = tf.eval_stack([1j * omega], derivative=True)
+        sv, slope = _svd_and_slope(h, h_prime)
+        slope_full, slope_reduced = float(slope[0]), float(slopes_red[k])
+        report.append({
             "omega": omega,
             "h_norm": float(sv[0, 0]),
             "matrix_mismatch": float(np.linalg.norm(h[0] - hr[k], 2)),
             "sigma_gap": float(svr[k, 0] - sv[0, 0]),
-        }
-        if full:
-            entry["slope_full"] = float(slope_full[0])
-            entry["slope_reduced"] = float(slopes_red[k])
-            entry["slope_mismatch"] = abs(entry["slope_full"]
-                                          - entry["slope_reduced"])
-            entry["simple"] = _simple(sv[0]) and _simple(svr[k])
-        report.append(entry)
+            "slope_full": slope_full,
+            "slope_reduced": slope_reduced,
+            "slope_mismatch": abs(slope_full - slope_reduced),
+            "simple": _simple(sv[0]) and _simple(svr[k]),
+        })
     return report
 
 
@@ -363,7 +345,7 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     state = SubspaceState.empty(tf.n)
     for w0 in init_points + seeds:
         try:
-            state = _interpolated(tf, state, w0, cfg.expansion_mode)
+            state = _interpolated(tf, state, w0)
         except SingularShift:
             events.append({"kind": "singular_shift", "at": "initial_point",
                            "omega": w0})
@@ -401,7 +383,7 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
                 stop_reason = CONVERGED
                 break
         try:
-            grown = _interpolated(tf, state, w_expand, cfg.expansion_mode)
+            grown = _interpolated(tf, state, w_expand)
         except SingularShift:
             events.append({"kind": "singular_shift", "at": "expansion",
                            "omega": w_expand})

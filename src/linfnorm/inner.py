@@ -48,13 +48,16 @@ class InnerConfig:
 
     def __post_init__(self):
         lo, hi = self.interval
-        if not -np.inf < lo < hi < np.inf:
+        # a bool is not read as 1.0 or 0.0
+        if (isinstance(lo, (bool, np.bool_)) or isinstance(hi, (bool, np.bool_))
+                or not -np.inf < lo < hi < np.inf):
             raise ValueError(
                 f"interval must be finite with lo < hi, got {self.interval}")
         if not -np.inf < self.curvature_bound < 0:
             raise ValueError("curvature_bound must be finite and negative")
         # zero is valid: the support search then ends on its spacing guard
-        if not 0 <= self.support_tol < np.inf:
+        if (isinstance(self.support_tol, (bool, np.bool_))
+                or not 0 <= self.support_tol < np.inf):
             raise ValueError(
                 f"support_tol must be finite and nonnegative, "
                 f"got {self.support_tol}")

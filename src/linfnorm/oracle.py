@@ -97,10 +97,11 @@ def _brent_refine(model, a, b, x, fx, tol):
 
 def grid_sweep(model, interval, npoints: int):
     """(omegas, sigmas, skipped) over an equispaced grid; singular shifts
-    are skipped and recorded.  The interval's ends must be finite with
-    lo <= hi, and npoints an integer."""
+    are skipped and recorded.  The interval's ends must be finite numbers,
+    not bools, with lo <= hi, and npoints an integer."""
     lo, hi = interval
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    if (isinstance(lo, (bool, np.bool_)) or isinstance(hi, (bool, np.bool_))
+            or not (np.isfinite(lo) and np.isfinite(hi))):
         raise ValueError(f"interval ends must be finite, got {(lo, hi)}")
     if lo > hi:
         raise ValueError(f"interval must have lo <= hi, got {(lo, hi)}")
@@ -129,7 +130,7 @@ def grid_norm(model, interval, npoints: int, refine_tol: float = 1e-9) -> SweepR
     must be positive, or sooner once its next trial point would round onto
     the best point or out of the bracket, as happens where refine_tol is
     below the float spacing at the peak."""
-    if not refine_tol > 0:
+    if isinstance(refine_tol, (bool, np.bool_)) or not refine_tol > 0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     kept_w, kept_s, skipped = grid_sweep(model, interval, npoints)
     if not kept_w:

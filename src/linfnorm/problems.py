@@ -140,11 +140,13 @@ def make_delay_fixture(n: int, tau: float = 1.0, beta: float = 0.01,
     """
     if not (isinstance(n, numbers.Integral) and n >= 2):
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    if not 0 < tau < np.inf:
+    # a bool is not read as 1.0 or 0.0
+    if isinstance(tau, (bool, np.bool_)) or not 0 < tau < np.inf:
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
-    if not (np.isfinite(beta) and beta != 0):
+    if (isinstance(beta, (bool, np.bool_))
+            or not (np.isfinite(beta) and beta != 0)):
         raise ValueError(f"beta must be finite and nonzero, got {beta!r}")
-    if not np.isfinite(theta):
+    if isinstance(theta, (bool, np.bool_)) or not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     e = _coupling_diagonals(n)
     e[1] += theta

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -13,7 +14,8 @@ import linfnorm.greedy as greedy
 import linfnorm.oracle as oracle
 from linfnorm.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, main
 from linfnorm.errors import SingularShift, UnboundedOnAxis
-from linfnorm.greedy import SolverResult
+from linfnorm.greedy import RunConfig, SolverResult
+from linfnorm.inner import InnerConfig
 
 from test_problems import one_pole_manifest
 
@@ -62,7 +64,6 @@ class TestNormCommand:
         ("gamma", {"omega_max": 5.0, "gamma": "x"}),
         ("max_inner_iters", {"omega_max": 5.0, "max_inner_iters": 2.5}),
         ("omega_max", {"omega_max": [10]}),
-        ("expansion_mode", {"omega_max": 5.0, "expansion_mode": 5}),
     ])
     def test_manifest_config_of_the_wrong_type_is_an_error(
             self, tmp_path, capsys, key, config):
@@ -74,6 +75,7 @@ class TestNormCommand:
     @pytest.mark.parametrize("key, config", [
         ("subspace_policy", {"omega_max": 5.0, "subspace_policy": "lasttwo"}),
         ("rmax", {"omega_max": 5.0, "rmax": 1}),
+        ("expansion_mode", {"omega_max": 5.0, "expansion_mode": "full"}),
     ])
     def test_unknown_manifest_config_key_is_an_error(self, tmp_path, capsys,
                                                      key, config):
@@ -122,11 +124,11 @@ class TestNormCommand:
         expansion_block = greedy.expansion_block
         calls = []
 
-        def singular_after_first(tf, omega, mode=greedy.FULL):
+        def singular_after_first(tf, omega):
             calls.append(omega)
             if len(calls) > 1:
                 raise SingularShift(1j * omega)
-            return expansion_block(tf, omega, mode)
+            return expansion_block(tf, omega)
 
         monkeypatch.setattr(greedy, "expansion_block", singular_after_first)
         manifest = one_pole_manifest(tmp_path)
@@ -222,7 +224,9 @@ class TestUsageErrors:
         for args, unknown in [
                 (["norm", "x.json", "--bogus"], "--bogus"),
                 (["norm", manifest, "--omega-max", "5", "--policy", "keepall"],
-                 "--policy keepall")]:
+                 "--policy keepall"),
+                (["norm", manifest, "--omega-max", "5", "--mode", "full"],
+                 "--mode full")]:
             assert main(args) == EXIT_ERROR
             captured = capsys.readouterr()
             assert f"unrecognized arguments: {unknown}" in captured.err
@@ -277,20 +281,44 @@ def readme_command_lines():
     return lines
 
 
-@pytest.mark.parametrize("command", [["norm"], ["oracle"], ["bench", "delay"]],
-                         ids=" ".join)
-def test_readme_usage_lines_match_the_parsers(command):
+def parser_options(command):
+    """The long options, --help aside, of the parser of a subcommand path
+    such as ["bench", "delay"]."""
     parser = cli._build_parser()
     for name in command:
         sub = next(action for action in parser._actions
                    if isinstance(action, argparse._SubParsersAction))
         parser = sub.choices[name]
-    options = {option for action in parser._actions
-               for option in action.option_strings
-               if option.startswith("--")} - {"--help"}
+    return {option for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--")} - {"--help"}
+
+
+@pytest.mark.parametrize("command", [["norm"], ["oracle"], ["bench", "delay"]],
+                         ids=" ".join)
+def test_readme_usage_lines_match_the_parsers(command):
+    options = parser_options(command)
     prefix = " ".join(["linfnorm", *command]) + " "
     usage = [line for line in readme_command_lines()
              if line.startswith(prefix)]
     assert usage
     for line in usage:
         assert set(re.findall(r"--[a-z][a-z0-9-]*", line)) == options
+
+
+def test_settings_inventory():
+    # every setting a user can give, pinned: a new one is an edit here
+    def settable(cls):
+        return {f.name for f in dataclasses.fields(cls) if f.init}
+
+    assert settable(RunConfig) == {"omega_max", "r0", "eps", "r_max", "inner"}
+    assert settable(InnerConfig) == {"interval", "curvature_bound",
+                                     "support_tol", "max_inner_iters"}
+    assert parser_options(["norm"]) == {
+        "--r0", "--omega-max", "--eps", "--rmax", "--gamma", "--interval",
+        "--max-inner-iters", "--report"}
+    assert cli.MANIFEST_CONFIG_KEYS == {"omega_max", "interval", "gamma",
+                                        "max_inner_iters", "r0", "eps",
+                                        "r_max"}
+    with pytest.raises(TypeError, match="expansion_mode"):
+        RunConfig(omega_max=1.0, expansion_mode="full")

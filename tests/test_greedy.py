@@ -9,7 +9,7 @@ import pytest
 import linfnorm.greedy as greedy
 from linfnorm.errors import (AllShiftsSingular, DimensionMismatch,
                              SingularShift, UnboundedOnAxis)
-from linfnorm.greedy import (CONVERGED, DOMINANT, MAX_ITERATIONS, REPAIR_FAILED,
+from linfnorm.greedy import (CONVERGED, MAX_ITERATIONS, REPAIR_FAILED,
                              SINGULAR_EXPANSION, RunConfig, SubspaceState,
                              check_interpolation, convergence_ratios, expand,
                              expansion_block, run)
@@ -36,10 +36,26 @@ class TestRunConfig:
         ("eps", {"omega_max": 1.0, "eps": np.inf}),
         ("omega_max", {"omega_max": 0.0}),
         ("omega_max", {"omega_max": -5.0}),
+        ("omega_max", {"omega_max": True}),
+        ("omega_max", {"omega_max": np.True_}),
+        ("eps", {"omega_max": 1.0, "eps": True}),
+        ("eps", {"omega_max": 1.0, "eps": np.True_}),
     ])
     def test_non_finite_settings_name_their_field(self, field, kwargs):
         with pytest.raises(ValueError, match=field):
             RunConfig(**kwargs)
+
+    def test_numpy_numbers_are_settings(self):
+        # only bools are kept out of the float settings
+        RunConfig(omega_max=np.float64(2.0), eps=np.float32(1e-6),
+                  inner=InnerConfig(interval=(np.int64(0), np.float64(2.0)),
+                                    support_tol=np.float64(0.0)))
+        sw = grid_norm(siso_one_pole(), (np.int64(0), np.float64(2.0)), 3,
+                       refine_tol=np.float64(1e-9))
+        assert sw.best_sigma == pytest.approx(1.0)
+        tf = make_delay_fixture(5, tau=np.float64(1.0), beta=np.float32(0.5),
+                                theta=np.int64(5))
+        assert tf.n == 5
 
     @pytest.mark.parametrize("field", ["r0", "r_max"])
     @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, 0, True])
@@ -55,17 +71,6 @@ class TestExpansionBlock:
         assert vb.shape == (1, 1) and wb.shape == (1, 1)
         assert vb[0, 0] == pytest.approx(1.0)
         assert wb[0, 0] == pytest.approx(1.0)
-
-    def test_unknown_mode_is_named(self):
-        # neither falls back to a mode: "bogus" ran full mode and "Full"
-        # gave the dominant-mode report, which has no slopes
-        tf = siso_one_pole()
-        with pytest.raises(ValueError, match="'bogus'"):
-            expansion_block(tf, 1.0, mode="bogus")
-        state = expand(SubspaceState.empty(tf.n), *expansion_block(tf, 1.0),
-                       1.0)
-        with pytest.raises(ValueError, match="'Full'"):
-            check_interpolation(tf, state, mode="Full")
 
     def test_block_width_is_min_mp(self):
         tf, _ = random_descriptor(10, 1, 2, seed=20)
@@ -89,12 +94,6 @@ class TestExpansionBlock:
         h = tf.eval(1j * omega)
         assert np.linalg.norm(h - rm.eval(1j * omega), 2) <= 1e-9 * (
             1 + np.linalg.norm(h, 2))
-
-    def test_dominant_mode_single_column(self):
-        tf, _ = random_descriptor(12, 3, 3, seed=25)
-        vb, wb = expansion_block(tf, 0.9, mode=DOMINANT)
-        assert vb.shape == (12, 1)
-        assert wb.shape == (12, 1)
 
 
 class TestExpand:
@@ -513,10 +512,10 @@ class TestRun:
                 res = dataclasses.replace(res, omega_opt=revisit)
             return res
 
-        def spy_block(tf, omega, mode):
+        def spy_block(tf, omega):
             if calls:    # after the initial points
                 expanded.append(omega)
-            return inner_block(tf, omega, mode)
+            return inner_block(tf, omega)
 
         monkeypatch.setattr(greedy, "maximize", fake_maximize)
         monkeypatch.setattr(greedy, "expansion_block", spy_block)
@@ -598,17 +597,6 @@ class TestRun:
         for prev, cur in zip(run_states[:-1], run_states[1:]):
             proj = cur.V @ (cur.V.conj().T @ prev.V)
             assert np.linalg.norm(proj - prev.V) <= 1e-10
-
-    def test_dominant_mode_runs(self):
-        tf, interval = random_descriptor(40, 3, 3, seed=45)
-        cfg = RunConfig(omega_max=interval[1], r0=8, expansion_mode=DOMINANT,
-                        inner=InnerConfig(interval=interval))
-        res = run(tf, cfg)
-        # one direction per point in dominant mode
-        assert all(h["dim"] <= len(res.history) + 8 + len(res.seeds)
-                   for h in res.history)
-        sw = grid_norm(tf, interval, 2001)
-        assert res.norm <= sw.best_sigma * (1 + 1e-9)
 
     def test_real_parent_searches_nonnegative_omega(self):
         # sigma is even in omega for a real H, so an interval reaching below
@@ -762,7 +750,7 @@ class TestRun:
 
 
 class TestCheckInterpolation:
-    def test_full_mode_hermite(self, run_states):
+    def test_hermite_at_every_point_of_every_state(self, run_states):
         tf, interval = random_descriptor(60, 2, 2, seed=50)
         cfg = RunConfig(omega_max=interval[1], r0=6,
                         inner=InnerConfig(interval=interval))
@@ -770,21 +758,14 @@ class TestCheckInterpolation:
         assert run_states
         for state in run_states:
             for entry in check_interpolation(tf, state):
+                # one report shape: every entry carries the slopes
+                assert set(entry) == {
+                    "omega", "h_norm", "matrix_mismatch", "sigma_gap",
+                    "slope_full", "slope_reduced", "slope_mismatch", "simple"}
                 assert entry["matrix_mismatch"] <= 1e-8 * (1 + entry["h_norm"])
                 if entry["simple"]:
                     assert entry["slope_mismatch"] <= 1e-6 * (
                         1 + abs(entry["slope_full"]))
-
-    def test_dominant_mode_one_sided(self, run_states):
-        tf, interval = random_descriptor(40, 3, 3, seed=51)
-        cfg = RunConfig(omega_max=interval[1], r0=6,
-                        expansion_mode=DOMINANT,
-                        inner=InnerConfig(interval=interval))
-        run(tf, cfg)
-        assert run_states
-        for state in run_states:
-            for entry in check_interpolation(tf, state, mode=DOMINANT):
-                assert entry["sigma_gap"] >= -1e-10
 
     def test_full_order_slopes_one_point_at_a_time(self, monkeypatch):
         # a dense full-order D must not be stacked over all points at once,

@@ -142,6 +142,11 @@ class TestInnerConfig:
                              "max_inner_iters": 2.5}),
         ("max_inner_iters", {"interval": (0.0, 1.0),
                              "max_inner_iters": True}),
+        ("interval", {"interval": (False, True)}),
+        ("interval", {"interval": (0.0, np.True_)}),
+        ("support_tol", {"interval": (0.0, 1.0), "support_tol": True}),
+        ("support_tol", {"interval": (0.0, 1.0), "support_tol": False}),
+        ("support_tol", {"interval": (0.0, 1.0), "support_tol": np.False_}),
     ])
     def test_non_finite_settings_name_their_field(self, field, kwargs):
         with pytest.raises(ValueError, match=field):

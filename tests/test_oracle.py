@@ -147,7 +147,8 @@ class TestGridNorm:
 
 class TestArgumentChecks:
     @pytest.mark.parametrize("interval", [
-        (float("nan"), 1.0), (0.0, float("inf")), (-float("inf"), 0.0)])
+        (float("nan"), 1.0), (0.0, float("inf")), (-float("inf"), 0.0),
+        (False, True), (0.0, np.True_)])
     def test_non_finite_interval_end(self, interval):
         with pytest.raises(ValueError, match="interval"):
             grid_sweep(siso_one_pole(), interval, 5)
@@ -175,7 +176,7 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="interval"):
             grid_norm(siso_one_pole(), (5.0, 0.0), 5)
 
-    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan")])
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), True, np.True_])
     def test_refine_tol_must_be_positive(self, tol):
         # -1, and 0 at an interior peak, never ended the refinement loop;
         # nan skipped it silently

@@ -198,10 +198,12 @@ class TestDelayFixture:
 
     @pytest.mark.parametrize("name, value", [
         ("tau", np.nan), ("tau", np.inf), ("beta", np.nan),
-        ("beta", -np.inf), ("theta", np.nan), ("theta", np.inf)])
+        ("beta", -np.inf), ("theta", np.nan), ("theta", np.inf),
+        ("tau", True), ("beta", True), ("theta", True), ("theta", np.False_)])
     def test_rejects_nonfinite_parameters(self, name, value):
         # a NaN beta or theta, or an infinite theta, built NaN or infinite
-        # coefficients, and a NaN tau failed in ScalarTerm, naming delay
+        # coefficients, and a NaN tau failed in ScalarTerm, naming delay; a
+        # bool was read as 1.0 or 0.0
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             make_delay_fixture(5, **{name: value})
 

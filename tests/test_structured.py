@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import linfnorm.structured as structured
 from linfnorm.errors import DimensionMismatch, SingularShift
-from linfnorm.greedy import DOMINANT, FULL, expansion_block
+from linfnorm.greedy import expansion_block
 from linfnorm.problems import (delay_coupling_matrix, descriptor_tf,
                                make_delay_fixture)
 from linfnorm.reduced import sigma_and_slope, sigma_max
@@ -853,11 +853,11 @@ class TestComplexSymmetric:
             assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
         assert routes == [route] * 4
 
-    @pytest.mark.parametrize("mode, c_made", [(FULL, False), (DOMINANT, True)])
-    def test_verbatim_blocks_make_no_c(self, mode, c_made, monkeypatch):
-        # full-mode blocks of a function with m == p are D^{-1} B and its
+    def test_verbatim_blocks_make_no_c(self, monkeypatch):
+        # the blocks of a function with m == p are D^{-1} B and its
         # conjugate as they are, so C(s) is not made; the blocks are bit for
-        # bit those of the resolvents that make it
+        # bit those of the resolvents that make it.  H and H' at the same
+        # shift still make C(s), once
         tf = make_delay_fixture(5000)
         _, x, y = tf._resolvents(1.5j)
         made = []
@@ -867,10 +867,12 @@ class TestComplexSymmetric:
             return _eval(factor, s)
 
         monkeypatch.setattr(MatrixFactor, "eval", spy)
-        vb, wb = expansion_block(tf, 1.5, mode)
-        assert [f is tf.c_factor for f in made] == [False] + [True] * c_made
-        if mode == FULL:
-            assert vb.tobytes() == x.tobytes() and wb.tobytes() == y.tobytes()
+        vb, wb = expansion_block(tf, 1.5)
+        assert [f is tf.c_factor for f in made] == [False]
+        assert vb.tobytes() == x.tobytes() and wb.tobytes() == y.tobytes()
+        made.clear()
+        tf.eval_with_derivative(1.5j)
+        assert [f is tf.c_factor for f in made] == [False, True]
 
     @pytest.mark.parametrize("broken", [
         _asymmetric_entry,
