@@ -70,8 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config_from(config: dict, args) -> RunConfig:
-    """Merge manifest defaults with command-line overrides.  An unknown
-    manifest key, or a value of the wrong type, raises ParseError naming it."""
+    """Command-line values over manifest values; RunConfig and InnerConfig
+    default the rest.  An unknown manifest key, or a value of the wrong
+    type, raises ParseError naming it."""
     def integer(value):
         return _number(value) and isinstance(value, int)
 
@@ -79,14 +80,17 @@ def _run_config_from(config: dict, args) -> RunConfig:
         return (isinstance(value, list) and len(value) == 2
                 and all(map(_number, value)))
 
-    def pick(cli_val, key, fallback, valid=None, what=None):
+    def pick(cli_val, key, valid, what):
         if cli_val is not None:
             return cli_val
-        value = config.get(key, fallback)
-        if valid is not None and not valid(value):
+        value = config.get(key)
+        if key in config and not valid(value):
             raise ParseError(
                 f"manifest config {key!r} must be {what}, got {value!r}")
         return value
+
+    def given(**settings):
+        return {k: v for k, v in settings.items() if v is not None}
 
     for key in config:
         if key not in MANIFEST_CONFIG_KEYS:
@@ -94,22 +98,17 @@ def _run_config_from(config: dict, args) -> RunConfig:
     if args.omega_max is None and config.get("omega_max") is None:
         raise LinfNormError(
             "omega_max is required (set --omega-max or the manifest config)")
-    omega_max = pick(args.omega_max, "omega_max", None, _number, "a number")
-    interval = pick(args.interval, "interval", [0.0, omega_max], pair,
-                    "a list of two numbers")
+    omega_max = float(pick(args.omega_max, "omega_max", _number, "a number"))
+    interval = pick(args.interval, "interval", pair, "a list of two numbers")
     inner = InnerConfig(
-        interval=tuple(float(x) for x in interval),
-        curvature_bound=pick(args.gamma, "gamma", -100.0, _number, "a number"),
-        max_inner_iters=pick(args.max_inner_iters, "max_inner_iters", 200,
-                             integer, "an integer"),
-    )
-    return RunConfig(
-        omega_max=float(omega_max),
-        r0=pick(args.r0, "r0", 10, integer, "an integer"),
-        eps=float(pick(args.eps, "eps", 1e-6, _number, "a number")),
-        r_max=pick(args.rmax, "r_max", 30, integer, "an integer"),
-        inner=inner,
-    )
+        interval=tuple(float(x) for x in interval or (0.0, omega_max)),
+        **given(curvature_bound=pick(args.gamma, "gamma", _number, "a number"),
+                max_inner_iters=pick(args.max_inner_iters, "max_inner_iters",
+                                     integer, "an integer")))
+    return RunConfig(omega_max=omega_max, inner=inner, **given(
+        r0=pick(args.r0, "r0", integer, "an integer"),
+        eps=pick(args.eps, "eps", _number, "a number"),
+        r_max=pick(args.rmax, "r_max", integer, "an integer")))
 
 
 def _cmd_norm(args) -> int:

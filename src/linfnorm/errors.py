@@ -1,4 +1,7 @@
-"""Exception types shared across the solver modules."""
+"""Exception types shared across the solver modules, and the check that
+every numeric setting goes through."""
+
+import numbers
 
 
 class LinfNormError(Exception):
@@ -54,3 +57,15 @@ class InvalidBound(LinfNormError):
 
 class AllShiftsSingular(LinfNormError):
     """Every initial interpolation point hit a numerically singular D(s)."""
+
+
+def check_setting(name, value, ok, what, kind=numbers.Real):
+    """``value`` when it is a ``kind`` number, not a bool, for which
+    ``ok(value)`` holds; otherwise a ValueError naming ``name``.
+
+    A bool is not read as 1 or 0.  numpy numbers are numbers, but a numpy
+    bool is not a ``numbers.Real``, nor is an array, even a 0-d one.
+    """
+    if isinstance(value, kind) and not isinstance(value, bool) and ok(value):
+        return value
+    raise ValueError(f"{name} must be {what}, got {value!r}")

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import (AllShiftsSingular, DimensionMismatch, SingularShift,
-                     UnboundedOnAxis)
+                     UnboundedOnAxis, check_setting)
 from .inner import InnerConfig, maximize
 from .reduced import (_svd_and_slope, dominant_frequencies, project,
                       sigma_max)
@@ -48,18 +48,15 @@ class RunConfig:
     inner: InnerConfig | None = None
 
     def __post_init__(self):
-        # a bool is not read as 1.0 or 0.0
-        if (isinstance(self.omega_max, (bool, np.bool_))
-                or not 0 < self.omega_max < np.inf):
-            raise ValueError(
-                f"omega_max must be finite and positive, got {self.omega_max}")
+        for name in ("omega_max", "eps"):
+            check_setting(name, getattr(self, name), lambda v: 0 < v < np.inf,
+                          "finite and positive")
         for name in ("r0", "r_max"):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not (isinstance(value, numbers.Integral) and value >= 1)):
-                raise ValueError(f"{name} must be an integer >= 1, got {value}")
-        if isinstance(self.eps, (bool, np.bool_)) or not 0 < self.eps < np.inf:
-            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+            check_setting(name, getattr(self, name), lambda v: v >= 1,
+                          "an integer >= 1", numbers.Integral)
+        if not isinstance(self.inner, (InnerConfig, type(None))):
+            raise ValueError(
+                f"inner must be an InnerConfig or None, got {self.inner!r}")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import (InvalidBound, NoConvergence, PencilSingular,
-                     SingularShift, UnboundedOnAxis)
+                     SingularShift, UnboundedOnAxis, check_setting)
 from .reduced import (IMAG_TOL, _svd_and_slope, rational_realization,
                       sigma_and_slope, standard_form)
 from .structured import RCOND_THRESHOLD
@@ -47,26 +47,23 @@ class InnerConfig:
     max_inner_iters: int = 200
 
     def __post_init__(self):
-        lo, hi = self.interval
-        # a bool is not read as 1.0 or 0.0
-        if (isinstance(lo, (bool, np.bool_)) or isinstance(hi, (bool, np.bool_))
-                or not -np.inf < lo < hi < np.inf):
-            raise ValueError(
-                f"interval must be finite with lo < hi, got {self.interval}")
-        if not -np.inf < self.curvature_bound < 0:
-            raise ValueError("curvature_bound must be finite and negative")
+        try:
+            lo, hi = self.interval
+        except (TypeError, ValueError):
+            raise ValueError(f"interval must be a pair (lo, hi), "
+                             f"got {self.interval!r}") from None
+        for end in (lo, hi):
+            check_setting("interval ends", end, lambda v: -np.inf < v < np.inf,
+                          "finite")
+        if not lo < hi:
+            raise ValueError(f"interval must have lo < hi, got {self.interval}")
+        check_setting("curvature_bound", self.curvature_bound,
+                      lambda v: -np.inf < v < 0, "finite and negative")
         # zero is valid: the support search then ends on its spacing guard
-        if (isinstance(self.support_tol, (bool, np.bool_))
-                or not 0 <= self.support_tol < np.inf):
-            raise ValueError(
-                f"support_tol must be finite and nonnegative, "
-                f"got {self.support_tol}")
-        if (isinstance(self.max_inner_iters, bool)
-                or not (isinstance(self.max_inner_iters, numbers.Integral)
-                        and self.max_inner_iters >= 1)):
-            raise ValueError(
-                f"max_inner_iters must be an integer >= 1, "
-                f"got {self.max_inner_iters}")
+        check_setting("support_tol", self.support_tol,
+                      lambda v: 0 <= v < np.inf, "finite and nonnegative")
+        check_setting("max_inner_iters", self.max_inner_iters,
+                      lambda v: v >= 1, "an integer >= 1", numbers.Integral)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularShift
+from .errors import SingularShift, check_setting
 from .reduced import sigma_max
 
 #: the fraction of the larger bracket side that a golden-section step takes
@@ -100,15 +100,14 @@ def grid_sweep(model, interval, npoints: int):
     are skipped and recorded.  The interval's ends must be finite numbers,
     not bools, with lo <= hi, and npoints an integer."""
     lo, hi = interval
-    if (isinstance(lo, (bool, np.bool_)) or isinstance(hi, (bool, np.bool_))
-            or not (np.isfinite(lo) and np.isfinite(hi))):
-        raise ValueError(f"interval ends must be finite, got {(lo, hi)}")
+    for end in (lo, hi):
+        check_setting("interval ends", end, lambda v: -np.inf < v < np.inf,
+                      "finite")
     if lo > hi:
         raise ValueError(f"interval must have lo <= hi, got {(lo, hi)}")
-    if isinstance(npoints, bool) or not isinstance(npoints, numbers.Integral):
-        raise ValueError(f"npoints must be an integer, got {npoints!r}")
-    if npoints < 1 or (npoints < 2 and lo != hi):
-        raise ValueError("npoints must be at least 2 for a nondegenerate interval")
+    check_setting("npoints", npoints, lambda v: v >= 2 or (v == 1 and lo == hi),
+                  "an integer, at least 2 for a nondegenerate interval",
+                  numbers.Integral)
     omegas = np.linspace(lo, hi, npoints) if lo != hi else np.array([lo])
     kept_w, kept_s, skipped = [], [], []
     for w in omegas:
@@ -130,8 +129,7 @@ def grid_norm(model, interval, npoints: int, refine_tol: float = 1e-9) -> SweepR
     must be positive, or sooner once its next trial point would round onto
     the best point or out of the bracket, as happens where refine_tol is
     below the float spacing at the peak."""
-    if isinstance(refine_tol, (bool, np.bool_)) or not refine_tol > 0:
-        raise ValueError(f"refine_tol must be positive, got {refine_tol}")
+    check_setting("refine_tol", refine_tol, lambda v: v > 0, "positive")
     kept_w, kept_s, skipped = grid_sweep(model, interval, npoints)
     if not kept_w:
         raise SingularShift(None)

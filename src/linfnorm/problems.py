@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch, ParseError, check_setting
 from .structured import MatrixFactor, ScalarTerm, StructuredTF
 
 #: environment variable pointing at optional external benchmark data
@@ -138,16 +138,11 @@ def make_delay_fixture(n: int, tau: float = 1.0, beta: float = 0.01,
     matrices give, and each zero is +0.0, as where a CSC sum stores no
     entry.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 2):
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    # a bool is not read as 1.0 or 0.0
-    if isinstance(tau, (bool, np.bool_)) or not 0 < tau < np.inf:
-        raise ValueError(f"tau must be finite and positive, got {tau!r}")
-    if (isinstance(beta, (bool, np.bool_))
-            or not (np.isfinite(beta) and beta != 0)):
-        raise ValueError(f"beta must be finite and nonzero, got {beta!r}")
-    if isinstance(theta, (bool, np.bool_)) or not np.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
+    check_setting("n", n, lambda v: v >= 2, "an integer >= 2", numbers.Integral)
+    check_setting("tau", tau, lambda v: 0 < v < np.inf, "finite and positive")
+    check_setting("beta", beta, lambda v: -np.inf < v < np.inf and v != 0,
+                  "finite and nonzero")
+    check_setting("theta", theta, lambda v: -np.inf < v < np.inf, "finite")
     e = _coupling_diagonals(n)
     e[1] += theta
     shifted = _coupling_diagonals(n)

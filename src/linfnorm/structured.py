@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, SingularShift
+from .errors import DimensionMismatch, SingularShift, check_setting
 
 #: reciprocal condition estimate below which a shift is declared singular
 RCOND_THRESHOLD = 1e-14
@@ -39,15 +39,11 @@ class ScalarTerm:
     delay: float = 0.0
 
     def __post_init__(self):
-        # a bool is not read as degree 1 or delay 0.0
-        if (isinstance(self.degree, (bool, np.bool_))
-                or not (0 <= self.degree < math.inf
-                        and int(self.degree) == self.degree)):
-            raise ValueError(f"degree must be a nonnegative integer, got {self.degree}")
-        if (isinstance(self.delay, (bool, np.bool_))
-                or not 0 <= self.delay < math.inf):
-            raise ValueError(
-                f"delay must be finite and nonnegative, got {self.delay}")
+        check_setting("degree", self.degree,
+                      lambda k: 0 <= k < math.inf and int(k) == k,
+                      "a nonnegative integer")
+        check_setting("delay", self.delay, lambda t: 0 <= t < math.inf,
+                      "finite and nonnegative")
 
     def value(self, s):
         """The complex value at a shift, or at each of an array of shifts."""

@@ -13,6 +13,12 @@ from linfnorm.problems import descriptor_tf
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
 
+def non_numbers(valid):
+    """Values that are not settings, each made from the valid setting
+    ``valid``: its text, None, a complex number, a list and a 0-d array."""
+    return [str(valid), None, complex(valid), [valid], np.array(valid)]
+
+
 def random_descriptor(n, m, p, seed, min_decay=0.1, max_decay=2.0, im_max=8.0):
     """Random stable state-space system with controlled pole locations.
 

@@ -322,3 +322,9 @@ def test_settings_inventory():
                                         "r_max"}
     with pytest.raises(TypeError, match="expansion_mode"):
         RunConfig(omega_max=1.0, expansion_mode="full")
+    # and every one of them checked: a field added without a check fails here
+    for cls, valid in ((RunConfig, {"omega_max": 1.0}),
+                       (InnerConfig, {"interval": (0.0, 1.0)})):
+        for name in settable(cls):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                cls(**{**valid, name: "x"})

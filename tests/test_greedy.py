@@ -19,8 +19,8 @@ from linfnorm.problems import descriptor_tf, make_delay_fixture
 from linfnorm.reduced import DOMINANT_SEEDS, dominant_frequencies, sigma_max
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
-from conftest import (cgs2_reference, padded, peak_bytes, random_descriptor,
-                      siso_one_pole)
+from conftest import (cgs2_reference, non_numbers, padded, peak_bytes,
+                      random_descriptor, siso_one_pole)
 
 
 def orthonormality_defect(q):
@@ -40,6 +40,9 @@ class TestRunConfig:
         ("omega_max", {"omega_max": np.True_}),
         ("eps", {"omega_max": 1.0, "eps": True}),
         ("eps", {"omega_max": 1.0, "eps": np.True_}),
+        *[("omega_max", {"omega_max": v}) for v in non_numbers(5.0)],
+        *[("eps", {"omega_max": 1.0, "eps": v}) for v in non_numbers(1e-6)],
+        ("inner", {"omega_max": 5.0, "inner": 5}),
     ])
     def test_non_finite_settings_name_their_field(self, field, kwargs):
         with pytest.raises(ValueError, match=field):

@@ -19,7 +19,7 @@ from linfnorm.reduced import (project, rational_realization, sigma_and_slope,
                               sigma_max)
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
-from conftest import (constant_factor, pointwise_sigma_and_slope,
+from conftest import (constant_factor, non_numbers, pointwise_sigma_and_slope,
                       random_descriptor, random_rational_reduced,
                       siso_one_pole, siso_two_pole)
 
@@ -147,6 +147,13 @@ class TestInnerConfig:
         ("support_tol", {"interval": (0.0, 1.0), "support_tol": True}),
         ("support_tol", {"interval": (0.0, 1.0), "support_tol": False}),
         ("support_tol", {"interval": (0.0, 1.0), "support_tol": np.False_}),
+        ("interval", {"interval": 5}),
+        ("interval", {"interval": (0, 1, 2)}),
+        *[("interval", {"interval": (0.0, v)}) for v in non_numbers(1.0)],
+        *[("curvature_bound", {"interval": (0.0, 1.0), "curvature_bound": v})
+          for v in non_numbers(-100.0)],
+        *[("support_tol", {"interval": (0.0, 1.0), "support_tol": v})
+          for v in non_numbers(0.0)],
     ])
     def test_non_finite_settings_name_their_field(self, field, kwargs):
         with pytest.raises(ValueError, match=field):

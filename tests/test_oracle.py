@@ -11,7 +11,8 @@ from linfnorm.oracle import grid_norm, grid_sweep, sweep_csv
 from linfnorm.problems import descriptor_tf, make_delay_fixture
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
-from conftest import random_descriptor, siso_one_pole, siso_two_pole
+from conftest import (non_numbers, random_descriptor, siso_one_pole,
+                      siso_two_pole)
 
 
 #: (n, m = p, seed, best_sigma) of golden-section refinement to a bracket
@@ -148,7 +149,7 @@ class TestGridNorm:
 class TestArgumentChecks:
     @pytest.mark.parametrize("interval", [
         (float("nan"), 1.0), (0.0, float("inf")), (-float("inf"), 0.0),
-        (False, True), (0.0, np.True_)])
+        (False, True), (0.0, np.True_), *[(0.0, v) for v in non_numbers(2.0)]])
     def test_non_finite_interval_end(self, interval):
         with pytest.raises(ValueError, match="interval"):
             grid_sweep(siso_one_pole(), interval, 5)
@@ -176,7 +177,8 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="interval"):
             grid_norm(siso_one_pole(), (5.0, 0.0), 5)
 
-    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), True, np.True_])
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), True, np.True_,
+                                     *non_numbers(1e-9)])
     def test_refine_tol_must_be_positive(self, tol):
         # -1, and 0 at an interior peak, never ended the refinement loop;
         # nan skipped it silently

@@ -12,6 +12,8 @@ from linfnorm.problems import (delay_coupling_matrix, descriptor_tf,
                                make_delay_fixture)
 from linfnorm.structured import ScalarTerm
 
+from conftest import non_numbers
+
 
 def write_mtx_dense(path, mat):
     """Hand-rolled Matrix Market writer, kept independent of scipy.io."""
@@ -199,7 +201,9 @@ class TestDelayFixture:
     @pytest.mark.parametrize("name, value", [
         ("tau", np.nan), ("tau", np.inf), ("beta", np.nan),
         ("beta", -np.inf), ("theta", np.nan), ("theta", np.inf),
-        ("tau", True), ("beta", True), ("theta", True), ("theta", np.False_)])
+        ("tau", True), ("beta", True), ("theta", True), ("theta", np.False_),
+        *[(name, v) for name in ("tau", "beta", "theta")
+          for v in non_numbers(1.0)]])
     def test_rejects_nonfinite_parameters(self, name, value):
         # a NaN beta or theta, or an infinite theta, built NaN or infinite
         # coefficients, and a NaN tau failed in ScalarTerm, naming delay; a

@@ -14,7 +14,8 @@ from linfnorm.problems import (delay_coupling_matrix, descriptor_tf,
 from linfnorm.reduced import sigma_and_slope, sigma_max
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
-from conftest import csc_terms, peak_bytes, random_descriptor, siso_one_pole
+from conftest import (csc_terms, non_numbers, peak_bytes, random_descriptor,
+                      siso_one_pole)
 
 
 class TestScalarTerm:
@@ -56,9 +57,12 @@ class TestScalarTerm:
 
     @pytest.mark.parametrize("kwargs", [
         {"degree": True}, {"degree": False}, {"degree": np.True_},
-        {"delay": True}, {"delay": False}, {"delay": np.False_}])
+        {"delay": True}, {"delay": False}, {"delay": np.False_},
+        *[{"degree": v} for v in non_numbers(1)],
+        *[{"delay": v} for v in non_numbers(1.0)]])
     def test_rejects_bool(self, kwargs):
-        # as RunConfig does: True is not degree 1, nor False delay 0.0
+        # as RunConfig does: True is not degree 1, nor False delay 0.0; nor
+        # is a value that is not a number a setting
         with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be"):
             ScalarTerm(**kwargs)
 
