@@ -21,7 +21,7 @@ from .errors import (AllShiftsSingular, DimensionMismatch, SingularShift,
                      UnboundedOnAxis, check_setting)
 from .inner import InnerConfig, maximize
 from .reduced import (_svd_and_slope, dominant_frequencies, project,
-                      sigma_max)
+                      sigma_and_slope, sigma_max)
 from .structured import StructuredTF, _as_dense
 
 #: post-projection norm threshold for dropping dependent expansion directions
@@ -34,6 +34,7 @@ CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
 SINGULAR_EXPANSION = "singular_expansion"
 REPAIR_FAILED = "repair_failed"
+INTERVAL_END = "interval_end"
 
 
 @dataclass
@@ -96,16 +97,16 @@ class SolverResult:
     """What run() found.  ``norm`` is sigma of the full H at
     ``omega_opt``; ``iterations`` counts the maximizations after the first,
     each with a ``history`` entry; ``stop_reason`` is CONVERGED,
-    MAX_ITERATIONS, SINGULAR_EXPANSION or REPAIR_FAILED; ``seeds`` are the
-    dominant-pole frequencies added to the initial points; ``ratios`` is
-    convergence_ratios' table; ``wall_time`` is in seconds.  ``events``
-    lists, in order, dicts with a ``kind`` and an ``omega``:
-    ``singular_shift`` ``at`` an ``initial_point`` (skipped), an
-    ``expansion`` (the run stops) or the ``certification`` (the reduced
-    ``sigma``, also recorded, is kept as the norm); ``repair``, an expansion
-    at the interval midpoint for a reduced pole on the axis; and
+    MAX_ITERATIONS, SINGULAR_EXPANSION, REPAIR_FAILED or INTERVAL_END;
+    ``seeds`` are the dominant-pole frequencies added to the initial
+    points; ``wall_time`` is in seconds.  ``events`` lists, in order, dicts
+    with a ``kind`` and an ``omega``: ``singular_shift`` ``at`` an
+    ``initial_point`` (skipped), an ``expansion`` (the run stops) or the
+    ``certification`` (the next candidate is certified); ``repair``, an
+    expansion at the interval midpoint for a reduced pole on the axis;
     ``seed_outside_interval``, a dominant-pole frequency outside the search
-    interval."""
+    interval; and ``interval_end``, an omega_opt at an end of the search
+    interval where sigma's ``slope`` points out of it."""
 
     norm: float
     omega_opt: float
@@ -113,7 +114,6 @@ class SolverResult:
     stop_reason: str
     seeds: tuple = ()
     history: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)
     events: list = field(default_factory=list)
     wall_time: float = 0.0
 
@@ -288,18 +288,37 @@ def _converged(w_new: float, w_ref: float, eps: float) -> bool:
     return abs(w_new - w_ref) < eps * 0.5 * abs(w_new + w_ref)
 
 
-def convergence_ratios(omegas, omega_star):
-    """Post-hoc table |w_{r+1}-w*| / (|w_r-w*| * max(|w_{r-1}-w*|, |w_r-w*|)).
-
-    ``omegas`` are the per-iteration maximizers; the final iterate usually
-    serves as the reference omega_star.
-    """
-    errs = [abs(w - omega_star) for w in omegas]
-    ratios = []
-    for r in range(1, len(errs) - 1):
-        denom = errs[r] * max(errs[r - 1], errs[r])
-        ratios.append(errs[r + 1] / denom if denom > 0 else 0.0)
-    return errs, ratios
+def _certify(tf, state, history, events, stop_reason, interval, eps):
+    """(norm, omega_opt, stop_reason) after the loop; norm is sigma of the
+    full H at omega_opt.  The candidates, in order: the last maximizer (else
+    the first interpolation point), the other maximizers by reduced sigma,
+    largest first, then the interpolation points.  The first whose shift is
+    not singular is taken; one with a singular_shift event is skipped, and
+    each that raises adds one.  An omega_opt at an end of the search
+    interval (within eps) where the slope of sigma points outward adds an
+    interval_end event and turns CONVERGED into INTERVAL_END; a real H's
+    omega = 0 end is exempt, as sigma is even there."""
+    others = sorted(history[:-1], key=lambda h: h["sigma"], reverse=True)
+    for w in [h["omega"] for h in history[-1:] + others] + list(state.points):
+        if any(e["kind"] == "singular_shift" and e["omega"] == w
+               for e in events):
+            continue
+        try:
+            norm = sigma_max(tf, w)
+        except SingularShift:
+            events.append({"kind": "singular_shift", "at": "certification",
+                           "omega": w})
+            continue
+        for end, outward in zip(interval, (-1.0, 1.0)):
+            if _converged(w, end, eps) and not (tf.is_real and end == 0.0):
+                slope = float(sigma_and_slope(tf, [w], slope=True)[1][0])
+                if slope * outward > 0:
+                    events.append({"kind": "interval_end", "omega": w,
+                                   "slope": slope})
+                    if stop_reason == CONVERGED:
+                        stop_reason = INTERVAL_END
+        return norm, w, stop_reason
+    raise AllShiftsSingular("every certification candidate was singular")
 
 
 def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
@@ -311,16 +330,17 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     points already.  Every point is interpolated in one step: the resolvent
     blocks at it, then expand.  Initial points that hit a singular shift are
     skipped, each with an event; at least one must survive.  The bases
-    keep every interpolation point.  ``history`` records each maximizer;
-    ``omega_opt`` is the last one, or the first interpolation point if there
-    is none.  Converges when two consecutive maximizers agree to relative
-    tolerance eps (the first is compared with its nearest interpolation
-    point) or when the expansion at the maximizer adds no column: the model,
+    keep every interpolation point.  ``history`` records each maximizer.
+    Converges when two consecutive maximizers agree to relative tolerance
+    eps (the first is compared with its nearest interpolation point) or
+    when the expansion at the maximizer adds no column: the model,
     unchanged, would return the same point.  Otherwise stops after r_max
     iterations, at a singular expansion shift, or when a reduced model still
     has a pole on the axis after one repair expansion at the interval
-    midpoint; ``stop_reason`` says which.  For a real-coefficient H, sigma is
-    even in omega, so the reduced models are maximized over the part of the
+    midpoint; ``stop_reason`` says which.  _certify then picks omega_opt,
+    the last maximizer unless its shift is singular, and may turn
+    CONVERGED into INTERVAL_END.  For a real-coefficient H, sigma is even in
+    omega, so the reduced models are maximized over the part of the
     interval with omega >= 0.
     """
     t0 = time.perf_counter()
@@ -393,17 +413,8 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
             break
         state = grown
 
-    # the last maximizer, or the first point if no maximization succeeded
-    last = history[-1] if history else {"omega": state.points[0], "sigma": 0.0}
-    omega_opt = last["omega"]
-    # certify the final value on the full function (one large solve)
-    try:
-        norm = sigma_max(tf, omega_opt)
-    except SingularShift:
-        norm = last["sigma"]
-        events.append({"kind": "singular_shift", "at": "certification",
-                       "omega": omega_opt, "sigma": norm})
-    _, ratios = convergence_ratios([h["omega"] for h in history], omega_opt)
+    norm, omega_opt, stop_reason = _certify(
+        tf, state, history, events, stop_reason, search_cfg.interval, cfg.eps)
     return SolverResult(
         norm=norm,
         omega_opt=omega_opt,
@@ -411,7 +422,6 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
         stop_reason=stop_reason,
         seeds=tuple(seeds),
         history=history,
-        ratios=ratios,
         events=events,
         wall_time=time.perf_counter() - t0,
     )

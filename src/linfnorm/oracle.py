@@ -97,9 +97,13 @@ def _brent_refine(model, a, b, x, fx, tol):
 
 def grid_sweep(model, interval, npoints: int):
     """(omegas, sigmas, skipped) over an equispaced grid; singular shifts
-    are skipped and recorded.  The interval's ends must be finite numbers,
-    not bools, with lo <= hi, and npoints an integer."""
-    lo, hi = interval
+    are skipped and recorded.  The interval must be a pair whose ends are
+    finite numbers, not bools, with lo <= hi, and npoints an integer."""
+    try:
+        lo, hi = interval
+    except (TypeError, ValueError):
+        raise ValueError(f"interval must be a pair (lo, hi), "
+                         f"got {interval!r}") from None
     for end in (lo, hi):
         check_setting("interval ends", end, lambda v: -np.inf < v < np.inf,
                       "finite")

@@ -48,6 +48,24 @@ def random_rational_reduced(dim, m, p, seed, **kwargs):
     return random_descriptor(dim, m, p, seed, **kwargs)
 
 
+def improper_descriptor():
+    """(E, A, B, C) of an improper descriptor: E = blockdiag(I_20, N) with
+    N = [[0, 1], [0, 0]] and A = blockdiag(A1, I_2), A1 a damped random
+    tridiagonal.  B and C couple the index-2 block, so H(s) has a term -s
+    and sigma grows without bound along the axis."""
+    rng = np.random.default_rng(0)
+    a1 = (np.diag(rng.uniform(-2.0, -0.5, 20))
+          + np.diag(rng.uniform(-1.0, 1.0, 19), 1)
+          + np.diag(rng.uniform(-1.0, 1.0, 19), -1))
+    e = sla.block_diag(np.eye(20), [[0.0, 1.0], [0.0, 0.0]])
+    a = sla.block_diag(a1, np.eye(2))
+    b = np.zeros((22, 1))
+    b[:3] = b[-1] = 1.0
+    c = np.zeros((1, 22))
+    c[0, :3] = c[0, -2] = 1.0
+    return e, a, b, c
+
+
 def siso_one_pole():
     """H(s) = 1/(s+1)."""
     return descriptor_tf(np.array([[1.0]]), np.array([[-1.0]]),

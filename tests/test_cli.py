@@ -17,7 +17,8 @@ from linfnorm.errors import SingularShift, UnboundedOnAxis
 from linfnorm.greedy import RunConfig, SolverResult
 from linfnorm.inner import InnerConfig
 
-from test_problems import one_pole_manifest
+from conftest import improper_descriptor
+from test_problems import one_pole_manifest, write_mtx_dense
 
 
 class TestNormCommand:
@@ -36,8 +37,7 @@ class TestNormCommand:
         assert doc["seeds"] == []
         assert doc["events"] == []
         assert set(doc) == {"norm", "omega_opt", "iterations", "stop_reason",
-                            "seeds", "history", "ratios", "events",
-                            "wall_time"}
+                            "seeds", "history", "events", "wall_time"}
         printed = json.loads(capsys.readouterr().out)
         assert printed == doc
         json.dumps(doc, allow_nan=False)
@@ -155,11 +155,32 @@ class TestNormCommand:
         assert doc["events"] == [{"kind": "repair", "omega": 2.5}]
         assert doc["norm"] == pytest.approx(1.0)   # sigma at omega = 0
 
+    def test_maximizer_at_the_interval_end_exits_with_warnings(self, tmp_path,
+                                                               capsys):
+        # H(s) has a term -s, so sigma still rises at omega_max
+        e, a, b, c = improper_descriptor()
+        for name, mat in (("E", e), ("A0", -a), ("B", b), ("C", c)):
+            write_mtx_dense(tmp_path / f"{name}.mtx", mat)
+        manifest = tmp_path / "problem.json"
+        manifest.write_text(json.dumps({
+            "dimensions": {"n": 22, "m": 1, "p": 1},
+            "B": [{"matrix": "B.mtx"}],
+            "C": [{"matrix": "C.mtx"}],
+            "D": [{"k": 1, "matrix": "E.mtx"}, {"k": 0, "matrix": "A0.mtx"}],
+        }))
+        code = main(["norm", str(manifest), "--omega-max", "10"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_WARNINGS
+        assert doc["stop_reason"] == "interval_end"
+        assert doc["omega_opt"] == 10.0
+        assert [ev["kind"] for ev in doc["events"]] == ["interval_end"]
+
     @pytest.mark.parametrize("reason,code", [
         (greedy.CONVERGED, EXIT_OK),
         (greedy.MAX_ITERATIONS, EXIT_WARNINGS),
         (greedy.SINGULAR_EXPANSION, EXIT_WARNINGS),
         (greedy.REPAIR_FAILED, EXIT_WARNINGS),
+        (greedy.INTERVAL_END, EXIT_WARNINGS),
     ])
     def test_exit_code_follows_stop_reason(self, tmp_path, capsys,
                                            monkeypatch, reason, code):

@@ -9,9 +9,9 @@ import pytest
 import linfnorm.greedy as greedy
 from linfnorm.errors import (AllShiftsSingular, DimensionMismatch,
                              SingularShift, UnboundedOnAxis)
-from linfnorm.greedy import (CONVERGED, MAX_ITERATIONS, REPAIR_FAILED,
-                             SINGULAR_EXPANSION, RunConfig, SubspaceState,
-                             check_interpolation, convergence_ratios, expand,
+from linfnorm.greedy import (CONVERGED, INTERVAL_END, MAX_ITERATIONS,
+                             REPAIR_FAILED, SINGULAR_EXPANSION, RunConfig,
+                             SubspaceState, check_interpolation, expand,
                              expansion_block, run)
 from linfnorm.inner import InnerConfig
 from linfnorm.oracle import grid_norm
@@ -19,8 +19,8 @@ from linfnorm.problems import descriptor_tf, make_delay_fixture
 from linfnorm.reduced import DOMINANT_SEEDS, dominant_frequencies, sigma_max
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
-from conftest import (cgs2_reference, non_numbers, padded, peak_bytes,
-                      random_descriptor, siso_one_pole)
+from conftest import (cgs2_reference, improper_descriptor, non_numbers,
+                      padded, peak_bytes, random_descriptor, siso_one_pole)
 
 
 def orthonormality_defect(q):
@@ -641,20 +641,30 @@ class TestRun:
         # the stop reason says it all: no event
         assert res.events == []
 
-    def test_stop_reason_singular_expansion(self):
-        # as above: the maximizer omega = 0 is the skipped singular shift
+    def test_stop_reason_singular_expansion(self, monkeypatch):
+        # as above: the maximizer omega = 0 is the skipped singular shift,
+        # so the certification is not tried there but at the first
+        # interpolation point, 5/9
         tf = descriptor_tf(np.eye(2), np.diag([0.0, -1.0]),
                            np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]]))
+        inner_sigma_max = greedy.sigma_max
+        certified = []
+
+        def spy(tf, omega):
+            certified.append(omega)
+            return inner_sigma_max(tf, omega)
+
+        monkeypatch.setattr(greedy, "sigma_max", spy)
         res = run(tf, RunConfig(omega_max=5.0, r0=10))
         assert res.stop_reason == SINGULAR_EXPANSION
         assert not res.converged
-        # singular as an initial point, as the expansion and as the final
-        # certification, which keeps the reduced sigma
+        assert res.history[-1]["omega"] == 0.0
         assert res.events == [
             {"kind": "singular_shift", "at": at, "omega": 0.0}
-            for at in ("initial_point", "expansion")] + [
-            {"kind": "singular_shift", "at": "certification", "omega": 0.0,
-             "sigma": res.history[-1]["sigma"]}]
+            for at in ("initial_point", "expansion")]
+        assert certified == [5 / 9]
+        assert res.omega_opt == 5 / 9
+        assert res.norm == sigma_max(tf, res.omega_opt)
 
     def test_stop_reason_repair_failed(self, monkeypatch):
         # the reduced model has an axis pole before and after the repair
@@ -700,19 +710,70 @@ class TestRun:
         assert res.stop_reason == CONVERGED
         assert res.events == [{"kind": "repair", "omega": mid}]
 
-    def test_singular_certification_keeps_the_reduced_sigma(self,
-                                                            monkeypatch):
+    def test_singular_certification_takes_the_next_candidate(self,
+                                                             monkeypatch):
+        # only the last maximizer is singular: another candidate, a shift
+        # the run factored already, is certified instead
+        tf, interval = random_descriptor(30, 1, 1, seed=42)
+        cfg = RunConfig(omega_max=interval[1], r0=4,
+                        inner=InnerConfig(interval=interval))
+        last = run(tf, cfg).omega_opt
+        inner_sigma_max = greedy.sigma_max
+
+        def singular_at_last(tf, omega):
+            if omega == last:
+                raise SingularShift(1j * omega)
+            return inner_sigma_max(tf, omega)
+
+        monkeypatch.setattr(greedy, "sigma_max", singular_at_last)
+        res = run(tf, cfg)
+        assert res.history[-1]["omega"] == last != res.omega_opt
+        assert [e for e in res.events if e.get("at") == "certification"] == [
+            {"kind": "singular_shift", "at": "certification", "omega": last}]
+        assert res.norm == sigma_max(tf, res.omega_opt)
+        # the other maximizer with the largest reduced sigma
+        assert len(res.history) >= 3
+        best_other = max(res.history[:-1], key=lambda h: h["sigma"])
+        assert res.omega_opt == best_other["omega"] != res.history[-2]["omega"]
+
+    def test_every_certification_candidate_singular(self, monkeypatch):
         def singular(tf, omega):
             raise SingularShift(1j * omega)
 
         monkeypatch.setattr(greedy, "sigma_max", singular)
         tf, interval = random_descriptor(30, 1, 1, seed=42)
-        res = run(tf, RunConfig(omega_max=interval[1], r0=4,
-                                inner=InnerConfig(interval=interval)))
-        assert res.history and res.norm == res.history[-1]["sigma"]
-        assert [e for e in res.events if e["kind"] == "singular_shift"] == [
-            {"kind": "singular_shift", "at": "certification",
-             "omega": res.omega_opt, "sigma": res.norm}]
+        with pytest.raises(AllShiftsSingular):
+            run(tf, RunConfig(omega_max=interval[1], r0=4,
+                              inner=InnerConfig(interval=interval)))
+
+    @pytest.mark.parametrize("omega_max", [10.0, 100.0])
+    def test_maximizer_at_the_interval_end(self, omega_max):
+        # H(s) has a term -s: sigma rises past omega_max, where the run
+        # stops, and the slope there says so
+        tf = descriptor_tf(*improper_descriptor())
+        res = run(tf, RunConfig(omega_max=omega_max))
+        assert res.omega_opt == omega_max
+        assert res.stop_reason == INTERVAL_END
+        assert not res.converged
+        [event] = res.events
+        assert event["kind"] == "interval_end"
+        assert event["omega"] == omega_max
+        assert 0.9 < event["slope"] < 1.1
+        assert res.norm == sigma_max(tf, omega_max)
+        assert sigma_max(tf, 2 * omega_max) > res.norm
+
+    @pytest.mark.parametrize("tf, omega_max", [
+        # an interior maximizer
+        (random_descriptor(30, 2, 2, seed=40)[0], 5.0),
+        # the omega = 0 end of a real H, where sigma is even
+        (siso_one_pole(), 5.0)], ids=["interior", "real-at-zero"])
+    def test_no_slope_off_the_interval_ends(self, monkeypatch, tf, omega_max):
+        def no_slope(*args, **kwargs):
+            raise AssertionError("sigma_and_slope called")
+
+        monkeypatch.setattr(greedy, "sigma_and_slope", no_slope)
+        res = run(tf, RunConfig(omega_max=omega_max))
+        assert res.converged and 0.0 <= res.omega_opt < omega_max
 
     def test_seeds_follow_the_equidistant_points(self, run_states):
         tf, interval = random_descriptor(60, 1, 1, seed=43)
@@ -805,14 +866,3 @@ class TestCheckInterpolation:
         state = expand(SubspaceState.empty(2), *expansion_block(tf, 1.0), 1.0)
         [entry] = check_interpolation(tf, state)
         assert not entry["simple"]
-
-
-class TestConvergenceRatios:
-    def test_matches_direct_formula(self):
-        omegas = [3.0, 1.5, 1.1, 1.01, 1.0001]
-        star = 1.0
-        errs, ratios = convergence_ratios(omegas, star)
-        assert errs == [abs(w - star) for w in omegas]
-        assert ratios[0] == pytest.approx(
-            errs[2] / (errs[1] * max(errs[0], errs[1])))
-        assert len(ratios) == 3

@@ -156,6 +156,14 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="interval"):
             grid_norm(siso_one_pole(), interval, 5)
 
+    @pytest.mark.parametrize("interval", [5, (0.0, 1.0, 2.0)])
+    def test_interval_must_be_a_pair(self, interval):
+        # a bare TypeError and ValueError from the unpacking named nothing
+        with pytest.raises(ValueError, match="interval must be a pair"):
+            grid_sweep(siso_one_pole(), interval, 5)
+        with pytest.raises(ValueError, match="interval must be a pair"):
+            grid_norm(make_delay_fixture(5), interval, 3)
+
     @pytest.mark.parametrize("npoints", [2.5, 5.0, "5", None, True])
     def test_npoints_must_be_an_integer(self, npoints):
         # 2.5 reached np.linspace, which raised a bare TypeError
