@@ -288,6 +288,12 @@ def _converged(w_new: float, w_ref: float, eps: float) -> bool:
     return abs(w_new - w_ref) < eps * 0.5 * abs(w_new + w_ref)
 
 
+def _known_singular(events, w: float) -> bool:
+    """Whether events record the shift i*w as singular already."""
+    return any(e["kind"] == "singular_shift" and e["omega"] == w
+               for e in events)
+
+
 def _certify(tf, state, history, events, stop_reason, interval, eps):
     """(norm, omega_opt, stop_reason) after the loop; norm is sigma of the
     full H at omega_opt.  The candidates, in order: the last maximizer (else
@@ -300,8 +306,7 @@ def _certify(tf, state, history, events, stop_reason, interval, eps):
     omega = 0 end is exempt, as sigma is even there."""
     others = sorted(history[:-1], key=lambda h: h["sigma"], reverse=True)
     for w in [h["omega"] for h in history[-1:] + others] + list(state.points):
-        if any(e["kind"] == "singular_shift" and e["omega"] == w
-               for e in events):
+        if _known_singular(events, w):
             continue
         try:
             norm = sigma_max(tf, w)
@@ -335,7 +340,8 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     eps (the first is compared with its nearest interpolation point) or
     when the expansion at the maximizer adds no column: the model,
     unchanged, would return the same point.  Otherwise stops after r_max
-    iterations, at a singular expansion shift, or when a reduced model still
+    iterations, at a singular expansion shift (one that an event records as
+    singular already is not factored again), or when a reduced model still
     has a pole on the axis after one repair expansion at the interval
     midpoint; ``stop_reason`` says which.  _certify then picks omega_opt,
     the last maximizer unless its shift is singular, and may turn
@@ -399,9 +405,13 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
             if _converged(w_expand, w_ref, cfg.eps):
                 stop_reason = CONVERGED
                 break
-        try:
-            grown = _interpolated(tf, state, w_expand)
-        except SingularShift:
+        singular = _known_singular(events, w_expand)
+        if not singular:
+            try:
+                grown = _interpolated(tf, state, w_expand)
+            except SingularShift:
+                singular = True
+        if singular:
             events.append({"kind": "singular_shift", "at": "expansion",
                            "omega": w_expand})
             stop_reason = SINGULAR_EXPANSION

@@ -9,10 +9,9 @@ import os
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, ParseError, check_setting
-from .structured import MatrixFactor, ScalarTerm, StructuredTF
+from .structured import MatrixFactor, ScalarTerm, StructuredTF, issparse
 
 #: environment variable pointing at optional external benchmark data
 DATA_DIR_ENV = "LINFNORM_DATA_DIR"
@@ -28,7 +27,7 @@ def _load_matrix(path: Path):
         mat = mmread(os.fspath(path))
     except (ValueError, OSError) as err:
         raise ParseError(f"{path}: {err}") from err
-    if sp.issparse(mat):
+    if issparse(mat):
         if max(mat.shape) <= DENSE_CUTOFF:
             return np.asarray(mat.todense())
         return mat.tocsc()
@@ -118,6 +117,7 @@ def _coupling_diagonals(n: int) -> np.ndarray:
 def delay_coupling_matrix(n: int):
     """The n-by-n matrix with ones on the sub/superdiagonal and in the
     (1,1) and (n,n) entries."""
+    import scipy.sparse as sp
     return sp.dia_matrix((_coupling_diagonals(n), [1, 0, -1]),
                          shape=(n, n)).tocsc()
 
@@ -136,8 +136,11 @@ def make_delay_fixture(n: int, tau: float = 1.0, beta: float = 0.01,
     and each D term is them times its negated scalar, which rounds as the
     negation of A0 or A1 would; every value is the one that sums of CSC
     matrices give, and each zero is +0.0, as where a CSC sum stores no
-    entry.
+    entry.  Each band is made in place, the last one in the diagonals of
+    T - theta*I themselves, so that no array beyond the three bands and B
+    is made.
     """
+    import scipy.sparse as sp
     check_setting("n", n, lambda v: v >= 2, "an integer >= 2", numbers.Integral)
     check_setting("tau", tau, lambda v: 0 < v < np.inf, "finite and positive")
     check_setting("beta", beta, lambda v: -np.inf < v < np.inf and v != 0,
@@ -147,6 +150,9 @@ def make_delay_fixture(n: int, tau: float = 1.0, beta: float = 0.01,
     e[1] += theta
     shifted = _coupling_diagonals(n)
     shifted[1] -= theta
+    a0 = np.multiply(shifted, -((1.0 / tau) * (1.0 / beta + 1.0)))
+    a1 = shifted    # the diagonals of T - theta*I become A1's band
+    a1 *= -((1.0 / tau) * (1.0 / beta - 1.0))
     b = np.zeros((n, 1))
     b[0, 0] = 1.0
     b[1, 0] = 1.0
@@ -154,15 +160,14 @@ def make_delay_fixture(n: int, tau: float = 1.0, beta: float = 0.01,
     def dia_term(scalar_term, diagonals):
         # + 0.0 turns each -0.0 into the +0.0 of an entry that a CSC sum
         # does not store
-        return (scalar_term, sp.dia_matrix((diagonals + 0.0, [1, 0, -1]),
+        diagonals += 0.0
+        return (scalar_term, sp.dia_matrix((diagonals, [1, 0, -1]),
                                            shape=(n, n)))
 
     d_factor = MatrixFactor([
         dia_term(ScalarTerm(degree=1), e),
-        dia_term(ScalarTerm(degree=0),
-                 -((1.0 / tau) * (1.0 / beta + 1.0)) * shifted),
-        dia_term(ScalarTerm(degree=0, delay=tau),
-                 -((1.0 / tau) * (1.0 / beta - 1.0)) * shifted),
+        dia_term(ScalarTerm(degree=0), a0),
+        dia_term(ScalarTerm(degree=0, delay=tau), a1),
     ])
     return StructuredTF(
         c_factor=MatrixFactor([(ScalarTerm(), b.T)]),
@@ -174,7 +179,7 @@ def make_delay_fixture(n: int, tau: float = 1.0, beta: float = 0.01,
 def descriptor_tf(e, a, b, c) -> StructuredTF:
     """Convenience wrapper for H(s) = C (sE - A)^{-1} B.  Sparse matrices
     stay sparse; any other array-like is taken as a dense 2-D array."""
-    e, a, b, c = (m if sp.issparse(m) else np.atleast_2d(np.asarray(m))
+    e, a, b, c = (m if issparse(m) else np.atleast_2d(np.asarray(m))
                   for m in (e, a, b, c))
     return StructuredTF(
         c_factor=MatrixFactor([(ScalarTerm(), c)]),

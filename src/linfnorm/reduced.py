@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch
-from .structured import MatrixFactor, StructuredTF, _as_dense
+from .structured import MatrixFactor, StructuredTF, _as_dense, issparse
 
 #: dominant-pole frequencies that run() adds to its initial points
 DOMINANT_SEEDS = 8
@@ -56,13 +55,14 @@ def _leading(mat, rows: int, cols: int):
     a dense block sums each row in column order, as the product of the
     same matrix held in CSC does.  A sparse mat in another format without
     slicing goes through CSC."""
-    if sp.issparse(mat) and mat.format == "dia":
+    if issparse(mat) and mat.format == "dia":
+        from scipy.sparse import dia_matrix
         order = np.argsort(mat.offsets)
-        return sp.dia_matrix((mat.data[order, :cols], mat.offsets[order]),
-                             shape=(rows, cols))
+        return dia_matrix((mat.data[order, :cols], mat.offsets[order]),
+                          shape=(rows, cols))
     if (rows, cols) == mat.shape:
         return mat
-    if sp.issparse(mat) and mat.format not in ("csc", "csr"):
+    if issparse(mat) and mat.format not in ("csc", "csr"):
         mat = mat.tocsc()
     return mat[:rows, :cols]
 
@@ -78,7 +78,7 @@ def _project_factor(factor, V=None, W=None) -> MatrixFactor:
     for term, mat in factor.terms:
         if W is None:    # C_j V, p rows
             mat = _leading(mat, mat.shape[0], V.shape[0])
-            out = (mat @ V if sp.issparse(mat)
+            out = (mat @ V if issparse(mat)
                    else _inner(_as_dense(mat).conj().T, V))
         elif V is None:  # W^* B_j, m columns
             mat = _leading(mat, W.shape[0], mat.shape[1])
@@ -90,7 +90,7 @@ def _project_factor(factor, V=None, W=None) -> MatrixFactor:
             # allocator's reuse of freed blocks, and keeping D_j V until the
             # next term's product raised it by 20 MB
             out = _adjoint_product(
-                W, mat @ V if sp.issparse(mat) else _as_dense(mat) @ V)
+                W, mat @ V if issparse(mat) else _as_dense(mat) @ V)
         projected.append((term, out))
     return MatrixFactor(projected)
 

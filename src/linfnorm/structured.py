@@ -10,12 +10,12 @@ tridiagonal D(s) is eliminated within each solve, the direct one in place.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, SingularShift, check_setting
 
@@ -25,6 +25,14 @@ RCOND_THRESHOLD = 1e-14
 #: band entries that MatrixFactor.eval_tridiagonal sums at a time, so that
 #: its one complex temporary (256 KiB) stays in cache
 _BAND_BLOCK = 16384
+
+
+def issparse(m) -> bool:
+    """scipy.sparse.issparse(m), without importing scipy.sparse: no sparse
+    matrix can exist before it is loaded, so until then the answer is
+    False.  Dense runs thus never load it."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(m)
 
 
 @dataclass(frozen=True)
@@ -125,7 +133,7 @@ class MatrixFactor:
         order: sparse when every coefficient is and not ``dense``, else
         dense.  Dense coeffs may be (k, 1, 1) arrays, which give a
         (k, nrows, ncols) stack."""
-        sparse = not dense and all(sp.issparse(m) for _, m in self.terms)
+        sparse = not dense and all(issparse(m) for _, m in self.terms)
         acc = None
         for c, (_, m) in zip(coeffs, self.terms):
             contrib = (m * c) if sparse else _as_dense(m) * c
@@ -184,7 +192,7 @@ def _tridiagonal_bands(terms, n: int) -> tuple | None:
     about 36n bytes with 3n stored entries.  Its values are added with
     np.add.at in stored order, so duplicate entries sum as in a conversion
     to COO."""
-    if n < 2 or not all(sp.issparse(m) for _, m in terms):
+    if n < 2 or not all(issparse(m) for _, m in terms):
         return None
     if not all(_in_band_storage(m, n) or _within_one_of_diagonal(m)
                for _, m in terms):
@@ -241,15 +249,15 @@ def _offsets(m):
 def _equal(a, b) -> bool:
     """Whether a and b are both sparse or both dense, with one shape and
     equal entries."""
-    if a.shape != b.shape or sp.issparse(a) != sp.issparse(b):
+    if a.shape != b.shape or issparse(a) != issparse(b):
         return False
-    if sp.issparse(a):
+    if issparse(a):
         return (a != b).nnz == 0
     return np.array_equal(a, b)
 
 
 def _as_dense(m) -> np.ndarray:
-    if sp.issparse(m):
+    if issparse(m):
         return np.asarray(m.todense())
     return np.asarray(m)
 
@@ -283,10 +291,15 @@ class _DenseFactorization:
 
 
 def _pivot_rcond(udiag: np.ndarray, s: complex) -> float:
-    """min/max |diag U| of an LU; raises SingularShift below RCOND_THRESHOLD."""
-    udiag = np.abs(udiag)
-    umax = udiag.max() if udiag.size else 0.0
-    rcond = float(udiag.min() / umax) if umax > 0 else 0.0
+    """min/max |diag U| of an LU; raises SingularShift below RCOND_THRESHOLD.
+    |diag U| is taken _BAND_BLOCK entries at a time, so that no n-length
+    temporary is made; a NaN pivot makes the ratio 0, as a zero one does."""
+    umin, umax = np.inf, 0.0
+    for lo in range(0, udiag.size, _BAND_BLOCK):
+        block = np.abs(udiag[lo:lo + _BAND_BLOCK])
+        umin = np.minimum(umin, block.min())
+        umax = np.maximum(umax, block.max())
+    rcond = float(umin / umax) if umax > 0 else 0.0
     if rcond < RCOND_THRESHOLD:
         raise SingularShift(s, rcond=rcond)
     return rcond
@@ -300,8 +313,9 @@ class _SparseFactorization:
     import is an ImportError, not a singular shift."""
 
     def __init__(self, d, s: complex):
+        from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import splu
-        d = sp.csc_matrix(d, dtype=np.complex128)
+        d = csc_matrix(d, dtype=np.complex128)
         try:
             lu = splu(d)
         except RuntimeError as err:
@@ -408,7 +422,7 @@ class StructuredTF:
             return _TridiagonalFactorization(
                 self.d_factor.eval_tridiagonal(s), s)
         d = self.d_factor.eval(s)
-        if not sp.issparse(d):
+        if not issparse(d):
             return _DenseFactorization(d, s)
         return _SparseFactorization(d, s)
 
@@ -469,7 +483,7 @@ class StructuredTF:
         eval_with_derivative with ``derivative``.  Raises SingularShift with
         the first singular shift.  ``shifts`` must not be empty.
         """
-        if all(sp.issparse(m) for _, m in self.d_factor.terms):
+        if all(issparse(m) for _, m in self.d_factor.terms):
             if not derivative:
                 return np.array([self.eval(s) for s in shifts]), None
             h, hprime = zip(*(self.eval_with_derivative(s) for s in shifts))

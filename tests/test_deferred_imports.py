@@ -1,7 +1,8 @@
 """SuperLU (scipy.sparse.linalg) and the Matrix Market reader (scipy.io)
-load on first use, not with ``import linfnorm``.  The other tests share one
-interpreter, where these modules are loaded already, so this one runs a
-fresh interpreter with src/ on the path."""
+load on first use, not with ``import linfnorm``, and scipy.sparse loads only
+once a sparse matrix is made.  The other tests share one interpreter, where
+these modules are loaded already, so these run fresh interpreters with src/
+on the path."""
 
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -52,7 +54,9 @@ def write_mtx(path, mat, coordinate):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_superlu_and_mmread_load_on_first_use(tmp_path):
+def write_problem(tmp_path):
+    """A manifest of coordinate E and A and array B and C files, and the
+    same system in system.npz; returns the manifest's path."""
     # a pentadiagonal A, so that the sparse D(s) = sE - A is not tridiagonal
     # and takes SuperLU
     n = 30
@@ -74,16 +78,74 @@ def test_superlu_and_mmread_load_on_first_use(tmp_path):
         "C": [{"matrix": "C.mtx"}],
         "D": [{"k": 1, "matrix": "E.mtx"}, {"matrix": "A.mtx"}],
     }))
+    return manifest
+
+
+def run_fresh(script, *args):
+    """The JSON that script prints, run in a fresh interpreter with src/ on
+    the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT.format(deferred=DEFERRED),
-         str(manifest), str(tmp_path / "system.npz")],
+        [sys.executable, "-c", script, *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120, check=True)
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_superlu_and_mmread_load_on_first_use(tmp_path):
+    manifest = write_problem(tmp_path)
+    out = run_fresh(SCRIPT.format(deferred=DEFERRED), manifest,
+                    tmp_path / "system.npz")
     assert out["import"] == []
     assert out["superlu"] == ["scipy.sparse.linalg"]
     assert out["manifest"] == list(DEFERRED)
     assert out["superlu_err"] <= 1e-12
     assert out["manifest_err"] <= 1e-12
+
+
+DENSE_SCRIPT = """
+import json, sys
+import numpy as np
+loaded = lambda: "scipy.sparse" in sys.modules
+import linfnorm
+out = {"import": loaded()}
+n = 12
+rng = np.random.default_rng(8)
+a = -np.diag(np.arange(1.0, n + 1.0)) + 0.1 * rng.standard_normal((n, n))
+tf = linfnorm.descriptor_tf(np.eye(n), a, rng.standard_normal((n, 2)),
+                            rng.standard_normal((2, n)))
+res = linfnorm.run(tf, linfnorm.RunConfig(omega_max=5.0, r0=4))
+out["run"] = loaded()
+sweep = linfnorm.grid_norm(tf, (0.0, 5.0), 50)
+out["grid_norm"] = loaded()
+out["agree"] = bool(abs(res.norm - sweep.best_sigma) <= 1e-6 * res.norm)
+print(json.dumps(out))
+"""
+
+LOADER_SCRIPT = """
+import json, sys
+loaded = lambda: "scipy.sparse" in sys.modules
+import linfnorm
+before = loaded()
+if sys.argv[1] == "fixture":
+    tf = linfnorm.make_delay_fixture(50)
+else:
+    tf, _ = linfnorm.load_problem(sys.argv[1])
+print(json.dumps({"before": before, "after": loaded(),
+                  "n": tf.n, "is_real": tf.is_real}))
+"""
+
+
+def test_dense_runs_leave_scipy_sparse_unloaded():
+    out = run_fresh(DENSE_SCRIPT)
+    assert out == {"import": False, "run": False, "grid_norm": False,
+                   "agree": True}
+
+
+@pytest.mark.parametrize("source", ["fixture", "manifest"])
+def test_sparse_input_loads_scipy_sparse(tmp_path, source):
+    arg = write_problem(tmp_path) if source == "manifest" else source
+    out = run_fresh(LOADER_SCRIPT, arg)
+    assert out == {"before": False, "after": True,
+                   "n": 50 if source == "fixture" else 30, "is_real": True}

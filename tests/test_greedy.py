@@ -429,11 +429,12 @@ class TestRun:
 
     def test_delay_run_memory_per_order(self):
         # what one run holds beyond its fixture and bands, per order: the
-        # three complex bands of D(s), which zgtsv eliminates in place,
-        # X = D(s)^{-1} B(s) and the moduli of the pivot check, about 72
-        # bytes per order; zgttrf's second superdiagonal and pivots made it
-        # about 84, and both resolvent blocks of the previous shift, a copy
-        # of B(s) and a conjugate made beside the factorization about 148.
+        # three complex bands of D(s), which zgtsv eliminates in place, and
+        # X = D(s)^{-1} B(s), about 64 bytes per order; the moduli of the
+        # pivot check as one array made it about 72, zgttrf's second
+        # superdiagonal and pivots about 84, and both resolvent blocks of
+        # the previous shift, a copy of B(s) and a conjugate made beside the
+        # factorization about 148.
         # The inner maximization's 2.8 MB do not depend on the order, so
         # the bound is on the growth between two orders
         cfg = RunConfig(omega_max=50.0,
@@ -654,8 +655,19 @@ class TestRun:
             certified.append(omega)
             return inner_sigma_max(tf, omega)
 
+        factored = []
+        factorization = StructuredTF._factorization
+
+        def spy_factorization(self, s):
+            factored.append(s)
+            return factorization(self, s)
+
         monkeypatch.setattr(greedy, "sigma_max", spy)
+        monkeypatch.setattr(StructuredTF, "_factorization", spy_factorization)
         res = run(tf, RunConfig(omega_max=5.0, r0=10))
+        # omega = 0 is factored once, as an initial point: the expansion
+        # there is known to be singular without a second factorization
+        assert factored.count(0.0) == 1
         assert res.stop_reason == SINGULAR_EXPANSION
         assert not res.converged
         assert res.history[-1]["omega"] == 0.0

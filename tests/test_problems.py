@@ -12,7 +12,7 @@ from linfnorm.problems import (delay_coupling_matrix, descriptor_tf,
                                make_delay_fixture)
 from linfnorm.structured import ScalarTerm
 
-from conftest import non_numbers
+from conftest import kept_bytes, non_numbers, peak_bytes
 
 
 def write_mtx_dense(path, mat):
@@ -237,6 +237,15 @@ class TestDelayFixture:
                                               getattr(want, key))
             np.testing.assert_array_equal(np.signbit(got.data),
                                           np.signbit(want.data))
+
+    def test_no_temporary_beyond_the_bands(self):
+        # each band is made in place: negating and then adding 0.0 to each
+        # product made two more 3n arrays
+        n = 20_000
+        _, peak = peak_bytes(lambda: make_delay_fixture(n))
+        _, kept = kept_bytes(lambda: make_delay_fixture(n))
+        assert kept >= 9 * 8 * n
+        assert peak <= 1.05 * kept
 
     @pytest.mark.parametrize("n", [1e3, 50.0, "50", None])
     def test_order_must_be_an_integer(self, n):

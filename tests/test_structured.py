@@ -480,6 +480,41 @@ def _conj_transposed(ab):
     return out.conj()
 
 
+class TestPivotRatio:
+    """_pivot_rcond reads |diag U| _BAND_BLOCK entries at a time."""
+
+    @staticmethod
+    def _diagonal(n, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    @pytest.mark.parametrize("where", [None, 0, -1])
+    def test_matches_the_whole_diagonal(self, where):
+        # the diagonal spans several blocks and ends in a partial one; the
+        # smallest pivot is put in the first or the last block
+        n = 3 * structured._BAND_BLOCK + 123
+        u = self._diagonal(n, 18)
+        if where is not None:
+            u[where] = 1e-9j
+        ref = np.abs(u)
+        assert structured._pivot_rcond(u, 0j) == float(ref.min() / ref.max())
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_zero_or_nan_pivot_is_singular(self, bad):
+        u = self._diagonal(2 * structured._BAND_BLOCK + 5, 19)
+        u[structured._BAND_BLOCK + 2] = bad
+        with pytest.raises(SingularShift) as err:
+            structured._pivot_rcond(u, 1j)
+        assert err.value.rcond == 0.0
+
+    def test_no_full_length_temporary(self):
+        # np.abs of the whole diagonal took 8n bytes
+        n = 100_000
+        u = self._diagonal(n, 20)
+        _, peak = peak_bytes(lambda: structured._pivot_rcond(u, 0j))
+        assert peak < 8 * n
+
+
 class TestFusedTridiagonalSolve:
     """Each tridiagonal solve is one zgtsv: the elimination of zgttrf with
     the substitution of zgttrs fused into it, to the same bits."""
