@@ -4,7 +4,7 @@ two-sided subspace projection."""
 
 from .errors import (AllShiftsSingular, DimensionMismatch, InvalidBound,
                      LinfNormError, NoConvergence, ParseError, PencilSingular,
-                     SingularShift, UnboundedOnAxis)
+                     SingularShift)
 from .greedy import (RunConfig, SolverResult, SubspaceState,
                      check_interpolation, expand, expansion_block, run)
 from .inner import (InnerConfig, InnerResult, bb_norm, imaginary_crossings,
@@ -19,7 +19,6 @@ from .structured import MatrixFactor, ScalarTerm, StructuredTF
 __all__ = [
     "AllShiftsSingular", "DimensionMismatch", "InvalidBound", "LinfNormError",
     "NoConvergence", "ParseError", "PencilSingular", "SingularShift",
-    "UnboundedOnAxis",
     "RunConfig", "SolverResult", "SubspaceState", "check_interpolation",
     "expand", "expansion_block", "run",
     "InnerConfig", "InnerResult", "bb_norm", "imaginary_crossings",

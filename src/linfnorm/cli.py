@@ -10,7 +10,7 @@ import sys
 import time
 
 from .errors import LinfNormError, ParseError
-from .greedy import CONVERGED, RunConfig, run
+from .greedy import CONVERGED, RunConfig, default_interval, run
 from .inner import InnerConfig
 from .oracle import grid_norm, sweep_csv
 from .problems import _number, load_problem, make_delay_fixture
@@ -69,10 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config_from(config: dict, args) -> RunConfig:
+def _run_config_from(tf, config: dict, args) -> RunConfig:
     """Command-line values over manifest values; RunConfig and InnerConfig
-    default the rest.  An unknown manifest key, or a value of the wrong
-    type, raises ParseError naming it."""
+    default the rest, and default_interval the interval for tf.  An unknown
+    manifest key, or a value of the wrong type, raises ParseError naming
+    it."""
     def integer(value):
         return _number(value) and isinstance(value, int)
 
@@ -101,7 +102,8 @@ def _run_config_from(config: dict, args) -> RunConfig:
     omega_max = float(pick(args.omega_max, "omega_max", _number, "a number"))
     interval = pick(args.interval, "interval", pair, "a list of two numbers")
     inner = InnerConfig(
-        interval=tuple(float(x) for x in interval or (0.0, omega_max)),
+        interval=tuple(float(x) for x in
+                       interval or default_interval(tf, omega_max)),
         **given(curvature_bound=pick(args.gamma, "gamma", _number, "a number"),
                 max_inner_iters=pick(args.max_inner_iters, "max_inner_iters",
                                      integer, "an integer")))
@@ -113,7 +115,7 @@ def _run_config_from(config: dict, args) -> RunConfig:
 
 def _cmd_norm(args) -> int:
     tf, config = load_problem(args.manifest)
-    cfg = _run_config_from(config, args)
+    cfg = _run_config_from(tf, config, args)
     result = run(tf, cfg)
     report = result.to_dict()
     text = json.dumps(report, indent=2)
@@ -147,7 +149,7 @@ def bench_delay(sizes, r0=10, omega_max=DELAY_OMEGA_MAX, gamma=DELAY_GAMMA,
         tf = make_delay_fixture(n)
         cfg = RunConfig(
             omega_max=omega_max, r0=r0,
-            inner=InnerConfig(interval=(0.0, omega_max),
+            inner=InnerConfig(interval=default_interval(tf, omega_max),
                               curvature_bound=gamma,
                               max_inner_iters=max_inner_iters))
         t0 = time.perf_counter()

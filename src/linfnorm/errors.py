@@ -36,14 +36,6 @@ class PencilSingular(LinfNormError):
     """The level-set eigenvalue pencil is numerically singular."""
 
 
-class UnboundedOnAxis(LinfNormError):
-    """The largest singular value is certified unbounded on the imaginary axis.
-
-    The reduced model has a pole on the axis; the caller should treat it as
-    invalid and repair the subspaces.
-    """
-
-
 class NoConvergence(LinfNormError):
     """An inner solver exhausted its iteration budget."""
 
@@ -56,7 +48,8 @@ class InvalidBound(LinfNormError):
 
 
 class AllShiftsSingular(LinfNormError):
-    """Every initial interpolation point hit a numerically singular D(s)."""
+    """Every initial interpolation point, or every certification candidate,
+    hit a numerically singular D(s)."""
 
 
 def check_setting(name, value, ok, what, kind=numbers.Real):

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import (AllShiftsSingular, DimensionMismatch, SingularShift,
-                     UnboundedOnAxis, check_setting)
+                     check_setting)
 from .inner import InnerConfig, maximize
 from .reduced import (_svd_and_slope, dominant_frequencies, project,
                       sigma_and_slope, sigma_max)
@@ -35,6 +35,7 @@ MAX_ITERATIONS = "max_iterations"
 SINGULAR_EXPANSION = "singular_expansion"
 REPAIR_FAILED = "repair_failed"
 INTERVAL_END = "interval_end"
+PEAK_OUTSIDE_INTERVAL = "peak_outside_interval"
 
 
 @dataclass
@@ -97,16 +98,18 @@ class SolverResult:
     """What run() found.  ``norm`` is sigma of the full H at
     ``omega_opt``; ``iterations`` counts the maximizations after the first,
     each with a ``history`` entry; ``stop_reason`` is CONVERGED,
-    MAX_ITERATIONS, SINGULAR_EXPANSION, REPAIR_FAILED or INTERVAL_END;
+    MAX_ITERATIONS, SINGULAR_EXPANSION, REPAIR_FAILED, INTERVAL_END or
+    PEAK_OUTSIDE_INTERVAL;
     ``seeds`` are the dominant-pole frequencies added to the initial
     points; ``wall_time`` is in seconds.  ``events`` lists, in order, dicts
     with a ``kind`` and an ``omega``: ``singular_shift`` ``at`` an
     ``initial_point`` (skipped), an ``expansion`` (the run stops) or the
     ``certification`` (the next candidate is certified); ``repair``, an
-    expansion at the interval midpoint for a reduced pole on the axis;
+    expansion at the frequency of a reduced model's pole on the axis;
     ``seed_outside_interval``, a dominant-pole frequency outside the search
-    interval; and ``interval_end``, an omega_opt at an end of the search
-    interval where sigma's ``slope`` points out of it."""
+    interval, with the ``sigma`` of H there when that exceeds ``norm``;
+    and ``interval_end``, an omega_opt at an end of the search interval
+    where sigma's ``slope`` points out of it."""
 
     norm: float
     omega_opt: float
@@ -294,6 +297,27 @@ def _known_singular(events, w: float) -> bool:
                for e in events)
 
 
+def _peak_outside(tf, events, norm: float) -> bool:
+    """Whether H is larger than norm at a seed outside the search interval:
+    sigma of the full H is taken at each seed_outside_interval event's
+    omega, and the event gains it as ``sigma`` when it exceeds norm; a
+    singular shift there adds a singular_shift event at the
+    certification and counts as larger."""
+    found = False
+    for event in [e for e in events if e["kind"] == "seed_outside_interval"]:
+        try:
+            sigma = sigma_max(tf, event["omega"])
+        except SingularShift:
+            events.append({"kind": "singular_shift", "at": "certification",
+                           "omega": event["omega"]})
+            found = True
+            continue
+        if sigma > norm:
+            event["sigma"] = sigma
+            found = True
+    return found
+
+
 def _certify(tf, state, history, events, stop_reason, interval, eps):
     """(norm, omega_opt, stop_reason) after the loop; norm is sigma of the
     full H at omega_opt.  The candidates, in order: the last maximizer (else
@@ -303,7 +327,9 @@ def _certify(tf, state, history, events, stop_reason, interval, eps):
     each that raises adds one.  An omega_opt at an end of the search
     interval (within eps) where the slope of sigma points outward adds an
     interval_end event and turns CONVERGED into INTERVAL_END; a real H's
-    omega = 0 end is exempt, as sigma is even there."""
+    omega = 0 end is exempt, as sigma is even there.  A seed outside the
+    interval where H is larger than the norm (_peak_outside) turns
+    CONVERGED into PEAK_OUTSIDE_INTERVAL."""
     others = sorted(history[:-1], key=lambda h: h["sigma"], reverse=True)
     for w in [h["omega"] for h in history[-1:] + others] + list(state.points):
         if _known_singular(events, w):
@@ -322,8 +348,16 @@ def _certify(tf, state, history, events, stop_reason, interval, eps):
                                    "slope": slope})
                     if stop_reason == CONVERGED:
                         stop_reason = INTERVAL_END
+        if _peak_outside(tf, events, norm) and stop_reason == CONVERGED:
+            stop_reason = PEAK_OUTSIDE_INTERVAL
         return norm, w, stop_reason
     raise AllShiftsSingular("every certification candidate was singular")
+
+
+def default_interval(tf: StructuredTF, omega_max: float) -> tuple:
+    """The search interval when none is given: [0, omega_max] for a real H,
+    whose sigma is even in omega, and [-omega_max, omega_max] otherwise."""
+    return (0.0 if tf.is_real else -omega_max, omega_max)
 
 
 def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
@@ -341,16 +375,18 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
     when the expansion at the maximizer adds no column: the model,
     unchanged, would return the same point.  Otherwise stops after r_max
     iterations, at a singular expansion shift (one that an event records as
-    singular already is not factored again), or when a reduced model still
-    has a pole on the axis after one repair expansion at the interval
-    midpoint; ``stop_reason`` says which.  _certify then picks omega_opt,
-    the last maximizer unless its shift is singular, and may turn
-    CONVERGED into INTERVAL_END.  For a real-coefficient H, sigma is even in
-    omega, so the reduced models are maximized over the part of the
-    interval with omega >= 0.
+    singular already is not factored again), or when a repair, the
+    expansion at the axis pole that maximize reports as a SingularShift,
+    adds no column; ``stop_reason`` says which.  _certify then picks
+    omega_opt, the last maximizer unless its shift is singular, and may
+    turn CONVERGED into INTERVAL_END or PEAK_OUTSIDE_INTERVAL.  The search
+    interval is ``cfg.inner.interval``, else default_interval.  For a
+    real-coefficient H, sigma is even in omega, so the reduced models are
+    maximized over the part of the interval with omega >= 0.
     """
     t0 = time.perf_counter()
-    inner_cfg = cfg.inner or InnerConfig(interval=(0.0, cfg.omega_max))
+    inner_cfg = cfg.inner or InnerConfig(
+        interval=default_interval(tf, cfg.omega_max))
     lo, hi = inner_cfg.interval
     search_cfg = inner_cfg
     if tf.is_real and lo < 0.0 <= hi:
@@ -377,19 +413,13 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
 
     history = []
     stop_reason = MAX_ITERATIONS
-    repaired = False
     for _ in range(cfg.r_max):
         rm = project(tf, state.V, state.W)
         try:
             res = maximize(rm, search_cfg, state.points)
-        except UnboundedOnAxis:
-            # reduced model has an axis pole: one repair expansion at the
-            # interval midpoint, then retry once
-            if repaired:
-                stop_reason = REPAIR_FAILED
-                break
-            repaired, res = True, None
-            w_expand = 0.5 * sum(inner_cfg.interval)
+        except SingularShift as err:
+            # the reduced model has a pole on the axis: expand there
+            res, w_expand = None, err.s.imag
             events.append({"kind": "repair", "omega": w_expand})
         else:
             w_expand = res.omega_opt
@@ -416,10 +446,10 @@ def run(tf: StructuredTF, cfg: RunConfig) -> SolverResult:
                            "omega": w_expand})
             stop_reason = SINGULAR_EXPANSION
             break
-        if res is not None and grown.dim == state.dim:
+        if grown.dim == state.dim:
             # V and W are unchanged, so the model, which interpolates H at
-            # w_expand already, would return w_expand again
-            stop_reason = CONVERGED
+            # w_expand already, would return w_expand (or its pole) again
+            stop_reason = CONVERGED if res is not None else REPAIR_FAILED
             break
         state = grown
 

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import (InvalidBound, NoConvergence, PencilSingular,
-                     SingularShift, UnboundedOnAxis, check_setting)
+                     SingularShift, check_setting)
 from .reduced import (IMAG_TOL, _svd_and_slope, rational_realization,
                       sigma_and_slope, standard_form)
 from .structured import RCOND_THRESHOLD
@@ -138,31 +138,33 @@ def triangular_form(realization):
 
 
 def _axis_poles(realization, lo: float, hi: float) -> None:
-    """Raises UnboundedOnAxis for a pole lambda = a_jj / e_jj of a
-    triangular_form realization whose frequency Im lambda lies in [lo, hi]
-    and whose diagonal entry of i*omega*E - A at that frequency,
-    |Re lambda| |e_jj|, is at most RCOND_THRESHOLD ||A||_1.  The shift there
-    is as singular as a single evaluation's condition estimate allows, and
-    the diagonal is read once for all shifts, where a per-shift ztrcon
-    would cost several triangular solves."""
+    """Raises SingularShift at i*omega for a pole lambda = a_jj / e_jj of a
+    triangular_form realization whose frequency omega = Im lambda lies in
+    [lo, hi] and whose rcond estimate, the diagonal entry |Re lambda| |e_jj|
+    of i*omega*E - A over ||A||_1, is at most RCOND_THRESHOLD.  The shift
+    there is as singular as a single evaluation's condition estimate
+    allows, and the diagonal is read once for all shifts, where a per-shift
+    ztrcon would cost several solves."""
     e, a, _, _ = realization
     t = np.diagonal(a)
     s = np.ones_like(t) if e is None else np.diagonal(e)
     finite = np.flatnonzero(s != 0)
     lam = t[finite] / s[finite]
-    near = (np.abs(lam.real) * np.abs(s[finite])
-            <= RCOND_THRESHOLD * np.linalg.norm(a, 1))
-    hits = lam.imag[near & (lam.imag >= lo) & (lam.imag <= hi)]
+    dist, anorm = np.abs(lam.real) * np.abs(s[finite]), np.linalg.norm(a, 1)
+    hits = np.flatnonzero((dist <= RCOND_THRESHOLD * anorm)
+                          & (lam.imag >= lo) & (lam.imag <= hi))
     if hits.size:
-        raise UnboundedOnAxis(f"pole on the axis near omega={float(hits[0])}")
+        j = hits[0]
+        raise SingularShift(1j * float(lam.imag[j]),
+                            rcond=float(dist[j] / anorm) if anorm else 0.0)
 
 
 def triangular_sigma_and_slope(realization, omegas, slope: bool = False):
     """sigma_and_slope for H(s) = C (sE - A)^{-1} B from a triangular_form
     realization: one triangular solve (ztrtrs) per shift, and a second one
     for the slope, H'(s) = -C (sE - A)^{-1} E (sE - A)^{-1} B.  A shift that
-    makes the matrix exactly singular raises UnboundedOnAxis with its omega;
-    poles near the axis are left to _axis_poles."""
+    makes the matrix exactly singular raises SingularShift there; poles
+    near the axis are left to _axis_poles."""
     e, a, b, c = realization
     r = a.shape[0]
     x = np.empty((len(omegas), r, b.shape[1]), dtype=np.complex128)
@@ -175,21 +177,11 @@ def triangular_sigma_and_slope(realization, omegas, slope: bool = False):
         shifted -= a
         x[k], info = trtrs(shifted, b)
         if info > 0:
-            raise UnboundedOnAxis(f"pole on the axis near omega={float(w)}")
+            raise SingularShift(1j * float(w), rcond=0.0)
         if slope:
             y[k] = trtrs(shifted, x[k] if e is None else e @ x[k])[0]
     svals, slopes = _svd_and_slope(c @ x, None if y is None else -(c @ y))
     return svals[:, 0], slopes
-
-
-def _on_axis(model, omegas, slope: bool = False):
-    """sigma_and_slope(model, omegas, slope), with a singular shift reported
-    as a pole on the axis at its omega."""
-    try:
-        return sigma_and_slope(model, omegas, slope)
-    except SingularShift as err:
-        raise UnboundedOnAxis(
-            f"pole on the axis near omega={err.s.imag}") from err
 
 
 def _g(sigma: float, slope: float) -> float:
@@ -426,4 +418,5 @@ def maximize(model, cfg: InnerConfig, points=()) -> InnerResult:
     realization = rational_realization(model)
     if realization is not None:
         return bb_norm(model, cfg, points, realization)
-    return qsupport_maximize(lambda ws: _on_axis(model, ws, slope=True), cfg)
+    return qsupport_maximize(lambda ws: sigma_and_slope(model, ws, slope=True),
+                             cfg)

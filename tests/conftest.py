@@ -66,6 +66,23 @@ def improper_descriptor():
     return e, a, b, c
 
 
+def outside_peak_descriptor():
+    """(E, A, B, C) of a real H with poles -0.01 +- 3i and -0.01 +- 20i and
+    input and output weights 1 and 2: sigma peaks near 50 at omega = 3 and
+    near 200 at omega = 20."""
+    a = sla.block_diag([[-0.01, 3.0], [-3.0, -0.01]],
+                       [[-0.01, 20.0], [-20.0, -0.01]])
+    b = np.array([[1.0], [0.0], [2.0], [0.0]])
+    return np.eye(4), a, b, b.T
+
+
+def complex_two_pole():
+    """(E, A, B, C) of a complex H with poles -0.01 + 3i and -0.01 - 4i and
+    residues 1 and 3: sigma peaks near 300 at omega = -4."""
+    return (np.eye(2), np.diag([-0.01 + 3j, -0.01 - 4j]), np.ones((2, 1)),
+            np.array([[1.0, 3.0]]))
+
+
 def siso_one_pole():
     """H(s) = 1/(s+1)."""
     return descriptor_tf(np.array([[1.0]]), np.array([[-1.0]]),

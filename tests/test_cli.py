@@ -13,12 +13,27 @@ import linfnorm.cli as cli
 import linfnorm.greedy as greedy
 import linfnorm.oracle as oracle
 from linfnorm.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, main
-from linfnorm.errors import SingularShift, UnboundedOnAxis
+from linfnorm.errors import SingularShift
 from linfnorm.greedy import RunConfig, SolverResult
 from linfnorm.inner import InnerConfig
 
-from conftest import improper_descriptor
+from conftest import (complex_two_pole, improper_descriptor,
+                      outside_peak_descriptor)
 from test_problems import one_pole_manifest, write_mtx_dense
+
+
+def descriptor_manifest(tmp_path, e, a, b, c):
+    """Manifest for H(s) = C (sE - A)^{-1} B; returns the manifest path."""
+    for name, mat in (("E", e), ("A0", -a), ("B", b), ("C", c)):
+        write_mtx_dense(tmp_path / f"{name}.mtx", mat)
+    manifest = tmp_path / "problem.json"
+    manifest.write_text(json.dumps({
+        "dimensions": {"n": a.shape[0], "m": b.shape[1], "p": c.shape[0]},
+        "B": [{"matrix": "B.mtx"}],
+        "C": [{"matrix": "C.mtx"}],
+        "D": [{"k": 1, "matrix": "E.mtx"}, {"k": 0, "matrix": "A0.mtx"}],
+    }))
+    return manifest
 
 
 class TestNormCommand:
@@ -144,16 +159,30 @@ class TestNormCommand:
 
     def test_repair_failed_exits_with_warnings(self, tmp_path, capsys,
                                               monkeypatch):
+        # a reduced pole on the axis at omega = 1, away from the interval
+        # midpoint 2.5: H has order 1, so the repair expansion there adds
+        # no column
+        interpolated = greedy._interpolated
+        calls, expanded = [], []
+
         def unbounded(rm, cfg, points=()):
-            raise UnboundedOnAxis("pole on the axis")
+            calls.append(points)
+            raise SingularShift(1j * 1.0)
+
+        def spy(tf, state, omega):
+            if calls:
+                expanded.append(omega)
+            return interpolated(tf, state, omega)
 
         monkeypatch.setattr(greedy, "maximize", unbounded)
+        monkeypatch.setattr(greedy, "_interpolated", spy)
         manifest = one_pole_manifest(tmp_path)
         code = main(["norm", str(manifest), "--omega-max", "5"])
         doc = json.loads(capsys.readouterr().out)
         assert code == EXIT_WARNINGS
+        assert len(calls) == 1 and expanded == [1.0]
         assert doc["stop_reason"] == "repair_failed"
-        assert doc["events"] == [{"kind": "repair", "omega": 2.5}]
+        assert doc["events"] == [{"kind": "repair", "omega": 1.0}]
         assert doc["norm"] == pytest.approx(1.0)   # sigma at omega = 0
 
     def test_maximizer_at_the_interval_end_exits_with_warnings(self, tmp_path,
@@ -176,12 +205,35 @@ class TestNormCommand:
         assert doc["omega_opt"] == 10.0
         assert [ev["kind"] for ev in doc["events"]] == ["interval_end"]
 
+    def test_peak_outside_the_interval_exits_with_warnings(self, tmp_path,
+                                                           capsys):
+        # sigma near 200 at the seed omega = 20, outside [0, 10]
+        manifest = descriptor_manifest(tmp_path, *outside_peak_descriptor())
+        code = main(["norm", str(manifest), "--omega-max", "10"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_WARNINGS
+        assert doc["stop_reason"] == "peak_outside_interval"
+        [event] = doc["events"]
+        assert event["kind"] == "seed_outside_interval"
+        assert event["sigma"] > 3 * doc["norm"]
+
+    def test_complex_h_searches_negative_frequencies(self, tmp_path, capsys):
+        # the default interval of a complex H is [-10, 10], and sigma
+        # peaks near 300 at omega = -4
+        manifest = descriptor_manifest(tmp_path, *complex_two_pole())
+        code = main(["norm", str(manifest), "--omega-max", "10"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert doc["omega_opt"] < 0
+        assert doc["norm"] == pytest.approx(300.000272, rel=1e-8)
+
     @pytest.mark.parametrize("reason,code", [
         (greedy.CONVERGED, EXIT_OK),
         (greedy.MAX_ITERATIONS, EXIT_WARNINGS),
         (greedy.SINGULAR_EXPANSION, EXIT_WARNINGS),
         (greedy.REPAIR_FAILED, EXIT_WARNINGS),
         (greedy.INTERVAL_END, EXIT_WARNINGS),
+        (greedy.PEAK_OUTSIDE_INTERVAL, EXIT_WARNINGS),
     ])
     def test_exit_code_follows_stop_reason(self, tmp_path, capsys,
                                            monkeypatch, reason, code):

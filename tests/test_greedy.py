@@ -8,10 +8,11 @@ import pytest
 
 import linfnorm.greedy as greedy
 from linfnorm.errors import (AllShiftsSingular, DimensionMismatch,
-                             SingularShift, UnboundedOnAxis)
+                             SingularShift)
 from linfnorm.greedy import (CONVERGED, INTERVAL_END, MAX_ITERATIONS,
-                             REPAIR_FAILED, SINGULAR_EXPANSION, RunConfig,
-                             SubspaceState, check_interpolation, expand,
+                             PEAK_OUTSIDE_INTERVAL, REPAIR_FAILED,
+                             SINGULAR_EXPANSION, RunConfig, SubspaceState,
+                             check_interpolation, default_interval, expand,
                              expansion_block, run)
 from linfnorm.inner import InnerConfig
 from linfnorm.oracle import grid_norm
@@ -19,8 +20,9 @@ from linfnorm.problems import descriptor_tf, make_delay_fixture
 from linfnorm.reduced import DOMINANT_SEEDS, dominant_frequencies, sigma_max
 from linfnorm.structured import MatrixFactor, ScalarTerm, StructuredTF
 
-from conftest import (cgs2_reference, improper_descriptor, non_numbers,
-                      padded, peak_bytes, random_descriptor, siso_one_pole)
+from conftest import (cgs2_reference, complex_two_pole, improper_descriptor,
+                      non_numbers, outside_peak_descriptor, padded,
+                      peak_bytes, random_descriptor, siso_one_pole)
 
 
 def orthonormality_defect(q):
@@ -533,21 +535,26 @@ class TestRun:
         assert res.omega_opt == revisit
         assert res.norm == sigma_max(tf, revisit)
 
-    def test_repair_at_a_pole_stops_singular_expansion(self):
-        # poles at +-2i and -1: the reduced model of the initial points
-        # 0, 4/3, 8/3, 4 has a pole on the axis, and its repair expansion at
-        # the interval midpoint 2 is the pole itself
+    @pytest.mark.parametrize("hi, pole", [
+        (4.0, 2.0),
+        (5.0, pytest.approx(2.0, abs=1e-12)),
+    ], ids=["midpoint", "off_midpoint"])
+    def test_repair_at_a_pole_stops_singular_expansion(self, hi, pole):
+        # poles at +-2i and -1: the reduced model of the initial points, 4
+        # equidistant in [0, hi], has a pole on the axis, and its repair
+        # expansion is at that pole's frequency, 2, whether or not it is
+        # the interval midpoint; the full H has the pole too
         a = np.array([[0.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
         tf = descriptor_tf(np.eye(3), a, np.array([[1.0], [0.0], [1.0]]),
                            np.array([[1.0, 0.0, 1.0]]))
-        res = run(tf, RunConfig(omega_max=4.0, r0=4,
-                                inner=InnerConfig(interval=(0.0, 4.0))))
+        res = run(tf, RunConfig(omega_max=hi, r0=4,
+                                inner=InnerConfig(interval=(0.0, hi))))
         assert res.stop_reason == SINGULAR_EXPANSION
         assert not res.converged
         assert res.history == []
         assert res.events == [
-            {"kind": "repair", "omega": 2.0},
-            {"kind": "singular_shift", "at": "expansion", "omega": 2.0}]
+            {"kind": "repair", "omega": pole},
+            {"kind": "singular_shift", "at": "expansion", "omega": pole}]
 
     def test_norm_is_sigma_max_at_omega_opt(self):
         # the certified norm is sigma_max's value, to the last bit: an SVD
@@ -678,49 +685,70 @@ class TestRun:
         assert res.omega_opt == 5 / 9
         assert res.norm == sigma_max(tf, res.omega_opt)
 
+    @staticmethod
+    def spy_expansions(monkeypatch, after):
+        """The omegas that greedy._interpolated expands at once ``after``
+        is nonempty."""
+        interpolated = greedy._interpolated
+        expanded = []
+
+        def spy(tf, state, omega):
+            if after:
+                expanded.append(omega)
+            return interpolated(tf, state, omega)
+
+        monkeypatch.setattr(greedy, "_interpolated", spy)
+        return expanded
+
     def test_stop_reason_repair_failed(self, monkeypatch):
-        # the reduced model has an axis pole before and after the repair
-        # expansion at the interval midpoint
+        # the reduced model's axis pole is at an interpolation point, away
+        # from the interval midpoint: the repair expansion there adds no
+        # column
         tf, interval = random_descriptor(30, 1, 1, seed=42)
+        w0 = np.linspace(0.0, interval[1], 4).tolist()[1]
         calls = []
 
         def unbounded(rm, cfg, points=()):
             calls.append(rm.n)
-            raise UnboundedOnAxis("pole on the axis")
+            raise SingularShift(1j * w0)
 
         monkeypatch.setattr(greedy, "maximize", unbounded)
+        expanded = self.spy_expansions(monkeypatch, calls)
         res = run(tf, RunConfig(omega_max=interval[1], r0=4,
                                 inner=InnerConfig(interval=interval)))
-        assert len(calls) == 2 and calls[1] > calls[0]
+        assert len(calls) == 1
+        assert expanded == [w0] and w0 != 0.5 * sum(interval)
         assert res.stop_reason == REPAIR_FAILED
         assert not res.converged
         assert res.history == []
-        assert res.events == [{"kind": "repair",
-                               "omega": 0.5 * sum(interval)}]
+        assert res.events == [{"kind": "repair", "omega": w0}]
         # certified on the full H at the last omega, here the first point
         assert res.omega_opt == 0.0
         assert res.norm == sigma_max(tf, 0.0)
 
     def test_repair_that_succeeds_is_an_event(self, monkeypatch):
-        # one axis pole: the model after the repair expansion at the
-        # interval midpoint is maximized as usual, and the repair is recorded
+        # one axis pole, away from the interval midpoint: the model after
+        # the repair expansion at it is maximized as usual, and the repair
+        # is recorded
         tf, interval = random_descriptor(30, 1, 1, seed=42)
+        w0 = 0.3 * interval[1]
         inner_maximize = greedy.maximize
         calls = []
 
         def unbounded_once(rm, cfg, points=()):
             calls.append(points)
             if len(calls) == 1:
-                raise UnboundedOnAxis("pole on the axis")
+                raise SingularShift(1j * w0)
             return inner_maximize(rm, cfg, points)
 
         monkeypatch.setattr(greedy, "maximize", unbounded_once)
+        expanded = self.spy_expansions(monkeypatch, calls)
         res = run(tf, RunConfig(omega_max=interval[1], r0=4,
                                 inner=InnerConfig(interval=interval)))
-        mid = 0.5 * sum(interval)
-        assert calls[1] == calls[0] + (mid,)
+        assert expanded[0] == w0 != 0.5 * sum(interval)
+        assert calls[1] == calls[0] + (w0,)
         assert res.stop_reason == CONVERGED
-        assert res.events == [{"kind": "repair", "omega": mid}]
+        assert res.events == [{"kind": "repair", "omega": w0}]
 
     def test_singular_certification_takes_the_next_candidate(self,
                                                              monkeypatch):
@@ -808,6 +836,52 @@ class TestRun:
         # each dropped seed is reported
         assert res.events == [{"kind": "seed_outside_interval", "omega": w}
                               for w in dominant_frequencies(tf) if w > 2.0]
+
+    def test_peak_outside_the_interval_is_not_converged(self):
+        # sigma peaks near 50 at omega = 3 and near 200 at omega = 20, a
+        # dominant-pole seed outside [0, 10], where sigma is taken once
+        tf = descriptor_tf(*outside_peak_descriptor())
+        res = run(tf, RunConfig(omega_max=10.0))
+        assert res.stop_reason == PEAK_OUTSIDE_INTERVAL
+        assert not res.converged
+        assert res.omega_opt == pytest.approx(3.0, abs=1e-4)
+        assert res.norm == pytest.approx(50.0003, rel=1e-6)
+        [event] = res.events
+        assert event["kind"] == "seed_outside_interval"
+        assert event["omega"] == pytest.approx(20.0, rel=1e-12)
+        assert event["sigma"] == sigma_max(tf, event["omega"])
+        assert event["sigma"] == pytest.approx(200.00006, rel=1e-7)
+
+    def test_singular_seed_outside_the_interval(self, monkeypatch):
+        # H unbounded at the seed outside [0, 10]: a singular_shift event
+        # there, and the same stop reason
+        inner_sigma_max = greedy.sigma_max
+
+        def singular_above(tf, omega):
+            if omega > 10.0:
+                raise SingularShift(1j * omega)
+            return inner_sigma_max(tf, omega)
+
+        monkeypatch.setattr(greedy, "sigma_max", singular_above)
+        res = run(descriptor_tf(*outside_peak_descriptor()),
+                  RunConfig(omega_max=10.0))
+        assert res.stop_reason == PEAK_OUTSIDE_INTERVAL
+        w = res.events[0]["omega"]
+        assert res.events == [
+            {"kind": "seed_outside_interval", "omega": w},
+            {"kind": "singular_shift", "at": "certification", "omega": w}]
+
+    def test_complex_h_searches_negative_frequencies(self):
+        # sigma peaks near 300 at omega = -4: the default search interval
+        # of a complex H is [-omega_max, omega_max]
+        tf = descriptor_tf(*complex_two_pole())
+        assert default_interval(tf, 10.0) == (-10.0, 10.0)
+        res = run(tf, RunConfig(omega_max=10.0))
+        sweep = grid_norm(tf, (-10.0, 10.0), 2001, refine_tol=1e-12)
+        assert res.converged and res.events == []
+        assert res.omega_opt < 0
+        assert res.norm == pytest.approx(sweep.best_sigma, rel=1e-8)
+        assert res.norm == pytest.approx(300.000272, rel=1e-8)
 
     def test_delay_function_is_not_seeded(self):
         res = run(make_delay_fixture(100),

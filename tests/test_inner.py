@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 import linfnorm.inner as inner
-from linfnorm.errors import InvalidBound, UnboundedOnAxis
+from linfnorm.errors import InvalidBound, SingularShift
 from linfnorm.greedy import (RunConfig, SubspaceState, expand,
                              expansion_block, run)
 from linfnorm.inner import (InnerConfig, bb_norm, imaginary_crossings,
@@ -351,8 +351,20 @@ class TestTriangular:
             model = descriptor_tf(np.diag([1.0, 0.0]),
                                   np.diag([2.5j, 1.0]), np.ones((2, 1)),
                                   np.ones((1, 2)))
-        with pytest.raises(UnboundedOnAxis, match=r"omega=2\.5$"):
+        with pytest.raises(SingularShift) as err:
             maximize(model, InnerConfig(interval=(0.0, 4.0)))
+        assert err.value.s.imag == 2.5
+
+    def test_axis_pole_carries_its_rcond_estimate(self):
+        # a pole 2e-15 off the axis at 2.5i: |Re lambda| / ||A||_1 is below
+        # RCOND_THRESHOLD = 1e-14
+        pole = -2e-15 + 2.5j
+        model = descriptor_tf(np.eye(1), np.array([[pole]]), np.ones(1),
+                              np.ones(1))
+        with pytest.raises(SingularShift) as err:
+            maximize(model, InnerConfig(interval=(0.0, 4.0)))
+        assert err.value.s == 2.5j
+        assert err.value.rcond == pytest.approx(2e-15 / abs(pole), rel=1e-12)
 
     def test_axis_pole_outside_the_interval_is_left(self):
         # 1/(s - 5i) + 1/(s + 1) on [0, 4]: the pole at 5i is not searched
@@ -529,5 +541,6 @@ class TestBatching:
                               (ScalarTerm(), 4.0 * np.eye(1))])
             model = StructuredTF(constant_factor(1.0), d, constant_factor(1.0))
             interval = (1.0, 2.0)
-        with pytest.raises(UnboundedOnAxis, match=r"omega=2\.0$"):
+        with pytest.raises(SingularShift) as err:
             maximize(model, InnerConfig(interval=interval))
+        assert err.value.s.imag == 2.0

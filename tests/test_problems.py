@@ -16,12 +16,15 @@ from conftest import kept_bytes, non_numbers, peak_bytes
 
 
 def write_mtx_dense(path, mat):
-    """Hand-rolled Matrix Market writer, kept independent of scipy.io."""
+    """Hand-rolled Matrix Market writer, kept independent of scipy.io; a
+    complex mat is written with the complex field."""
     mat = np.atleast_2d(mat)
-    lines = ["%%MatrixMarket matrix array real general",
+    field = "complex" if np.iscomplexobj(mat) else "real"
+    lines = [f"%%MatrixMarket matrix array {field} general",
              f"{mat.shape[0]} {mat.shape[1]}"]
     # array format is column-major
-    lines += [f"{v:.17e}" for v in mat.flatten(order="F")]
+    lines += [f"{v.real:.17e} {v.imag:.17e}" if field == "complex"
+              else f"{v:.17e}" for v in mat.flatten(order="F")]
     path.write_text("\n".join(lines) + "\n")
 
 
